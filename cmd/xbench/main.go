@@ -27,12 +27,11 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: fig6…fig11, table2, asrpath, cascade, randdoc, readers, parallel, durability, micro, text, obsv, storage, or all")
+		exp      = flag.String("exp", "all", "experiment id: fig6…fig11, table2, asrpath, cascade, randdoc, readers, durability, micro, text, obsv, storage, or all")
 		quick    = flag.Bool("quick", false, "reduced parameter grid")
 		runs     = flag.Int("runs", 4, "measured runs per point (one warm-up run is added and discarded)")
 		readers  = flag.Int("readers", 4, "max reader goroutines for the concurrent snapshot-read scenario (-exp readers)")
 		writer   = flag.String("writer", "rollback", "writer mode for -exp readers: rollback (abort cycles), live (commit cycles), or both")
-		workers  = flag.Int("workers", 8, "max worker budget for the parallel-executor sweep (-exp parallel)")
 		jsonPath = flag.String("json", "", "write experiment results as JSON to this file")
 		stats    = flag.Bool("stats", false, "print the aggregated engine Stats counters as JSON after the run")
 		trace    = flag.Bool("trace", false, "capture statement trace spans in the obsv experiment")
@@ -41,7 +40,7 @@ func main() {
 	cfg := bench.Config{Runs: *runs, Quick: *quick}
 	bench.CollectStats(*stats)
 	results := make(map[string]any)
-	if err := run(*exp, cfg, *readers, *writer, *workers, *trace, results); err != nil {
+	if err := run(*exp, cfg, *readers, *writer, *trace, results); err != nil {
 		fmt.Fprintln(os.Stderr, "xbench:", err)
 		os.Exit(1)
 	}
@@ -84,7 +83,7 @@ var figures = []figRunner{
 	{"randdoc", bench.RunRandomizedDelete},
 }
 
-func run(exp string, cfg bench.Config, readers int, writer string, workers int, trace bool, results map[string]any) error {
+func run(exp string, cfg bench.Config, readers int, writer string, trace bool, results map[string]any) error {
 	matched := false
 	for _, f := range figures {
 		if exp == "all" || exp == f.id {
@@ -140,18 +139,6 @@ func run(exp string, cfg bench.Config, readers int, writer string, workers int, 
 			bench.WriteConcurrentReads(os.Stdout, pts)
 			fmt.Println()
 		}
-	}
-	if exp == "parallel" {
-		// Like readers, a scheduling-sensitive scenario: opt-in rather than
-		// part of "all", so the default suite stays stable on small boxes.
-		matched = true
-		res, err := bench.RunParallel(cfg, workers)
-		if err != nil {
-			return fmt.Errorf("parallel: %w", err)
-		}
-		results["parallel"] = res
-		bench.WriteParallel(os.Stdout, res)
-		fmt.Println()
 	}
 	if exp == "storage" {
 		// Disk-sensitive like durability but with real page files and

@@ -11,12 +11,12 @@ import (
 	"repro/internal/relational"
 )
 
-// Storage experiment (PR10): prices the paged backend against the default
+// Storage experiment: prices the paged backend against the default
 // in-memory backend along the three axes the design trades on — pool size
 // vs scan cost (caching), checkpoint bytes (dirty-page redo vs whole-snapshot
-// re-encode), and larger-than-RAM document reconstruction. Like readers and
-// parallel it is opt-in (`-exp storage`), not part of "all": the sweep writes
-// real page files and its timings are disk-sensitive.
+// re-encode), and larger-than-RAM document reconstruction. Like readers it
+// is opt-in (`-exp storage`), not part of "all": the sweep writes real page
+// files and its timings are disk-sensitive.
 
 // PoolSweepPoint is one pool-size measurement over a fixed paged dataset:
 // repeated full scans with PoolPages resident frames.

@@ -89,9 +89,6 @@ type Options struct {
 	// OrderColumn stores tuple positions (the §8 order-preserving
 	// extension).
 	OrderColumn bool
-	// Parallelism is the per-statement worker budget for query execution;
-	// <= 1 means serial, the default.
-	Parallelism int
 }
 
 // Store is an XML repository over the relational engine.
@@ -209,7 +206,6 @@ func Open(doc *xmltree.Document, opts Options) (*Store, error) {
 		return nil, err
 	}
 	db := relational.NewDB()
-	db.SetParallelism(opts.Parallelism)
 	ds, err := shred.Load(db, m, doc)
 	if err != nil {
 		return nil, err

@@ -33,33 +33,26 @@ type anKey struct {
 const (
 	anProject  = -1 // projection / aggregation (also the values body)
 	anDistinct = -2
-	anExchange = -3 // parallel fan-out (ordered exchange or parallel agg)
-	anSort     = -4
-	anMerge    = -5
-	anUnion    = -6
-	anMatch    = -7 // DML row-match access path
+	anSort     = -3
+	anMerge    = -4
+	anUnion    = -5
+	anMatch    = -6 // DML row-match access path
 )
 
-// opMetrics is one operator's actuals. Atomics because parallel CTE waves
-// build and drain sibling pipelines concurrently, and worker pipelines fold
-// their scan counters from worker goroutines. workers/parts are written
-// once, from the goroutine constructing the parallel body, before any
-// worker runs.
+// opMetrics is one operator's actuals. An analyzed statement runs on its
+// calling goroutine, so the atomics are uncontended; on this debugging path
+// they cost nothing measurable, and they keep the record race-free without
+// reasoning about which goroutine feeds it.
 type opMetrics struct {
-	rows    atomic.Int64 // rows produced (consumer side for exchanges)
+	rows    atomic.Int64 // rows produced
 	loops   atomic.Int64 // times the operator was opened
 	ns      atomic.Int64 // inclusive wall time across Open/Next/Close
 	scanned atomic.Int64 // source rows visited (levelIter counter fold)
 	probes  atomic.Int64 // index + range probes issued
-	workers int
-	parts   int
 }
 
 // suffix renders the operator's actuals for appending to its plan line.
-// Nil-safe: operators the run never instrumented render nothing. Worker
-// pipeline levels carry no timing (summing wall time across concurrent
-// goroutines would overstate it), so a levels-only record renders its scan
-// counters alone.
+// Nil-safe: operators the run never instrumented render nothing.
 func (m *opMetrics) suffix() string {
 	if m == nil {
 		return ""
@@ -77,9 +70,6 @@ func (m *opMetrics) suffix() string {
 	}
 	if p := m.probes.Load(); p > 0 {
 		parts = append(parts, fmt.Sprintf("probes=%d", p))
-	}
-	if m.workers > 1 {
-		parts = append(parts, fmt.Sprintf("workers=%d", m.workers), fmt.Sprintf("parts=%d", m.parts))
 	}
 	if len(parts) == 0 {
 		return " (actual rows=0)"
@@ -215,8 +205,7 @@ func (ir *instrRow) Close() {
 // ExplainAnalyze executes a statement with per-operator instrumentation and
 // returns the EXPLAIN tree annotated with actuals: rows produced, open
 // count, inclusive wall time, and source rows scanned / probes issued per
-// join level, plus worker and partition counts where the parallel executor
-// engaged. The statement runs for real: a DML statement mutates the
+// join level. The statement runs for real: a DML statement mutates the
 // database and appends its redo record exactly as Exec would. Also
 // reachable through the SQL path as `EXPLAIN ANALYZE <stmt>` (or the
 // shorthand `ANALYZE <stmt>`) via Query.
@@ -396,12 +385,7 @@ func (db *DB) renderAnalyzeMatch(b *strings.Builder, name string, t *Table, wher
 	lp := db.matchPlanFor(slot, name, t, where)
 	src := &source{name: name, table: t}
 	ap := chooseAccessPlan(lp, src, 0, nil, true)
-	m := an.find(slot, anMatch)
-	par := 1
-	if m != nil && m.workers > 1 {
-		par = m.workers
-	}
-	indentLine(b, depth, levelLine(lp, src, ap, par)+m.suffix())
+	indentLine(b, depth, levelLine(lp, src, ap)+an.find(slot, anMatch).suffix())
 }
 
 // renderAnalyzeSelect mirrors renderSelectTree over the compiled forms the
@@ -448,10 +432,7 @@ func (db *DB) renderAnalyzeSelect(b *strings.Builder, s *SelectStmt, an *analyze
 	return nil
 }
 
-// renderAnalyzeBody mirrors explainBody. The parallel decision is read off
-// the recorded exchange operator rather than recomputed, so the rendered
-// fan-out is the one that actually ran even if table cardinalities have
-// moved since.
+// renderAnalyzeBody mirrors explainBody.
 func (db *DB) renderAnalyzeBody(b *strings.Builder, bc *bodyCompiled, an *analyzeRun, depth int) {
 	s := bc.sel
 	if s.Distinct {
@@ -476,19 +457,9 @@ func (db *DB) renderAnalyzeBody(b *strings.Builder, bc *bodyCompiled, an *analyz
 		indentLine(b, depth, "Values")
 		return
 	}
-	par := 1
-	if xm := an.find(bc, anExchange); xm != nil {
-		par = xm.workers
-		indentLine(b, depth, fmt.Sprintf("Exchange (workers=%d, ordered)%s", par, xm.suffix()))
-		depth++
-	}
 	for pos := len(bc.plan.levels) - 1; pos >= 0; pos-- {
 		lp := bc.plan.levels[pos]
-		lpar := 1
-		if par > 1 && (pos == 0 || bc.access[pos].kind == accessHashJoin) {
-			lpar = par
-		}
-		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos], lpar)+an.find(bc, pos).suffix())
+		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos])+an.find(bc, pos).suffix())
 		depth++
 	}
 }
@@ -518,9 +489,6 @@ func writeStatsDelta(b *strings.Builder, d Stats) {
 		{"planCacheMisses", d.PlanCacheMisses},
 		{"internHits", d.InternHits},
 		{"internMisses", d.InternMisses},
-		{"parallelWorkers", d.ParallelWorkers},
-		{"partitionsScanned", d.PartitionsScanned},
-		{"exchangeBatches", d.ExchangeBatches},
 		{"snapshotsTaken", d.SnapshotsTaken},
 		{"versionChainHops", d.VersionChainHops},
 		{"writeConflicts", d.WriteConflicts},

@@ -191,37 +191,6 @@ func TestAnalyzeCTETree(t *testing.T) {
 	}
 }
 
-// TestParallelAnalyzeExchange: under parallelism the annotated plan shows
-// the exchange with its worker/partition actuals, and worker-level scan
-// counts still sum to the stats delta.
-func TestParallelAnalyzeExchange(t *testing.T) {
-	db := NewDB()
-	db.MustExec(`CREATE TABLE w (id INTEGER, v INTEGER)`)
-	// 256 rows: past the parMinRows gate with enough chunk headroom
-	// (parChunkRows=32) for the full k=4 fan-out.
-	for i := 0; i < 256; i++ {
-		db.MustExec(fmt.Sprintf(`INSERT INTO w VALUES (%d, %d)`, i, i%7))
-	}
-	db.SetParallelism(4)
-	defer db.SetParallelism(1)
-	base := db.Stats()
-	out, err := db.ExplainAnalyze(`SELECT id FROM w WHERE v >= 0`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := statsSub(db.Stats(), base)
-	if delta.ParallelWorkers == 0 {
-		t.Fatalf("parallel executor did not engage:\n%s", out)
-	}
-	if !strings.Contains(out, "Exchange (workers=4, ordered)") ||
-		!strings.Contains(out, "workers=4 parts=4") {
-		t.Errorf("exchange actuals missing:\n%s", out)
-	}
-	if got := sumScanned(t, out); got != delta.RowsScanned {
-		t.Errorf("parallel scanned sum = %d, stats delta = %d\n%s", got, delta.RowsScanned, out)
-	}
-}
-
 // TestAnalyzeRejectsNonStatements: transaction control and DDL are not
 // analyzable.
 func TestAnalyzeRejectsNonStatements(t *testing.T) {
@@ -286,47 +255,4 @@ func TestIterCloseFlushIdempotent(t *testing.T) {
 	if d := statsSub(db.Stats(), base); d.RowsScanned == 0 {
 		t.Error("abandoned pipeline flushed no scan count on Close")
 	}
-}
-
-// TestParallelStatsCountersExact pins the parallel bookkeeping counters to
-// their exact values for a 256-row partitioned scan (satellite c): K
-// workers, K partitions, and the batch count the parBatchRows=128 batching
-// implies — k=2 cuts 128-row partitions (one full batch each), k=4 cuts
-// 64-row partitions (one remainder batch each).
-func TestParallelStatsCountersExact(t *testing.T) {
-	db := NewDB()
-	db.MustExec(`CREATE TABLE w (id INTEGER, v INTEGER)`)
-	for i := 0; i < 256; i++ {
-		db.MustExec(fmt.Sprintf(`INSERT INTO w VALUES (%d, %d)`, i, i%7))
-	}
-	for _, k := range []int{2, 4} {
-		db.SetParallelism(k)
-		base := db.Stats()
-		rows, err := db.Query(`SELECT id FROM w WHERE v >= 0`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows.Data) != 256 {
-			t.Fatalf("k=%d: %d rows, want 256", k, len(rows.Data))
-		}
-		d := statsSub(db.Stats(), base)
-		wantBatches := int64(k) // 256/2=128 → 1 full batch/worker; 256/4=64 → 1 tail batch/worker
-		if d.ParallelWorkers != int64(k) || d.PartitionsScanned != int64(k) || d.ExchangeBatches != wantBatches {
-			t.Errorf("k=%d: workers=%d partitions=%d batches=%d, want %d/%d/%d",
-				k, d.ParallelWorkers, d.PartitionsScanned, d.ExchangeBatches, k, k, wantBatches)
-		}
-
-		// Parallel aggregation: workers and partitions count, no exchange
-		// traffic at all.
-		base = db.Stats()
-		if _, err := db.Query(`SELECT COUNT(id) FROM w`); err != nil {
-			t.Fatal(err)
-		}
-		d = statsSub(db.Stats(), base)
-		if d.ParallelWorkers != int64(k) || d.PartitionsScanned != int64(k) || d.ExchangeBatches != 0 {
-			t.Errorf("k=%d agg: workers=%d partitions=%d batches=%d, want %d/%d/0",
-				k, d.ParallelWorkers, d.PartitionsScanned, d.ExchangeBatches, k, k)
-		}
-	}
-	db.SetParallelism(1)
 }

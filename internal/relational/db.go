@@ -55,16 +55,6 @@ type Stats struct {
 	// silently disabled.
 	InternHits   int64
 	InternMisses int64
-	// ParallelWorkers counts worker goroutines launched by the parallel
-	// executor (exchange scans, shared hash-join builds, CTE waves, DML
-	// read phases); PartitionsScanned counts driving-level partitions
-	// drained; ExchangeBatches counts row batches that crossed an exchange
-	// channel. All three stay zero under the default serial execution —
-	// a nonzero ParallelWorkers is the positive signal that a workload
-	// actually engaged the fan-out (parallel.go).
-	ParallelWorkers   int64
-	PartitionsScanned int64
-	ExchangeBatches   int64
 	// SnapshotsTaken counts MVCC snapshots registered by explicit
 	// transactions (Begin / SQL BEGIN). VersionChainHops counts version-chain
 	// nodes walked by visibility checks — structurally zero while every table
@@ -108,10 +98,6 @@ type statCounters struct {
 	HashJoinBuilds  atomic.Int64
 	PlanCacheHits   atomic.Int64
 	PlanCacheMisses atomic.Int64
-
-	ParallelWorkers   atomic.Int64
-	PartitionsScanned atomic.Int64
-	ExchangeBatches   atomic.Int64
 
 	SnapshotsTaken   atomic.Int64
 	VersionChainHops atomic.Int64
@@ -168,14 +154,6 @@ type DB struct {
 	// arena) across sort executions, so a blocking sort's per-row copies
 	// write into a reused arena instead of allocating per row (iter.go).
 	sortPool sync.Pool
-
-	// parallelism is the per-statement worker budget (SetParallelism /
-	// Options.Parallelism); <= 1 means serial, the default. Read under
-	// db.mu in any mode, written under the exclusive lock. parActive
-	// counts workers currently running so nested constructs degrade to
-	// serial instead of oversubscribing the budget (parallel.go).
-	parallelism int
-	parActive   atomic.Int64
 
 	// stmts caches parsed statement templates by shape (prepare.go).
 	// Compiled plans live on the AST nodes themselves (plan.go), so they
@@ -333,10 +311,6 @@ func (db *DB) Stats() Stats {
 		PlanCacheHits:   db.stats.PlanCacheHits.Load(),
 		PlanCacheMisses: db.stats.PlanCacheMisses.Load(),
 
-		ParallelWorkers:   db.stats.ParallelWorkers.Load(),
-		PartitionsScanned: db.stats.PartitionsScanned.Load(),
-		ExchangeBatches:   db.stats.ExchangeBatches.Load(),
-
 		SnapshotsTaken:   db.stats.SnapshotsTaken.Load(),
 		VersionChainHops: db.stats.VersionChainHops.Load(),
 		WriteConflicts:   db.stats.WriteConflicts.Load(),
@@ -372,9 +346,6 @@ func (db *DB) ResetStats() {
 	db.stats.HashJoinBuilds.Store(0)
 	db.stats.PlanCacheHits.Store(0)
 	db.stats.PlanCacheMisses.Store(0)
-	db.stats.ParallelWorkers.Store(0)
-	db.stats.PartitionsScanned.Store(0)
-	db.stats.ExchangeBatches.Store(0)
 	db.stats.SnapshotsTaken.Store(0)
 	db.stats.VersionChainHops.Store(0)
 	db.stats.WriteConflicts.Store(0)
@@ -657,7 +628,13 @@ func (db *DB) queryLocked(sql string, qt *QueryTrace) (*Rows, error) {
 	db.stats.Statements.Add(1)
 	env := newEnv(nil)
 	env.args = args
-	return db.execSelect(sel, env)
+	if qt == nil {
+		return db.execSelect(sel, env)
+	}
+	execStart := time.Now()
+	rows, err := db.execSelect(sel, env)
+	qt.Execute = time.Since(execStart)
+	return rows, err
 }
 
 // QueryEach executes a SELECT, streaming each result row to fn as the
@@ -724,7 +701,15 @@ func (db *DB) queryEachLocked(sql string, qt *QueryTrace, fn func(row []Value) e
 	db.stats.Statements.Add(1)
 	env := newEnv(nil)
 	env.args = args
-	return db.streamSelect(sel, env, fn)
+	if qt == nil {
+		return db.streamSelect(sel, env, fn)
+	}
+	// Streaming interleaves execution with fn, so Execute includes the
+	// caller's per-row work.
+	execStart := time.Now()
+	cols, err := db.streamSelect(sel, env, fn)
+	qt.Execute = time.Since(execStart)
+	return cols, err
 }
 
 // ExecPrepared runs a prepared statement in autocommit mode; it is the
@@ -770,10 +755,6 @@ type Rows struct {
 	// a consumer joining below this result needs before refining its order
 	// with deeper keys (equal-key rows would restart the deeper order).
 	orderUnique bool
-	// est is a predicted row count for results that carry no Data — EXPLAIN
-	// stubs stand in for CTE materializations, and the parallel planner
-	// sizes its fan-out against est so predicted plans agree with runtime.
-	est int
 }
 
 // execEnv carries named CTE results, the OLD row binding for trigger

@@ -52,9 +52,6 @@ type Options struct {
 	// default; negative disables auto-checkpointing (crash tests need the
 	// log to stay put).
 	CheckpointBytes int64
-	// Parallelism is the per-statement worker budget for query execution
-	// (see SetParallelism); <= 1 means serial, the default.
-	Parallelism int
 	// SlowQuery, when positive, arms the slow-query log: statements whose
 	// total latency reaches the threshold are traced and retained in the
 	// recent-statements ring (see DB.SetSlowQuery / DB.TraceLog). Zero
@@ -322,7 +319,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.SetParallelism(opts.Parallelism)
 	db.wal = l
 	db.walOpts = opts
 	db.pagedDir = dir

@@ -123,24 +123,6 @@ func (db *DB) execUpdate(s *UpdateStmt, env *execEnv) (int, error) {
 		}
 		cols[i] = ci
 	}
-	if k := db.parWorkersFor(len(rids)); k > 1 {
-		// Batched intra-update parallelism: compute every row's new values
-		// first (parallel read phase), then apply mutations serially under
-		// the undo log. See updateValsParallel for why this is equivalent
-		// to the interleaved serial loop.
-		all, err := db.updateValsParallel(s, t, rids, env, k)
-		if err != nil {
-			return 0, err
-		}
-		nset := len(s.Set)
-		for j, rid := range rids {
-			if err := t.Update(rid, cols, all[j*nset:(j+1)*nset]); err != nil {
-				return 0, err
-			}
-		}
-		db.stats.RowsUpdated.Add(int64(len(rids)))
-		return len(rids), nil
-	}
 	ev := newEval(db, env)
 	vals := make([]Value, len(s.Set))
 	for _, rid := range rids {
@@ -244,15 +226,6 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 		return rids, nil
 	}
 	ctr.fullScans++
-	if k := db.parWorkersFor(t.live); k > 1 {
-		if an := env.an; an != nil {
-			m := an.op(planSlot, anMatch)
-			m.workers, m.parts = k, k
-		}
-		// Partitioned read phase: window match lists concatenate in rowid
-		// order, reproducing this loop's output exactly (parallel.go).
-		return db.matchScanParallel(&ctr, lp, t, name, env, k)
-	}
 	if t.pg != nil {
 		var c pageCursor
 		defer c.release()
@@ -418,16 +391,10 @@ func stripSyms(row []Value) {
 	}
 }
 
-// materializeCTEs evaluates a statement's CTEs into env, each steered by
-// the order its consumers want (cteWants). With parallelism configured and
-// more than one CTE, independent CTEs of the WITH chain — the Sorted Outer
-// Union's sibling branches — evaluate concurrently in dependency waves
-// (parallel.go).
+// materializeCTEs evaluates a statement's CTEs into env in WITH order, each
+// steered by the order its consumers want (cteWants).
 func (db *DB) materializeCTEs(s *SelectStmt, env *execEnv, extWant []OrderKey) error {
 	wants := db.cteWants(s, env, wantKeysOf(s, extWant))
-	if k := db.cteWorkers(len(s.With)); k > 1 {
-		return db.materializeCTEsParallel(s, env, wants, k)
-	}
 	for _, cte := range s.With {
 		key := strings.ToLower(cte.Name)
 		rows, err := db.materializeCTE(cte, env, wants[key])
@@ -471,8 +438,8 @@ func (db *DB) execSelectWant(s *SelectStmt, env *execEnv, extWant []OrderKey) (*
 	}
 	if err := it.Open(); err != nil {
 		// Close even though Open failed: a compound iterator (merge, sort)
-		// may have opened some children before erroring, and an opened
-		// exchange has worker goroutines to join (parallel.go).
+		// may have opened some children before erroring, and their batched
+		// counters must still flush.
 		it.Close()
 		return nil, err
 	}
@@ -512,7 +479,7 @@ func (db *DB) streamSelect(s *SelectStmt, env *execEnv, fn func([]Value) error) 
 		return nil, err
 	}
 	if err := it.Open(); err != nil {
-		it.Close() // join any partially-opened parallel workers
+		it.Close() // flush whatever opened before the error
 		return nil, err
 	}
 	defer it.Close()
@@ -673,34 +640,6 @@ func (a *aggAccumulator) feed(ev *exprEval, e Expr, bind *binding) error {
 		}
 	}
 	return walk(e)
-}
-
-// merge folds another accumulator's partial state into a: COUNTs add,
-// MIN/MAX combine by comparison (NULL means "no input yet" and loses to
-// any value). Leaves key on the shared FuncCall AST nodes, so per-worker
-// accumulators fed from the same compiled expression merge exactly — the
-// reduction step of parallel aggregation (parallel.go).
-func (a *aggAccumulator) merge(b *aggAccumulator) {
-	if b.leaves == nil {
-		return
-	}
-	if a.leaves == nil {
-		a.leaves = make(map[*FuncCall]*aggLeaf, len(b.leaves))
-	}
-	for fc, leaf := range b.leaves {
-		dst := a.leaves[fc]
-		if dst == nil {
-			dst = &aggLeaf{}
-			a.leaves[fc] = dst
-		}
-		dst.count += leaf.count
-		if !leaf.min.IsNull() && (dst.min.IsNull() || compareValues(leaf.min, dst.min) < 0) {
-			dst.min = leaf.min
-		}
-		if !leaf.max.IsNull() && (dst.max.IsNull() || compareValues(leaf.max, dst.max) > 0) {
-			dst.max = leaf.max
-		}
-	}
 }
 
 func (a *aggAccumulator) result(ev *exprEval, e Expr) Value {

@@ -77,13 +77,7 @@ func (db *DB) explainMatch(b *strings.Builder, name string, t *Table, where Expr
 	lp := planMatch(name, t, where)
 	src := &source{name: name, table: t}
 	ap := chooseAccessPlan(lp, src, 0, nil, true)
-	par := 1
-	if ap.kind == accessScan {
-		// The DML read phase parallelizes only the full-scan match
-		// (matchScanParallel); indexed matches stay serial.
-		par = db.parWorkersFor(t.live)
-	}
-	indentLine(b, depth, levelLine(lp, src, ap, par))
+	indentLine(b, depth, levelLine(lp, src, ap))
 }
 
 // explainTree is a statement's compiled form plus its CTEs' compiled
@@ -115,7 +109,6 @@ func (db *DB) predictSelect(s *SelectStmt, env *execEnv, extWant []OrderKey) (*e
 		stub := &Rows{Cols: cteColumns(cte)}
 		stub.order, stub.consts, stub.orderUnique = kid.cs.achievedOrder()
 		stub.single = kid.cs.singleRow
-		stub.est = kid.cs.estRows()
 		env.ctes[key] = stub
 		et.kids[key] = kid
 	}
@@ -125,38 +118,6 @@ func (db *DB) predictSelect(s *SelectStmt, env *execEnv, extWant []OrderKey) (*e
 	}
 	et.cs = cs
 	return et, nil
-}
-
-// estRows predicts a compiled statement's output cardinality so EXPLAIN's
-// fan-out sizing of CTE consumers agrees with the executor, which sizes
-// against the materialized row count (bodyWorkers). The estimate is coarse
-// — each body contributes its driving source's row count, single-row
-// statements contribute one — but the fan-out decision only needs the
-// right side of the parMinRows/parChunkRows thresholds, not an exact
-// cardinality.
-func (cs *selectCompiled) estRows() int {
-	if cs.singleRow {
-		return 1
-	}
-	n := 0
-	for _, bc := range cs.bodies {
-		switch {
-		case bc.aggregate || len(bc.srcs) == 0:
-			n++
-		case bc.plan != nil && len(bc.plan.levels) > 0:
-			src := bc.srcs[bc.plan.levels[0].slot]
-			if src.table != nil {
-				n += src.table.live
-			} else if src.rows != nil {
-				if len(src.rows.Data) > 0 {
-					n += len(src.rows.Data)
-				} else {
-					n += src.rows.est
-				}
-			}
-		}
-	}
-	return n
 }
 
 func (db *DB) explainSelect(b *strings.Builder, s *SelectStmt, env *execEnv, depth int, extWant []OrderKey) error {
@@ -228,31 +189,15 @@ func (db *DB) explainBody(b *strings.Builder, bc *bodyCompiled, depth int) {
 		indentLine(b, depth, "Values")
 		return
 	}
-	// bodyWorkers is the same eligibility decision the executor makes, so
-	// the rendered plan matches what runs; CTE-driven bodies size against
-	// the stub's predicted cardinality (Rows.est).
-	par := db.bodyWorkers(bc)
-	if par > 1 {
-		indentLine(b, depth, fmt.Sprintf("Exchange (workers=%d, ordered)", par))
-		depth++
-	}
 	for pos := len(bc.plan.levels) - 1; pos >= 0; pos-- {
 		lp := bc.plan.levels[pos]
-		lpar := 1
-		if par > 1 && (pos == 0 || bc.access[pos].kind == accessHashJoin) {
-			// The driving level partitions; hash-join levels share one
-			// parallel-built table across workers. Other inner levels
-			// replicate per worker unchanged.
-			lpar = par
-		}
-		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos], lpar))
+		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos]))
 		depth++
 	}
 }
 
 // levelLine renders one join level: its access path and gated filters.
-// par > 1 prefixes the operator name with Parallel(k=n).
-func levelLine(lp levelPlan, src *source, ap accessPlan, par int) string {
+func levelLine(lp levelPlan, src *source, ap accessPlan) string {
 	label := src.name
 	if src.table != nil && !strings.EqualFold(src.table.Name, src.name) {
 		label = src.table.Name + " AS " + src.name
@@ -284,11 +229,6 @@ func levelLine(lp levelPlan, src *source, ap accessPlan, par int) string {
 		line = fmt.Sprintf("SortedProbe %s (%s = %s) ordered [%s]", label, ap.probe.col, exprString(ap.probe.expr), strings.Join(cols, ", "))
 	default:
 		line = fmt.Sprintf("Scan %s", label)
-	}
-	if par > 1 {
-		if i := strings.IndexByte(line, ' '); i > 0 {
-			line = "Parallel" + line[:i] + fmt.Sprintf("(k=%d)", par) + line[i:]
-		}
 	}
 	if len(lp.conds) > 0 {
 		parts := make([]string, len(lp.conds))

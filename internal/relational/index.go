@@ -466,17 +466,3 @@ type rangeBound struct {
 	incl bool
 	set  bool
 }
-
-// splitBucket slices an ordered-index bucket into k contiguous chunks
-// (partitionSpans windows). The chunks alias the bucket with capacity
-// clamped to the window end, so a worker appending by mistake cannot
-// clobber its neighbour's rows; concatenated in order they are the
-// original bucket.
-func splitBucket(bucket []int, k int) [][]int {
-	spans := partitionSpans(len(bucket), k)
-	chunks := make([][]int, k)
-	for w, sp := range spans {
-		chunks[w] = bucket[sp[0]:sp[1]:sp[1]]
-	}
-	return chunks
-}

@@ -69,15 +69,6 @@ type levelIter struct {
 
 	ht map[Value][]int // transient hash table (rowids / row indexes)
 
-	// part, when non-nil, restricts this (driving) level to one partition
-	// of its enumeration: a rowid window for heap/CTE scans, a pre-walked
-	// key-ordered rowid chunk for B+tree access (parallel.go).
-	part *levelPart
-	// shared, when non-nil, replaces the level's private transient hash
-	// table with the query-wide sharded one built once and probed by every
-	// worker pipeline (parallel.go).
-	shared *parHashTable
-
 	// skipCond is the gated conjunct the access path's hash probe already
 	// enforces (the probe candidate's source equality); checkConds skips
 	// it. Nil for non-hash access kinds, whose windows are re-checked — and
@@ -191,9 +182,6 @@ func (li *levelIter) Next() (bool, error) {
 // startInner begins enumerating the level's own source for the current
 // input tuple.
 func (li *levelIter) startInner() error {
-	if li.part != nil {
-		return li.startPartition()
-	}
 	switch li.ap.kind {
 	case accessIndexProbe:
 		li.ctr.indexProbes++
@@ -204,13 +192,7 @@ func (li *levelIter) startInner() error {
 		li.bucket = li.ap.idx.probe(v)
 		li.bucketPos = 0
 	case accessHashJoin:
-		if li.shared != nil {
-			// Worker pipelines share one sharded build (parallel.go) —
-			// probe semantics (symKey, NULLs excluded) match buildHash.
-			if err := li.shared.ensure(li.src, li.ap.probe.col); err != nil {
-				return err
-			}
-		} else if li.ht == nil {
+		if li.ht == nil {
 			if err := li.buildHash(); err != nil {
 				return err
 			}
@@ -219,12 +201,9 @@ func (li *levelIter) startInner() error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case v.IsNull():
+		if v.IsNull() {
 			li.bucket = nil
-		case li.shared != nil:
-			li.bucket = li.shared.lookup(v.symKey(li.db.intern))
-		default:
+		} else {
 			li.bucket = li.ht[v.symKey(li.db.intern)]
 		}
 		li.bucketPos = 0
@@ -442,9 +421,6 @@ func (li *levelIter) advanceInner() (bool, error) {
 		default:
 			if t := li.src.table; t != nil {
 				end := len(t.rows)
-				if li.part != nil {
-					end = li.part.hi
-				}
 				if t.pg != nil {
 					row = nil
 					for li.scanPos < end {
@@ -481,11 +457,7 @@ func (li *levelIter) advanceInner() (bool, error) {
 					}
 				}
 			} else {
-				end := len(li.src.rows.Data)
-				if li.part != nil {
-					end = li.part.hi
-				}
-				if li.scanPos >= end {
+				if li.scanPos >= len(li.src.rows.Data) {
 					return false, nil
 				}
 				row = li.src.rows.Data[li.scanPos]
@@ -1085,9 +1057,6 @@ func (db *DB) buildBodyIter(bc *bodyCompiled, env *execEnv) rowIter {
 			}
 		}
 		return it
-	}
-	if k := db.bodyWorkers(bc); k > 1 {
-		return db.buildParallelBody(bc, env, k)
 	}
 	bind := &binding{
 		names: make([]string, len(bc.srcs)),

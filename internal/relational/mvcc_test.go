@@ -3,7 +3,6 @@ package relational
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -351,35 +350,5 @@ func TestSingleVersionStatsAndVacuum(t *testing.T) {
 	}
 	if st := db.Stats(); st.VersionChainHops != 0 {
 		t.Errorf("post-vacuum reads walked %d chain hops, want 0", st.VersionChainHops)
-	}
-}
-
-// TestExplainPredictsCTEFanOut pins EXPLAIN/runtime agreement for bodies
-// driven by a CTE: the stub's predicted cardinality (Rows.est) sizes the
-// fan-out, so the rendered plan shows the Exchange the executor runs.
-func TestExplainPredictsCTEFanOut(t *testing.T) {
-	db := NewDB()
-	db.MustExec("CREATE TABLE big (id INTEGER, x INTEGER)")
-	for i := 0; i < 8*parMinRows; i++ {
-		db.MustExec(fmt.Sprintf("INSERT INTO big VALUES (%d, %d)", i, i%7))
-	}
-	db.SetParallelism(4)
-	const q = "WITH c AS (SELECT id, x FROM big) SELECT id FROM c WHERE x > 2"
-	plan, err := db.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both the CTE body (table-driven) and the outer body (CTE-driven)
-	// fan out; before Rows.est the CTE-driven body predicted serial.
-	if got := strings.Count(plan, "Exchange (workers=4, ordered)"); got != 2 {
-		t.Errorf("plan has %d Exchange lines, want 2 (CTE body and outer body):\n%s", got, plan)
-	}
-	// And the executor agrees: the run fans out both bodies.
-	db.ResetStats()
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.Stats(); st.ParallelWorkers < 8 {
-		t.Errorf("runtime ParallelWorkers = %d, want >= 8", st.ParallelWorkers)
 	}
 }

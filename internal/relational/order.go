@@ -304,25 +304,6 @@ func singleRowLevel(lp levelPlan, src *source) bool {
 	return false
 }
 
-// partitionableKind reports whether an access kind may drive a partitioned
-// pipeline. These are exactly the kinds whose enumeration at the driving
-// level is computed once per query — a heap/CTE scan's rowid walk, or a
-// single ordered-index bucket (range scan, full ordered walk, ordered
-// probe whose driving-level bounds are necessarily uncorrelated).
-// Contiguous slices of that enumeration concatenated in partition order
-// reproduce the serial stream row for row, so every downstream contract —
-// sort elision, DISTINCT, merge inputs, ORDER BY determinism — holds
-// without further gating. Kinds that rebuild their bucket per outer tuple
-// (hash/index/sorted probes) and hash joins stay serial at the driving
-// level; they still parallelize as inner levels of a partitioned pipeline.
-func partitionableKind(k accessKind) bool {
-	switch k {
-	case accessScan, accessOrderedScan, accessRangeScan, accessOrderedProbe:
-		return true
-	}
-	return false
-}
-
 // chooseAccessPlan picks one level's physical access path against the live
 // database. Candidate order: an ordered index serving both an equality
 // prefix and a range bound (the tightest window), an ordered index whose

@@ -535,17 +535,16 @@ func TestPagedMVCC(t *testing.T) {
 	}
 }
 
-// TestPagedConcurrentStress runs parallel-executor scans and joins from
-// many reader goroutines against a two-page pool — so the readers
-// constantly fault and evict each other's pages through the pool mutex —
-// while a writer churns rows and checkpoints. Run under -race this is the
-// paged backend's concurrency proof; the final state must still match a
-// serial shadow of the same writes.
+// TestPagedConcurrentStress runs probes, ordered scans and self-joins from
+// four reader goroutines against a two-page pool — so each reader's page
+// cursor constantly faults and evicts the others' pages through the pool
+// mutex — while a writer churns rows and checkpoints. Run under -race this
+// is the paged backend's concurrency proof; the final state must still
+// match a serial shadow of the same writes.
 func TestPagedConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
 	opts := pagedOpts()
 	opts.PoolPages = 2
-	opts.Parallelism = 4
 	db := mustOpenDB(t, dir, opts)
 	shadow := NewDB()
 	writes := []string{

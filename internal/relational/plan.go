@@ -181,37 +181,6 @@ func (db *DB) matchPlanFor(slot **levelPlan, name string, t *Table, where Expr) 
 	return **slot
 }
 
-// bodyWorkers decides whether a compiled body's pipeline fans out, and to
-// how many workers — the parallel-eligibility annotation of a plan. Only
-// the driving level partitions, and only for access kinds whose
-// enumeration is computed once per query (partitionableKind); everything
-// downstream of it — inner probes, hash joins, filters, projection —
-// replicates per worker unchanged. EXPLAIN consults the same decision, so
-// the rendered plan matches what runs; a body driven by a CTE source sizes
-// against the materialized row count at runtime and against the stub's
-// predicted cardinality (Rows.est) at EXPLAIN time.
-func (db *DB) bodyWorkers(bc *bodyCompiled) int {
-	if db.par() <= 1 || bc.plan == nil || len(bc.plan.levels) == 0 || len(bc.access) == 0 {
-		return 1
-	}
-	if !partitionableKind(bc.access[0].kind) {
-		return 1
-	}
-	src := bc.srcs[bc.plan.levels[0].slot]
-	n := 0
-	if src.table != nil {
-		n = src.table.live
-	} else if src.rows != nil {
-		n = len(src.rows.Data)
-		if n == 0 {
-			// EXPLAIN stub: no materialized rows, size the fan-out
-			// against the predicted cardinality instead.
-			n = src.rows.est
-		}
-	}
-	return db.parWorkersFor(n)
-}
-
 // planMatch compiles a single-table WHERE into a one-level plan (the DML
 // access path of DELETE/UPDATE).
 func planMatch(name string, t *Table, where Expr) levelPlan {

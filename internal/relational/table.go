@@ -556,23 +556,3 @@ func (t *Table) Scan(fn func(rid int, row []Value) bool) int {
 	}
 	return visited
 }
-
-// partitionSpans splits the half-open span [0, n) into k contiguous
-// windows, the remainder spread one row at a time over the leading
-// windows. Driving-level partitioning slices the serial enumeration with
-// these windows — ascending rowids for heap scans, positions for CTE
-// replays — so concatenating the windows in order reproduces the serial
-// walk exactly.
-func partitionSpans(n, k int) [][2]int {
-	spans := make([][2]int, 0, k)
-	lo := 0
-	for w := 0; w < k; w++ {
-		size := n / k
-		if w < n%k {
-			size++
-		}
-		spans = append(spans, [2]int{lo, lo + size})
-		lo += size
-	}
-	return spans
-}

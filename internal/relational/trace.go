@@ -269,10 +269,6 @@ func statsSub(a, b Stats) Stats {
 		InternHits:      a.InternHits - b.InternHits,
 		InternMisses:    a.InternMisses - b.InternMisses,
 
-		ParallelWorkers:   a.ParallelWorkers - b.ParallelWorkers,
-		PartitionsScanned: a.PartitionsScanned - b.PartitionsScanned,
-		ExchangeBatches:   a.ExchangeBatches - b.ExchangeBatches,
-
 		SnapshotsTaken:   a.SnapshotsTaken - b.SnapshotsTaken,
 		VersionChainHops: a.VersionChainHops - b.VersionChainHops,
 		WriteConflicts:   a.WriteConflicts - b.WriteConflicts,

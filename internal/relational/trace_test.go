@@ -70,6 +70,45 @@ func TestTraceHookPhases(t *testing.T) {
 	}
 }
 
+// TestTraceReadExecutePhase: traced Query and QueryEach spans time their
+// executor run as Execute, and the read phases never exceed the span.
+func TestTraceReadExecutePhase(t *testing.T) {
+	db := NewDB()
+	db.MustExec(`CREATE TABLE item (id INTEGER, grp INTEGER)`)
+	for b := 0; b < 10; b++ {
+		vals := make([]string, 100)
+		for i := range vals {
+			id := b*100 + i
+			vals[i] = fmt.Sprintf("(%d, %d)", id, id%7)
+		}
+		db.MustExec(`INSERT INTO item VALUES ` + strings.Join(vals, ", "))
+	}
+	var got []*QueryTrace
+	defer db.OnTrace(func(qt *QueryTrace) { got = append(got, qt) })()
+
+	const q = `SELECT id FROM item WHERE grp >= 0`
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.QueryEach(q, func([]Value) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d traces, want 2", len(got))
+	}
+	for _, qt := range got {
+		if qt.Rows != 1000 {
+			t.Errorf("%s: rows=%d, want 1000", qt.Kind, qt.Rows)
+		}
+		if qt.Execute <= 0 {
+			t.Errorf("%s: Execute = %v, want > 0", qt.Kind, qt.Execute)
+		}
+		if sum := qt.Parse + qt.LockWait + qt.Execute; sum > qt.Total {
+			t.Errorf("%s: Parse+LockWait+Execute = %v exceeds Total %v", qt.Kind, sum, qt.Total)
+		}
+	}
+}
+
 // TestTracePreparedAndTx: prepared executions and SQL-transaction paths
 // carry their own span kinds.
 func TestTracePreparedAndTx(t *testing.T) {
