@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: fig6…fig11, table2, asrpath, cascade, randdoc, readers, durability, micro, text, obsv, storage, or all")
+		exp      = flag.String("exp", "all", "experiment id: fig6…fig11, table2, asrpath, cascade, randdoc, readers, durability, micro, obsv, storage, or all")
 		quick    = flag.Bool("quick", false, "reduced parameter grid")
 		runs     = flag.Int("runs", 4, "measured runs per point (one warm-up run is added and discarded)")
 		readers  = flag.Int("readers", 4, "max reader goroutines for the concurrent snapshot-read scenario (-exp readers)")
@@ -160,16 +160,6 @@ func run(exp string, cfg bench.Config, readers int, writer string, trace bool, r
 		}
 		results["durability"] = pts
 		bench.WriteDurability(os.Stdout, pts)
-		fmt.Println()
-	}
-	if exp == "all" || exp == "text" {
-		matched = true
-		res, err := bench.RunText(cfg)
-		if err != nil {
-			return fmt.Errorf("text: %w", err)
-		}
-		results["text"] = res
-		bench.WriteText(os.Stdout, res)
 		fmt.Println()
 	}
 	if exp == "all" || exp == "obsv" {

@@ -137,31 +137,6 @@ func RunMicro(cfg Config) ([]MicroResult, error) {
 		return nil, err
 	}
 
-	// TEXT kernels over the attribute-heavy catalog: symbol-keyed equality
-	// and dedup on low-cardinality columns (the interning fast paths).
-	catScale := textCatalog(cfg)
-	catScale.Items /= 4
-	cdb, _, err := loadCatalog(catScale, false)
-	if err != nil {
-		return nil, err
-	}
-	cstream := func(q string) func() (int, error) {
-		return func() (int, error) {
-			n := 0
-			_, err := cdb.QueryEach(q, func([]relational.Value) error { n++; return nil })
-			return n, err
-		}
-	}
-	if err := add("text-eq-scan", cstream(`SELECT id FROM item WHERE a_status = 'urn:catalog:status:active'`)); err != nil {
-		return nil, err
-	}
-	if err := add("text-hash-join", cstream(`SELECT i.id FROM item i, supplier s WHERE i.a_vendor = s.name_v`)); err != nil {
-		return nil, err
-	}
-	if err := add("text-distinct", cstream(`SELECT DISTINCT a_vendor, a_category FROM item`)); err != nil {
-		return nil, err
-	}
-
 	// The §7.2 conventional multiway path query (materialized, as callers
 	// use it) and the ASR two-join form.
 	conventional, asrSQL, err := PathQueries(db, m, a, 3)
@@ -202,7 +177,6 @@ func RunMicro(cfg Config) ([]MicroResult, error) {
 		return nil, err
 	}
 	recordStats(db)
-	recordStats(cdb)
 	return out, nil
 }
 

@@ -256,95 +256,3 @@ func Table1Grid() []FixedParams {
 	}
 	return out
 }
-
-// CatalogParams sizes the attribute-heavy catalog document used by the TEXT
-// benchmarks. Unlike the §7.1 documents — whose payloads are unique random
-// strings — the catalog's text columns draw from small vocabularies (vendor
-// names, categories, status flags), the regime where string interning pays:
-// the same few strings appear across thousands of rows, so equality, joins,
-// and DISTINCT on them hit the 4-byte symbol fast paths.
-type CatalogParams struct {
-	// Suppliers is the number of supplier entries (the vendor vocabulary).
-	Suppliers int
-	// Items is the number of catalog items; each references a supplier by
-	// name (item/@vendor joins supplier/name).
-	Items int
-	Seed  int64
-}
-
-// CatalogDTD declares the catalog: a flat supplier list followed by a flat
-// item list whose attributes carry the low-cardinality text.
-const CatalogDTD = `
-<!ELEMENT catalog (supplier*, item*)>
-<!ELEMENT supplier (name, region)>
-<!ELEMENT item (title)>
-<!ELEMENT name (#PCDATA)>
-<!ELEMENT region (#PCDATA)>
-<!ELEMENT title (#PCDATA)>
-<!ATTLIST item vendor CDATA #REQUIRED category CDATA #REQUIRED status CDATA #REQUIRED>
-`
-
-// catalogCategories and catalogStatuses are the fixed attribute
-// vocabularies; regions likewise repeat across suppliers. Category and
-// status values are namespaced URIs — the idiomatic shape of controlled
-// XML attribute vocabularies — so equal-prefix byte comparison is the
-// realistic cost interning removes.
-var (
-	catalogCategories = []string{
-		"urn:catalog:category:tools", "urn:catalog:category:fasteners",
-		"urn:catalog:category:adhesives", "urn:catalog:category:electrical",
-		"urn:catalog:category:plumbing", "urn:catalog:category:lumber",
-		"urn:catalog:category:paint", "urn:catalog:category:safety",
-		"urn:catalog:category:abrasives", "urn:catalog:category:hardware",
-		"urn:catalog:category:lighting", "urn:catalog:category:garden",
-		"urn:catalog:category:automotive", "urn:catalog:category:cleaning",
-		"urn:catalog:category:storage", "urn:catalog:category:misc",
-	}
-	catalogStatuses = []string{
-		"urn:catalog:status:active", "urn:catalog:status:backordered",
-		"urn:catalog:status:discontinued", "urn:catalog:status:seasonal",
-	}
-	catalogRegions = []string{"north", "south", "east", "west", "central"}
-)
-
-// catalogVendor formats supplier s's display name (shared by supplier/name
-// and item/@vendor, the join key).
-func catalogVendor(s int) string {
-	return fmt.Sprintf("Vendor-%03d Industrial Supply Company, Inc.", s)
-}
-
-// Catalog generates the attribute-heavy document. Vendor names repeat
-// Items/Suppliers times on average; categories and statuses repeat far more.
-func Catalog(p CatalogParams) *xmltree.Document {
-	if p.Suppliers < 1 {
-		p.Suppliers = 1
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	dtd := xmltree.MustParseDTD(CatalogDTD)
-	root := xmltree.NewElement("catalog")
-	vendors := make([]string, p.Suppliers)
-	for s := 0; s < p.Suppliers; s++ {
-		vendors[s] = catalogVendor(s)
-		sup := xmltree.NewElement("supplier")
-		nm := xmltree.NewElement("name")
-		nm.AppendChild(xmltree.NewText(vendors[s]))
-		sup.AppendChild(nm)
-		rg := xmltree.NewElement("region")
-		rg.AppendChild(xmltree.NewText(catalogRegions[rng.Intn(len(catalogRegions))]))
-		sup.AppendChild(rg)
-		root.AppendChild(sup)
-	}
-	for i := 0; i < p.Items; i++ {
-		it := xmltree.NewElement("item")
-		it.ReplaceAttrValue("vendor", vendors[rng.Intn(len(vendors))])
-		it.ReplaceAttrValue("category", catalogCategories[rng.Intn(len(catalogCategories))])
-		it.ReplaceAttrValue("status", catalogStatuses[rng.Intn(len(catalogStatuses))])
-		ti := xmltree.NewElement("title")
-		ti.AppendChild(xmltree.NewText(fmt.Sprintf("Item %s #%d", randString(rng, 6), i)))
-		it.AppendChild(ti)
-		root.AppendChild(it)
-	}
-	doc := xmltree.NewDocument(root)
-	doc.DTD = dtd
-	return doc
-}

@@ -202,34 +202,3 @@ func TestDBLPBushiness(t *testing.T) {
 		t.Errorf("max depth = %d, want 3 (bushy and shallow)", maxDepth)
 	}
 }
-
-// TestCatalogShape: the attribute-heavy catalog shreds, round-trips, and
-// actually exercises the interning regime — low-cardinality text repeated
-// across many rows (intern hits dominate misses).
-func TestCatalogShape(t *testing.T) {
-	p := CatalogParams{Suppliers: 8, Items: 200, Seed: 7}
-	doc := Catalog(p)
-	s, err := engine.Open(doc, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := s.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.String() != doc.String() {
-		t.Error("catalog round trip mismatch")
-	}
-	st := s.DB.Stats()
-	if st.InternHits < int64(p.Items) {
-		t.Errorf("InternHits = %d, want >= %d (vendor/category/status repeat per item)", st.InternHits, p.Items)
-	}
-	// Misses are dominated by the unique per-item titles; the attribute
-	// columns still make hits outnumber them well past parity.
-	if st.InternMisses == 0 || st.InternHits < 2*st.InternMisses {
-		t.Errorf("hits/misses = %d/%d — catalog should be hit-dominated", st.InternHits, st.InternMisses)
-	}
-	if Catalog(p).String() != doc.String() {
-		t.Error("catalog not deterministic for fixed seed")
-	}
-}

@@ -705,18 +705,3 @@ func TestUnsupportedTranslations(t *testing.T) {
 		}
 	}
 }
-
-// TestShredInternsText: shredding a document routes every stored TEXT value
-// through the intern table (repeated names and states hit, distinct strings
-// miss) — the symbol fast paths downstream depend on this happening at load
-// time, so pin it.
-func TestShredInternsText(t *testing.T) {
-	s := openCust(t, Options{})
-	st := s.DB.Stats()
-	if st.InternMisses == 0 {
-		t.Error("shred minted no intern symbols — TEXT values are not being interned at load")
-	}
-	if st.InternHits == 0 {
-		t.Error("shred recorded no intern hits — repeated document text should share symbols")
-	}
-}

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -102,8 +103,8 @@ func TestAllocPinSort(t *testing.T) {
 	}
 }
 
-// TestAllocPinTextEquality: a TEXT = TEXT scan over interned columns must
-// not allocate per row (the symbol fast path compares two uint32s).
+// TestAllocPinTextEquality: a TEXT = TEXT scan must not allocate per row
+// (the byte compare reads both strings in place).
 func TestAllocPinTextEquality(t *testing.T) {
 	pinZero(t, "text equality scan", `SELECT id FROM child WHERE payload != 'c80'`, 8*4-1, 64*4-1)
 }
@@ -159,5 +160,43 @@ func TestAllocPinHashJoinProbe(t *testing.T) {
 	aLarge := testing.AllocsPerRun(runs, func() { streamCount(t, large, q) })
 	if got := (aLarge - aSmall) / float64(nLarge-nSmall); got > 0 {
 		t.Errorf("hash-join probe: %.3f allocs/row, want 0", got)
+	}
+}
+
+// TestAllocPinPointUpdateBytes: an autocommit point UPDATE over a table of
+// many distinct TEXT values must cost bytes proportional to the statement,
+// not to the table. Each statement is an idempotent set (the new value
+// appears twice, as the assignment and as the `v != ...` guard), so it both
+// binds a never-seen string and stores it; neither may copy a per-DB
+// structure sized by the number of distinct stored strings.
+func TestAllocPinPointUpdateBytes(t *testing.T) {
+	const rows, stmts = 20000, 50
+	db := NewDB()
+	db.MustExec(`CREATE TABLE t (k VARCHAR(16), v VARCHAR(16))`)
+	ins, err := db.Prepare(`INSERT INTO t VALUES (?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := ins.Exec(Text(fmt.Sprintf("k%d", i)), Text(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func(i int) {
+		t.Helper()
+		n, err := db.Exec(fmt.Sprintf(`UPDATE t SET v = 'new%d' WHERE k = 'k%d' AND v != 'new%d'`, i, i*397%rows, i))
+		if err != nil || n != 1 {
+			t.Fatalf("update %d: n=%d err=%v", i, n, err)
+		}
+	}
+	update(0) // warm the shape and plan caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= stmts; i++ {
+		update(i)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / stmts; per >= 64<<10 {
+		t.Errorf("point update allocates %d B/statement, want < 64 KiB", per)
 	}
 }

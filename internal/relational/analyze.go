@@ -487,8 +487,6 @@ func writeStatsDelta(b *strings.Builder, d Stats) {
 		{"hashJoinBuilds", d.HashJoinBuilds},
 		{"planCacheHits", d.PlanCacheHits},
 		{"planCacheMisses", d.PlanCacheMisses},
-		{"internHits", d.InternHits},
-		{"internMisses", d.InternMisses},
 		{"snapshotsTaken", d.SnapshotsTaken},
 		{"versionChainHops", d.VersionChainHops},
 		{"writeConflicts", d.WriteConflicts},

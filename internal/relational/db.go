@@ -48,13 +48,6 @@ type Stats struct {
 	// and planned statement template, a miss pays parse + plan.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
-	// InternHits counts stored TEXT values that reused an existing intern
-	// symbol; InternMisses counts new symbols minted (intern.go). Hits
-	// dominating misses is what the symbol-keyed equality paths bank on —
-	// and a zero InternHits on a shred-heavy workload means interning is
-	// silently disabled.
-	InternHits   int64
-	InternMisses int64
 	// SnapshotsTaken counts MVCC snapshots registered by explicit
 	// transactions (Begin / SQL BEGIN). VersionChainHops counts version-chain
 	// nodes walked by visibility checks — structurally zero while every table
@@ -143,12 +136,6 @@ type DB struct {
 	triggers map[string]*trigger   // by lower-case name
 	byTable  map[string][]*trigger // firing order = creation order
 	stats    statCounters
-
-	// intern is the DB's string intern table (intern.go); nil after
-	// DisableInterning, which every consumer treats as "nothing interns and
-	// nothing is interned" (symKey degrades to joinKey). Set once at
-	// construction, so readers use it without coordination.
-	intern *internTable
 
 	// sortPool recycles sortIter scratch (row headers plus the flat Value
 	// arena) across sort executions, so a blocking sort's per-row copies
@@ -254,48 +241,15 @@ func NewDB() *DB {
 		triggers: make(map[string]*trigger),
 		byTable:  make(map[string][]*trigger),
 		stmts:    make(map[string]*cachedStmt),
-		intern:   &internTable{},
 		snaps:    make(map[uint64]uint64),
 		intentCh: make(chan struct{}),
 		met:      newEngineMetrics(),
 	}
 }
 
-// DisableInterning turns string interning off for the DB's lifetime: stored
-// TEXT values keep their full byte paths for equality, hashing, and
-// DISTINCT. This is the ablation switch the intern benchmarks and
-// equivalence tests flip; call it before loading data (values interned
-// earlier keep their symbols, which remain correct but stop being minted).
-func (db *DB) DisableInterning() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.intern = nil
-}
-
-// internArgs resolves bound TEXT arguments against the intern table —
-// lookup only, so ad-hoc query literals never grow the table. A lifted
-// literal that names a stored string picks up its symbol here, which is
-// what lets an equality predicate or index probe compare ids instead of
-// bytes against interned rows. Symbols are overwritten, not merged: an
-// argument slice reused across DB handles must not smuggle another table's
-// ids into this one's pipelines.
-func (db *DB) internArgs(args []Value) {
-	it := db.intern
-	for i := range args {
-		if args[i].kind != KindText {
-			continue
-		}
-		if it != nil {
-			args[i].sym = it.lookup(args[i].s)
-		} else {
-			args[i].sym = 0
-		}
-	}
-}
-
 // Stats returns a snapshot of the work counters.
 func (db *DB) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Statements:      db.stats.Statements.Load(),
 		TriggerFirings:  db.stats.TriggerFirings.Load(),
 		RowsScanned:     db.stats.RowsScanned.Load(),
@@ -323,11 +277,6 @@ func (db *DB) Stats() Stats {
 		Evictions:    db.stats.Evictions.Load(),
 		DirtyFlushes: db.stats.DirtyFlushes.Load(),
 	}
-	if it := db.intern; it != nil {
-		s.InternHits = it.hits.Load()
-		s.InternMisses = it.misses.Load()
-	}
-	return s
 }
 
 // ResetStats zeroes the work counters.
@@ -356,10 +305,6 @@ func (db *DB) ResetStats() {
 	db.stats.PoolMisses.Store(0)
 	db.stats.Evictions.Store(0)
 	db.stats.DirtyFlushes.Store(0)
-	if it := db.intern; it != nil {
-		it.hits.Store(0)
-		it.misses.Store(0)
-	}
 }
 
 // Table returns the named table, or nil.
@@ -982,17 +927,11 @@ func (db *DB) createTable(s *CreateTableStmt) error {
 	if !s.Temp {
 		t.autoIndex()
 	}
-	// Temp work areas also skip interning (see Table.noIntern).
-	t.noIntern = s.Temp
 	if db.pool != nil && !s.Temp {
 		// Paged backend: persistent tables page their rows; temp work
 		// areas stay heap-resident (written once and drained, they would
-		// only churn the pool). Paged tables also skip interning —
-		// eviction is what actually frees a cold page's string memory,
-		// and an intern table pinning every distinct string would defeat
-		// it. Lazy symKey lookups keep equality semantics identical.
+		// only churn the pool).
 		t.pg = newPagedTable(db, t)
-		t.noIntern = true
 	}
 	db.tables[key] = t
 	if db.undo != nil {

@@ -369,26 +369,9 @@ func (b *binding) resolve(table, col string) (Value, bool, error) {
 
 // execSelect materializes a SELECT: CTEs are evaluated into the
 // environment, each body branch compiles into a streaming pipeline, and the
-// drained rows form the result. Result values are sym-stripped: symbols are
-// an engine-internal annotation, and the documented Value contract — == and
-// map-key equality coincide with same-kind SQL equality — must hold for
-// everything a caller receives. (CTE materialization goes through
-// execSelectWant directly and keeps its symbols for downstream operators.)
+// drained rows form the result.
 func (db *DB) execSelect(s *SelectStmt, env *execEnv) (*Rows, error) {
-	rows, err := db.execSelectWant(s, env, nil)
-	if rows != nil {
-		for _, r := range rows.Data {
-			stripSyms(r)
-		}
-	}
-	return rows, err
-}
-
-// stripSyms clears the intern symbols of a row in place.
-func stripSyms(row []Value) {
-	for i := range row {
-		row[i].sym = 0
-	}
+	return db.execSelectWant(s, env, nil)
 }
 
 // materializeCTEs evaluates a statement's CTEs into env in WITH order, each
@@ -463,9 +446,7 @@ func (db *DB) execSelectWant(s *SelectStmt, env *execEnv, extWant []OrderKey) (*
 
 // streamSelect drives a SELECT's pipeline row by row into fn without
 // materializing the top-level result (CTEs still materialize). fn must not
-// issue further statements on the same DB. Rows are sym-stripped before fn
-// sees them, like execSelect's materialized results (the pipeline's reused
-// buffer is rewritten every row, so stripping in place is safe).
+// issue further statements on the same DB.
 func (db *DB) streamSelect(s *SelectStmt, env *execEnv, fn func([]Value) error) ([]string, error) {
 	if err := db.pagedErr(); err != nil {
 		return nil, err
@@ -491,7 +472,6 @@ func (db *DB) streamSelect(s *SelectStmt, env *execEnv, fn func([]Value) error) 
 		if !ok {
 			return cs.cols, nil
 		}
-		stripSyms(row)
 		if err := fn(row); err != nil {
 			return cs.cols, err
 		}
@@ -852,7 +832,7 @@ func (ev *exprEval) eval(e Expr, bind *binding) (Value, error) {
 			if err != nil {
 				return Null, err
 			}
-			found := set[v.symKey(ev.db.intern)]
+			found := set[v.joinKey()]
 			return Bool(found != x.Negate), nil
 		}
 		found := false
@@ -877,11 +857,10 @@ func (ev *exprEval) eval(e Expr, bind *binding) (Value, error) {
 // subquerySet evaluates an uncorrelated IN-subquery once per statement and
 // memoizes the result set. This is what makes `NOT IN (SELECT id FROM
 // parent)` scans linear in the child table rather than quadratic — the cost
-// model behind the per-statement-trigger curves. Sets key on symKey-
+// model behind the per-statement-trigger curves. Sets key on joinKey-
 // normalized Values — membership probes hash the tagged value with no
-// literal formatting per row, interned text probes on its symbol, and mixed
-// int/text membership agrees with the IN-list path's compareValues
-// semantics.
+// literal formatting per row, and mixed int/text membership agrees with
+// the IN-list path's compareValues semantics.
 func (ev *exprEval) subquerySet(sel *SelectStmt) (map[Value]bool, error) {
 	if ev.inCache == nil {
 		ev.inCache = make(map[*SelectStmt]map[Value]bool)
@@ -899,7 +878,7 @@ func (ev *exprEval) subquerySet(sel *SelectStmt) (map[Value]bool, error) {
 	set := make(map[Value]bool, len(rows.Data))
 	for _, r := range rows.Data {
 		if !r[0].IsNull() {
-			set[r[0].symKey(ev.db.intern)] = true
+			set[r[0].joinKey()] = true
 		}
 	}
 	ev.inCache[sel] = set
@@ -922,17 +901,6 @@ func (ev *exprEval) evalBool(e Expr, bind *binding) (bool, error) {
 }
 
 func cmpSQL(op string, l, r Value) bool {
-	// Equality between interned TEXT values is a 4-byte id compare — the
-	// scan-predicate analogue of the sym-keyed hash paths. Ordering ops
-	// still need the byte compare (symbol ids carry no order).
-	if l.kind == KindText && r.kind == KindText && l.sym != 0 && r.sym != 0 {
-		switch op {
-		case "=":
-			return l.sym == r.sym
-		case "!=":
-			return l.sym != r.sym
-		}
-	}
 	c := compareValues(l, r)
 	switch op {
 	case "=":

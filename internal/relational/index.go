@@ -14,18 +14,14 @@ import (
 // instead of scans.
 
 // hashIndex maps a column value to the rowids holding it. NULLs are not
-// indexed (SQL equality never matches them). Entries key on the symKey
+// indexed (SQL equality never matches them). Entries key on the joinKey
 // normalization (value.go) — a VARCHAR holding canonical integer text
-// shares a bucket with that integer, and interned text keys on its 4-byte
-// symbol id — so probe hits coincide with compareValues equality and an
-// indexed query returns the same rows the scan path would.
+// shares a bucket with that integer — so probe hits coincide with
+// compareValues equality and an indexed query returns the same rows the
+// scan path would.
 type hashIndex struct {
 	col     int
 	entries map[Value][]int
-	// it is the owning DB's intern table (nil for standalone tables or an
-	// ablated DB): interned TEXT keys as its symbol, and uninterned probe
-	// values resolve against it so equal strings cannot split buckets.
-	it *internTable
 }
 
 // autoIndexColumns are the declared key/parent-ID column names that get a
@@ -44,15 +40,6 @@ func (t *Table) CreateIndex(col string) error {
 		return fmt.Errorf("relational: no column %q in table %s", col, t.Name)
 	}
 	idx := &hashIndex{col: ci, entries: make(map[Value][]int)}
-	// noIntern tables key on bytes always: their stored values never carry
-	// symbols, and a string interned elsewhere *after* rows were indexed
-	// here must not make remove compute a different key than add did. For
-	// interning tables the add-time key is stable by construction — every
-	// stored text is interned at Insert, and the intern table is
-	// append-only — so capturing the intern handle is safe.
-	if t.db != nil && !t.noIntern {
-		idx.it = t.db.intern
-	}
 	if t.pg != nil {
 		t.pagedScanAll(func(rid int, row []Value) {
 			if !row[ci].IsNull() {
@@ -162,10 +149,10 @@ func (t *Table) autoIndex() {
 }
 
 // add indexes rid under v. All maintenance goes through add/remove so the
-// symKey normalization cannot be skipped on any path (insert, update,
+// joinKey normalization cannot be skipped on any path (insert, update,
 // undo, rebuild).
 func (idx *hashIndex) add(v Value, rid int) {
-	k := v.symKey(idx.it)
+	k := v.joinKey()
 	idx.entries[k] = append(idx.entries[k], rid)
 }
 
@@ -173,7 +160,7 @@ func (idx *hashIndex) add(v Value, rid int) {
 // Versioned updates keep old-value entries alive for snapshot readers, so a
 // value flipped away and back again must not double-index the row (mvcc.go).
 func (idx *hashIndex) addIfAbsent(v Value, rid int) {
-	k := v.symKey(idx.it)
+	k := v.joinKey()
 	for _, r := range idx.entries[k] {
 		if r == rid {
 			return
@@ -183,7 +170,7 @@ func (idx *hashIndex) addIfAbsent(v Value, rid int) {
 }
 
 func (idx *hashIndex) remove(v Value, rid int) {
-	k := v.symKey(idx.it)
+	k := v.joinKey()
 	rids := idx.entries[k]
 	for i, r := range rids {
 		if r == rid {
@@ -200,13 +187,13 @@ func (idx *hashIndex) remove(v Value, rid int) {
 }
 
 // probe returns rowids of live rows whose indexed column equals v (in the
-// compareValues sense — the symKey normalization on both sides makes the
+// compareValues sense — the joinKey normalization on both sides makes the
 // probe exactly as selective as the scan path's equality filter).
 func (idx *hashIndex) probe(v Value) []int {
 	if v.IsNull() {
 		return nil
 	}
-	return idx.entries[v.symKey(idx.it)]
+	return idx.entries[v.joinKey()]
 }
 
 // ---- ordered (B+tree) indexes ----

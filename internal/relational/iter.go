@@ -204,7 +204,7 @@ func (li *levelIter) startInner() error {
 		if v.IsNull() {
 			li.bucket = nil
 		} else {
-			li.bucket = li.ht[v.symKey(li.db.intern)]
+			li.bucket = li.ht[v.joinKey()]
 		}
 		li.bucketPos = 0
 	case accessOrderedProbe, accessRangeScan, accessOrderedScan:
@@ -337,14 +337,12 @@ func orderedBucketFor(ctr *levelCounters, ev *exprEval, ap *accessPlan, t *Table
 }
 
 // buildHash drains the level's source once into a transient hash table on
-// the probe column. Keys are symKey-normalized Values — interned text keys
-// on its symbol, so a TEXT-equality join hashes 8 fixed bytes per row — and
-// hash equality matches SQL equality across the int/string comparison the
-// engine supports while probes pay a struct hash, not interface hashing or
-// string formatting.
+// the probe column. Keys are joinKey-normalized Values, so hash equality
+// matches SQL equality across the int/string comparison the engine supports
+// while probes pay a struct hash, not interface hashing or string
+// formatting.
 func (li *levelIter) buildHash() error {
 	li.ht = make(map[Value][]int)
-	it := li.db.intern
 	ci := li.src.columnIndex(li.ap.probe.col)
 	if ci < 0 {
 		return fmt.Errorf("relational: source %s has no column %q", li.src.name, li.ap.probe.col)
@@ -361,7 +359,7 @@ func (li *levelIter) buildHash() error {
 					continue
 				}
 				li.ctr.rowsScanned++
-				k := row[ci].symKey(it)
+				k := row[ci].joinKey()
 				li.ht[k] = append(li.ht[k], rid)
 			}
 			li.ctr.hashJoinBuilds++
@@ -375,7 +373,7 @@ func (li *levelIter) buildHash() error {
 				continue
 			}
 			li.ctr.rowsScanned++
-			k := row[ci].symKey(it)
+			k := row[ci].joinKey()
 			li.ht[k] = append(li.ht[k], rid)
 		}
 	} else {
@@ -384,7 +382,7 @@ func (li *levelIter) buildHash() error {
 				continue
 			}
 			li.ctr.rowsScanned++
-			k := row[ci].symKey(it)
+			k := row[ci].joinKey()
 			li.ht[k] = append(li.ht[k], i)
 		}
 	}
@@ -480,7 +478,7 @@ func (li *levelIter) checkConds() (bool, error) {
 	for _, c := range li.lp.conds {
 		if c == li.skipCond {
 			// Already enforced by the hash-keyed probe: bucket membership
-			// coincides with SQL equality (symKey), and NULL probe values
+			// coincides with SQL equality (joinKey), and NULL probe values
 			// yield no bucket.
 			continue
 		}
@@ -633,12 +631,8 @@ func (a *aggIter) Next() ([]Value, bool, error) {
 // the tagged byte encoding of the row built in a reused buffer — the
 // map[string] lookup on a []byte conversion does not allocate, so duplicate
 // rows cost no allocation and only the first occurrence pays one key copy.
-// Interned text contributes its ≤6-byte symbol encoding instead of its
-// string bytes (appendValueKeySym), shrinking both the key build and the
-// retained first-occurrence copies on TEXT-heavy DISTINCTs.
 type distinctIter struct {
 	input rowIter
-	it    *internTable
 	seen  map[string]bool
 	kbuf  []byte
 }
@@ -654,7 +648,7 @@ func (d *distinctIter) Next() ([]Value, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		d.kbuf = appendRowKeySym(d.kbuf[:0], row, d.it)
+		d.kbuf = appendRowKey(d.kbuf[:0], row)
 		if d.seen[string(d.kbuf)] {
 			continue
 		}
@@ -1051,7 +1045,7 @@ func (db *DB) buildBodyIter(bc *bodyCompiled, env *execEnv) rowIter {
 			it = &instrRow{in: it, m: an.op(bc, anProject)}
 		}
 		if s.Distinct {
-			it = &distinctIter{input: it, it: db.intern}
+			it = &distinctIter{input: it}
 			if an != nil {
 				it = &instrRow{in: it, m: an.op(bc, anDistinct)}
 			}
@@ -1107,7 +1101,7 @@ func (db *DB) buildBodyIter(bc *bodyCompiled, env *execEnv) rowIter {
 	}
 	if s.Distinct {
 		// distinctIter streams first occurrences, preserving input order.
-		it = &distinctIter{input: it, it: db.intern}
+		it = &distinctIter{input: it}
 		if an != nil {
 			it = &instrRow{in: it, m: an.op(bc, anDistinct)}
 		}

@@ -23,7 +23,7 @@ type probeCand struct {
 	// cond is the conjunct this candidate was derived from. When a
 	// hash-keyed access path (hash index probe, transient hash join) is
 	// chosen for the candidate, the probe enforces the equality exactly —
-	// symKey equality coincides with SQL equality, and NULLs are excluded
+	// joinKey equality coincides with SQL equality, and NULLs are excluded
 	// on both the stored and probe sides — so the executor skips
 	// re-evaluating this conjunct per row.
 	cond Expr

@@ -71,7 +71,6 @@ func (p *Prepared) Exec(args ...Value) (int, error) {
 			qt.LockWait = time.Since(lockStart)
 		}
 		p.db.stats.Statements.Add(1)
-		p.db.internArgs(args)
 		return p.db.runAutocommit(p.stmt, args, p.src, args, qt, nil)
 	}()
 	if err != nil {
@@ -106,7 +105,6 @@ func (p *Prepared) Query(args ...Value) (*Rows, error) {
 	p.db.mu.RLock()
 	defer p.db.mu.RUnlock()
 	p.db.stats.Statements.Add(1)
-	p.db.internArgs(args)
 	env := newEnv(nil)
 	env.args = args
 	return p.db.execSelect(sel, env)
@@ -127,8 +125,9 @@ const stmtCacheLimit = 512
 // prepared resolves sql through the shape cache, parsing at most once per
 // statement shape. It returns the (shared, read-only) AST, the literal
 // values to bind, and whether the template came from the cache. The cache
-// has its own lock (both shared-lock readers and exclusive writers populate
-// it), so callers hold db.mu in either mode.
+// has its own lock (stmtMu) and the plan-cache counters are atomic, so
+// callers may hold db.mu in either mode or not at all (Tx.Exec, Tx.Query
+// and Tx.QueryEach call it before taking any lock).
 func (db *DB) prepared(sql string) (Stmt, []Value, bool, error) {
 	toks, err := lexSQL(sql)
 	if err != nil {
@@ -145,10 +144,6 @@ func (db *DB) prepared(sql string) (Stmt, []Value, bool, error) {
 	db.stmtMu.Unlock()
 	if hit && c.nparams == len(args) {
 		db.stats.PlanCacheHits.Add(1)
-		// Lifted TEXT literals resolve against the intern table (lookup
-		// only — query literals never mint symbols): a literal naming a
-		// stored string carries its id into every equality and probe below.
-		db.internArgs(args)
 		return c.stmt, args, true, nil
 	}
 	db.stats.PlanCacheMisses.Add(1)
@@ -179,7 +174,6 @@ func (db *DB) prepared(sql string) (Stmt, []Value, bool, error) {
 	}
 	db.stmts[shape] = &cachedStmt{stmt: stmt, nparams: np}
 	db.stmtMu.Unlock()
-	db.internArgs(args)
 	return stmt, args, false, nil
 }
 

@@ -8,12 +8,6 @@ import "strings"
 // row slices suffices.
 type DBSnapshot struct {
 	tables map[string]tableSnap
-	// src remembers which DB captured the snapshot: restoring into the same
-	// DB keeps row symbols as-is (its intern table is append-only, so they
-	// are still valid), while restoring into any other DB — or restoring a
-	// decoded on-disk snapshot, which has no symbols at all — re-interns
-	// every stored text so the sym invariant holds in the target.
-	src *DB
 }
 
 type tableSnap struct {
@@ -39,7 +33,7 @@ func (db *DB) Snapshot() *DBSnapshot {
 // (Checkpoint captures snapshot and log position under one shared-lock
 // acquisition so no commit can slip between them).
 func (db *DB) snapshotLocked() *DBSnapshot {
-	s := &DBSnapshot{tables: make(map[string]tableSnap, len(db.tables)), src: db}
+	s := &DBSnapshot{tables: make(map[string]tableSnap, len(db.tables))}
 	for key, t := range db.tables {
 		// Versioned tables (an open transaction's marks, or chains kept
 		// alive for a registered reader) are captured at the latest
@@ -101,7 +95,6 @@ func (db *DB) Restore(s *DBSnapshot) {
 			}
 		}
 	}
-	reintern := s.src != db
 	for key, snap := range s.tables {
 		t := db.tables[key]
 		if t == nil {
@@ -114,16 +107,6 @@ func (db *DB) Restore(s *DBSnapshot) {
 			}
 			cp := make([]Value, len(r))
 			copy(cp, r)
-			if reintern {
-				// Foreign symbols mean nothing here; clear them, then intern
-				// into this DB so restored rows key like inserted ones.
-				for ci := range cp {
-					if cp[ci].kind == KindText {
-						cp[ci].sym = 0
-						cp[ci] = t.internRowValue(cp[ci])
-					}
-				}
-			}
 			rows[i] = cp
 		}
 		t.rows = rows
@@ -140,7 +123,7 @@ func (db *DB) Restore(s *DBSnapshot) {
 		t.intentTxn = 0
 		t.lastCommit = 0
 		for col, idx := range t.index {
-			rebuilt := &hashIndex{col: idx.col, entries: make(map[Value][]int, len(idx.entries)), it: idx.it}
+			rebuilt := &hashIndex{col: idx.col, entries: make(map[Value][]int, len(idx.entries))}
 			for rid, row := range t.rows {
 				if row == nil || row[idx.col].IsNull() {
 					continue
@@ -150,15 +133,12 @@ func (db *DB) Restore(s *DBSnapshot) {
 			t.index[strings.ToLower(col)] = rebuilt
 		}
 		for name, oidx := range t.ordered {
-			// Captured entries hold the source DB's Values (and so its
-			// symbols); they are only reusable when restoring into that DB.
-			if entries, ok := snap.ordered[name]; ok && !reintern {
+			if entries, ok := snap.ordered[name]; ok {
 				oidx.tree = newBTreeFromSorted(entries)
 				oidx.stale = 0
 				continue
 			}
-			// Index created after the snapshot (or a cross-DB restore):
-			// rebuild from the rows.
+			// Index created after the snapshot: rebuild from the rows.
 			oidx.rebuild(t)
 		}
 		// Hash index objects were replaced above; invalidate access plans

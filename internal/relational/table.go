@@ -80,11 +80,6 @@ type Table struct {
 	// identity, as on snapshot restore) changes. Cached physical access
 	// plans validate against the sum of their sources' epochs.
 	indexEpoch int64
-	// noIntern opts the table out of string interning (temp work areas:
-	// written once, offset, and drained — the symbol would never be probed
-	// before the table is dropped). Lazy symKey lookups keep such rows
-	// keying identically to interned copies of the same strings.
-	noIntern bool
 
 	// MVCC state (mvcc.go), guarded by the DB writer lock. meta holds
 	// per-row version metadata (allocated lazily, only once versioned writes
@@ -127,25 +122,6 @@ func (t *Table) writeSnap() snapshot {
 	return snapshot{ts: allTS}
 }
 
-// internRowValue interns a stored TEXT value into the owning DB's table,
-// returning the value with its symbol id set and its string rewritten to
-// the canonical copy (so duplicate attribute values across millions of rows
-// share one backing array). Insert and Update both route every stored text
-// through here — interning at the storage chokepoint is what makes a
-// column's symbol state uniform, wherever the row came from (bulk shred
-// load, SQL INSERT, WAL replay, snapshot restore).
-func (t *Table) internRowValue(v Value) Value {
-	if v.kind != KindText || t.noIntern || t.db == nil {
-		return v
-	}
-	it := t.db.intern
-	if it == nil {
-		return v
-	}
-	v.sym, v.s = it.getOrInsert(v.s)
-	return v
-}
-
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
 	return &Table{
@@ -177,7 +153,7 @@ func (t *Table) Insert(vals []Value) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[i].Name, err)
 		}
-		row[i] = t.internRowValue(cv)
+		row[i] = cv
 	}
 	// Unique key columns are enforced, not assumed: order planning elides
 	// sorts on the premise that an id equality pins one row, so a
@@ -314,7 +290,6 @@ func (t *Table) Update(rid int, cols []int, vals []Value) error {
 		if err != nil {
 			return fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[ci].Name, err)
 		}
-		cv = t.internRowValue(cv)
 		if t.uniqueCols[ci] && !cv.IsNull() && t.uniqueViolated(ci, cv, rid) {
 			return fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
 				valueString(cv), t.Name, t.Schema.Columns[ci].Name)
@@ -372,7 +347,6 @@ func (t *Table) updateVersioned(rid int, cols []int, vals []Value, w *writeCtx) 
 		if err != nil {
 			return fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[ci].Name, err)
 		}
-		cv = t.internRowValue(cv)
 		if t.uniqueCols[ci] && !cv.IsNull() && t.uniqueViolated(ci, cv, rid) {
 			return fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
 				valueString(cv), t.Name, t.Schema.Columns[ci].Name)

@@ -266,8 +266,6 @@ func statsSub(a, b Stats) Stats {
 		HashJoinBuilds:  a.HashJoinBuilds - b.HashJoinBuilds,
 		PlanCacheHits:   a.PlanCacheHits - b.PlanCacheHits,
 		PlanCacheMisses: a.PlanCacheMisses - b.PlanCacheMisses,
-		InternHits:      a.InternHits - b.InternHits,
-		InternMisses:    a.InternMisses - b.InternMisses,
 
 		SnapshotsTaken:   a.SnapshotsTaken - b.SnapshotsTaken,
 		VersionChainHops: a.VersionChainHops - b.VersionChainHops,

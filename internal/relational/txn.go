@@ -426,7 +426,6 @@ func (tx *Tx) execStmtSpan(stmt Stmt, args []Value, src string, logArgs []Value,
 	}
 	db := tx.db
 	db.stats.Statements.Add(1)
-	db.internArgs(args)
 	// The writer lock is held per statement: the transaction's undo log and
 	// write context install for the duration of execution, then come back
 	// out so readers and other writers can run between this transaction's
@@ -557,7 +556,6 @@ func (tx *Tx) QueryPrepared(p *Prepared, args ...Value) (*Rows, error) {
 		return nil, errTxDone
 	}
 	tx.db.stats.Statements.Add(1)
-	tx.db.internArgs(args)
 	tx.db.mu.RLock()
 	defer tx.db.mu.RUnlock()
 	env := newEnv(nil)

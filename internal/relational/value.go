@@ -40,17 +40,8 @@ const (
 // fields are unexported so every Value in the system is canonical (unused
 // fields zero), which is what makes == and map-key equality coincide with
 // same-kind SQL equality.
-//
-// sym is the optional intern-table symbol id of a TEXT value (intern.go):
-// nonzero only on values interned by their owning DB, where equal syms
-// guarantee equal strings — the equality fast paths below exploit it, and
-// ordering always stays on the string bytes (sym order is insertion order,
-// meaningless for comparison). sym never leaves the engine: results
-// returned to callers are stripped (exec.go), so the public == contract is
-// unchanged, and sym is never serialized (the intern table is runtime-only).
 type Value struct {
 	kind Kind
-	sym  uint32
 	i    int64
 	s    string
 }
@@ -212,12 +203,6 @@ func compareValues(a, b Value) int {
 		}
 	}
 	if a.kind == KindText && b.kind == KindText {
-		// Interned text with matching symbols is equal without touching the
-		// string bytes. Differing symbols say nothing about order (ids are
-		// insertion-ordered), so everything else falls to the byte compare.
-		if a.sym != 0 && a.sym == b.sym {
-			return 0
-		}
 		switch {
 		case a.s < b.s:
 			return -1
@@ -264,13 +249,6 @@ func valuesEqual(a, b Value) (bool, bool) {
 	if a.kind == KindNull || b.kind == KindNull {
 		return false, false // unknown
 	}
-	// Two interned TEXT values decide equality on their 4-byte symbols:
-	// both come from the same DB's intern table (the sym invariant), where
-	// id equality is string equality. Mixed interned/uninterned pairs fall
-	// back to the byte compare, keeping answers identical either way.
-	if a.kind == KindText && b.kind == KindText && a.sym != 0 && b.sym != 0 {
-		return a.sym == b.sym, true
-	}
 	return compareValues(a, b) == 0, true
 }
 
@@ -285,47 +263,8 @@ func (v Value) joinKey() Value {
 		if n, ok := canonInt(v.s); ok {
 			return Value{kind: KindInt, i: n}
 		}
-		if v.sym != 0 {
-			// Drop the symbol so interned and uninterned spellings of the
-			// same string key identically when no intern table is in play
-			// (standalone tables; ablated DBs).
-			return Value{kind: KindText, s: v.s}
-		}
 	}
 	return v
-}
-
-// kindSym is the internal map-key kind of an interned TEXT value. It exists
-// only inside hash-bucket keys and DISTINCT byte encodings — never in rows,
-// results, or serialized forms — so it needs no ordering, formatting, or
-// coercion rules.
-const kindSym Kind = 0xFF
-
-// symKey extends joinKey with symbol folding: TEXT whose string is interned
-// in it keys on the 4-byte id (an int-payload Value, so the map hashes 8
-// bytes instead of the string). Uninterned text is looked up lazily, which
-// is what keeps the normalization a pure function of the string across
-// mixed sources — a temp-table copy or an unlifted literal keys exactly
-// like the interned base-table row it equals. Canonical-integer text still
-// folds to the integer first (1 must keep joining '1'), and a nil table
-// degrades to joinKey exactly.
-func (v Value) symKey(it *internTable) Value {
-	if v.kind != KindText {
-		return v
-	}
-	if n, ok := canonInt(v.s); ok {
-		return Value{kind: KindInt, i: n}
-	}
-	if it != nil {
-		id := v.sym
-		if id == 0 {
-			id = it.lookup(v.s)
-		}
-		if id != 0 {
-			return Value{kind: kindSym, i: int64(id)}
-		}
-	}
-	return Value{kind: KindText, s: v.s}
 }
 
 // canonInt parses s as a canonically formatted int64 — exactly the output
@@ -397,34 +336,6 @@ func appendValueKey(b []byte, v Value) []byte {
 func appendRowKey(b []byte, row []Value) []byte {
 	for _, v := range row {
 		b = appendValueKey(b, v)
-	}
-	return b
-}
-
-// appendValueKeySym is appendValueKey with symbol folding: interned TEXT
-// (inline sym, or found by the lazy lookup) encodes as the kindSym tag plus
-// the uvarint id — at most 6 bytes regardless of string length. The same
-// determinism argument as symKey keeps the encoding injective: a string is
-// either interned (every occurrence encodes as its id) or not (every
-// occurrence encodes as bytes), never both within one table's streams.
-func appendValueKeySym(b []byte, v Value, it *internTable) []byte {
-	if v.kind == KindText && it != nil {
-		id := v.sym
-		if id == 0 {
-			id = it.lookup(v.s)
-		}
-		if id != 0 {
-			b = append(b, byte(kindSym))
-			return binary.AppendUvarint(b, uint64(id))
-		}
-	}
-	return appendValueKey(b, v)
-}
-
-// appendRowKeySym is appendRowKey over appendValueKeySym.
-func appendRowKeySym(b []byte, row []Value, it *internTable) []byte {
-	for _, v := range row {
-		b = appendValueKeySym(b, v, it)
 	}
 	return b
 }

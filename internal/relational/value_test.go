@@ -308,12 +308,8 @@ func TestSnapshotValueRoundTrip(t *testing.T) {
 			t.Fatalf("row %d tombstone mismatch", i)
 		}
 		for c := range want.rows[i] {
-			// Intern symbols are runtime-only and never serialized, so the
-			// decoded row matches modulo sym (Restore re-interns).
-			w := want.rows[i][c]
-			w.sym = 0
-			if got.rows[i][c] != w {
-				t.Fatalf("row %d col %d = %#v, want %#v", i, c, got.rows[i][c], w)
+			if got.rows[i][c] != want.rows[i][c] {
+				t.Fatalf("row %d col %d = %#v, want %#v", i, c, got.rows[i][c], want.rows[i][c])
 			}
 		}
 	}
@@ -381,48 +377,40 @@ func TestMixedEqualityConsistentAcrossAccessPaths(t *testing.T) {
 		t.Errorf("IN paths disagree: list=%d subquery=%d, want both 1", list, sub)
 	}
 
-	// Interned variants: the same equalities must answer identically whether
-	// the text operands carry intern symbols (stored rows do), arrive as
-	// never-interned literals, or interning is off entirely. The symKey
-	// lookup fallback and the canonical-int fold running before the symbol
-	// fold are what keep these aligned.
-	for _, intern := range []bool{true, false} {
-		db2 := NewDB()
-		if !intern {
-			db2.DisableInterning()
+	// TEXT = TEXT: the same equalities must answer identically whether they
+	// run as a scan, an indexed probe, a hash join or an IN-subquery, with
+	// the canonical-int fold keeping '1' aligned with INTEGER 1.
+	db2 := NewDB()
+	db2.MustExec(`CREATE TABLE a (v VARCHAR(8))`)
+	db2.MustExec(`INSERT INTO a VALUES ('1'), ('x'), ('y')`)
+	db2.MustExec(`CREATE TABLE b (v VARCHAR(8))`)
+	db2.MustExec(`INSERT INTO b VALUES ('x'), ('z'), ('1')`)
+	count2 := func(q string) int {
+		rows, err := db2.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
 		}
-		db2.MustExec(`CREATE TABLE a (v VARCHAR(8))`)
-		db2.MustExec(`INSERT INTO a VALUES ('1'), ('x'), ('y')`)
-		db2.MustExec(`CREATE TABLE b (v VARCHAR(8))`)
-		db2.MustExec(`INSERT INTO b VALUES ('x'), ('z'), ('1')`)
-		count2 := func(q string) int {
-			rows, err := db2.Query(q)
-			if err != nil {
-				t.Fatalf("intern=%v %s: %v", intern, q, err)
-			}
-			return len(rows.Data)
-		}
-		// Text scan vs indexed probe vs hash join vs IN: all on TEXT = TEXT.
-		if got := count2(`SELECT v FROM a WHERE v = 'x'`); got != 1 {
-			t.Errorf("intern=%v text scan: got %d rows, want 1", intern, got)
-		}
-		db2.MustExec(`CREATE INDEX ia ON a (v)`)
-		if got := count2(`SELECT v FROM a WHERE v = 'x'`); got != 1 {
-			t.Errorf("intern=%v text indexed: got %d rows, want 1", intern, got)
-		}
-		if got := count2(`SELECT a.v FROM a, b WHERE a.v = b.v`); got != 2 {
-			t.Errorf("intern=%v text join: got %d rows, want 2 ('1' and 'x')", intern, got)
-		}
-		if got := count2(`SELECT v FROM a WHERE v IN (SELECT v FROM b)`); got != 2 {
-			t.Errorf("intern=%v text IN-subquery: got %d rows, want 2", intern, got)
-		}
-		// Mixed int/text across the intern boundary: interned '1' in a TEXT
-		// column must still equal INTEGER 1 and never equal '01'.
-		db2.MustExec(`CREATE TABLE n (k INTEGER)`)
-		db2.MustExec(`INSERT INTO n VALUES (1)`)
-		if got := count2(`SELECT n.k FROM n, a WHERE n.k = a.v`); got != 1 {
-			t.Errorf("intern=%v mixed join: got %d rows, want 1", intern, got)
-		}
+		return len(rows.Data)
+	}
+	if got := count2(`SELECT v FROM a WHERE v = 'x'`); got != 1 {
+		t.Errorf("text scan: got %d rows, want 1", got)
+	}
+	db2.MustExec(`CREATE INDEX ia ON a (v)`)
+	if got := count2(`SELECT v FROM a WHERE v = 'x'`); got != 1 {
+		t.Errorf("text indexed: got %d rows, want 1", got)
+	}
+	if got := count2(`SELECT a.v FROM a, b WHERE a.v = b.v`); got != 2 {
+		t.Errorf("text join: got %d rows, want 2 ('1' and 'x')", got)
+	}
+	if got := count2(`SELECT v FROM a WHERE v IN (SELECT v FROM b)`); got != 2 {
+		t.Errorf("text IN-subquery: got %d rows, want 2", got)
+	}
+	// Mixed int/text: '1' in a TEXT column must still equal INTEGER 1 and
+	// never equal '01'.
+	db2.MustExec(`CREATE TABLE n (k INTEGER)`)
+	db2.MustExec(`INSERT INTO n VALUES (1)`)
+	if got := count2(`SELECT n.k FROM n, a WHERE n.k = a.v`); got != 1 {
+		t.Errorf("mixed join: got %d rows, want 1", got)
 	}
 }
 

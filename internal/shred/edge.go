@@ -55,7 +55,7 @@ func LoadEdge(db *relational.DB, doc *xmltree.Document) (int, error) {
 		if parent != 0 {
 			pid = relational.Int(parent)
 		}
-		if _, err := t.Insert([]relational.Value{relational.Int(id), pid, relational.Int(int64(ord)), relational.Text(EdgeElem), relational.Text(e.Name), relational.Null}); err != nil {
+		if _, err := t.Insert([]relational.Value{relational.Int(id), pid, relational.Int(int64(ord)), relational.Text(EdgeElem), domText(e.Name), relational.Null}); err != nil {
 			return err
 		}
 		count++
@@ -63,7 +63,7 @@ func LoadEdge(db *relational.DB, doc *xmltree.Document) (int, error) {
 		for _, a := range e.Attrs() {
 			aid := next
 			next++
-			if _, err := t.Insert([]relational.Value{relational.Int(aid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeAttr), relational.Text(a.Name), relational.Text(a.Value)}); err != nil {
+			if _, err := t.Insert([]relational.Value{relational.Int(aid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeAttr), domText(a.Name), domText(a.Value)}); err != nil {
 				return err
 			}
 			count++
@@ -73,7 +73,7 @@ func LoadEdge(db *relational.DB, doc *xmltree.Document) (int, error) {
 			for _, idv := range r.IDs {
 				rid := next
 				next++
-				if _, err := t.Insert([]relational.Value{relational.Int(rid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeRef), relational.Text(r.Name), relational.Text(idv)}); err != nil {
+				if _, err := t.Insert([]relational.Value{relational.Int(rid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeRef), domText(r.Name), domText(idv)}); err != nil {
 					return err
 				}
 				count++
@@ -85,7 +85,7 @@ func LoadEdge(db *relational.DB, doc *xmltree.Document) (int, error) {
 			case *xmltree.Text:
 				tid := next
 				next++
-				if _, err := t.Insert([]relational.Value{relational.Int(tid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeText), relational.Text(""), relational.Text(n.Data)}); err != nil {
+				if _, err := t.Insert([]relational.Value{relational.Int(tid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeText), relational.Text(""), domText(n.Data)}); err != nil {
 					return err
 				}
 				count++

@@ -102,6 +102,11 @@ func collectInlined(tm *TableMap, out map[string]bool) {
 	}
 }
 
+// domText stores a DOM string as TEXT. xmltree.Parse returns names,
+// attribute values and text as substrings of the source document, so the
+// copy keeps one stored cell from pinning the whole parsed file in memory.
+func domText(s string) relational.Value { return relational.Text(strings.Clone(s)) }
+
 // columnValue extracts a column's value from the element subtree.
 func columnValue(e *xmltree.Element, c *ColumnMap) relational.Value {
 	target := e
@@ -115,16 +120,16 @@ func columnValue(e *xmltree.Element, c *ColumnMap) relational.Value {
 	case AttrColumn:
 		if c.RefKind == xmltree.AttrIDREF || c.RefKind == xmltree.AttrIDREFS {
 			if r := target.Ref(c.Attr); r != nil {
-				return relational.Text(strings.Join(r.IDs, " "))
+				return domText(strings.Join(r.IDs, " "))
 			}
 			// A reference attribute parsed without its DTD is a plain attr.
 			if v, ok := target.AttrValue(c.Attr); ok {
-				return relational.Text(v)
+				return domText(v)
 			}
 			return relational.Null
 		}
 		if v, ok := target.AttrValue(c.Attr); ok {
-			return relational.Text(v)
+			return domText(v)
 		}
 		return relational.Null
 	case TextColumn:

@@ -3,6 +3,7 @@ package shred
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/relational"
 	"repro/internal/testdocs"
@@ -232,6 +233,59 @@ func TestBioMappingWithReferences(t *testing.T) {
 	labRows := db.Table(m.Table("lab").Name).RowCount()
 	if labRows != 3 {
 		t.Errorf("lab table rows = %d, want 3 (shared across parents)", labRows)
+	}
+}
+
+// TestStoredTextDoesNotPinSource: xmltree.Parse hands out names, attribute
+// values and text as substrings of the source, so a stored TEXT cell that
+// aliased one would keep the whole parsed file alive. Both mappings must
+// store copies: no cell may point into the source's byte range.
+func TestStoredTextDoesNotPinSource(t *testing.T) {
+	src := strings.Clone(testdocs.BioXML) // a heap buffer with a known range
+	dtd := xmltree.MustParseDTD(testdocs.BioDTD)
+	doc, err := xmltree.ParseWith(src, xmltree.ParseOptions{TrimText: true, DTD: dtd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	checkTable := func(tbl *relational.Table) int {
+		n := 0
+		tbl.Scan(func(rid int, row []relational.Value) bool {
+			for c, v := range row {
+				s, ok := v.Text()
+				if !ok || s == "" {
+					continue
+				}
+				n++
+				if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p < hi {
+					t.Errorf("%s row %d col %d (%q) points into the parsed source", tbl.Name, rid, c, s)
+				}
+			}
+			return true
+		})
+		return n
+	}
+
+	m, err := BuildMapping(dtd, "db", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inl := relational.NewDB()
+	if _, err := Load(inl, m, doc); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, elem := range m.TableOrder {
+		cells += checkTable(inl.Table(m.Tables[elem].Name))
+	}
+	edge := relational.NewDB()
+	if _, err := LoadEdge(edge, doc); err != nil {
+		t.Fatal(err)
+	}
+	cells += checkTable(edge.Table("Edge"))
+	if cells < 40 {
+		t.Fatalf("checked %d TEXT cells, implausibly few", cells)
 	}
 }
 
