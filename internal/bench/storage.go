@@ -11,12 +11,12 @@ import (
 	"repro/internal/relational"
 )
 
-// Storage experiment: prices the paged backend against the default
-// in-memory backend along the three axes the design trades on — pool size
-// vs scan cost (caching), checkpoint bytes (dirty-page redo vs whole-snapshot
-// re-encode), and larger-than-RAM document reconstruction. Like readers it
-// is opt-in (`-exp storage`), not part of "all": the sweep writes real page
-// files and its timings are disk-sensitive.
+// Storage experiment: prices the paged backend along the three axes the
+// design trades on — pool size vs scan cost (caching), the bytes an
+// incremental checkpoint writes, and larger-than-RAM document
+// reconstruction against an in-memory store. Like readers it is opt-in
+// (`-exp storage`), not part of "all": the sweep writes real page files
+// and its timings are disk-sensitive.
 
 // PoolSweepPoint is one pool-size measurement over a fixed paged dataset:
 // repeated full scans with PoolPages resident frames.
@@ -35,16 +35,13 @@ type PoolSweepPoint struct {
 	RowsPerSec float64
 }
 
-// CheckpointCost is one side of the checkpoint A/B: the bytes and wall time
-// one checkpoint costs after a small update batch touched Updated of Rows
-// rows.
+// CheckpointCost is the bytes and wall time one checkpoint costs after a
+// small update batch touched Updated of Rows rows.
 type CheckpointCost struct {
-	Backend string
 	Rows    int
 	Updated int
 	// Bytes is what the checkpoint physically writes: dirty pages plus
-	// their doublewrite copies for paged, the full re-encoded snapshot
-	// for memory.
+	// their doublewrite copies.
 	Bytes   int64
 	Seconds float64
 }
@@ -65,7 +62,7 @@ type SOUPoint struct {
 // StorageResult bundles the three storage scenarios.
 type StorageResult struct {
 	Sweep      []PoolSweepPoint
-	Checkpoint []CheckpointCost
+	Checkpoint CheckpointCost
 	SOU        []SOUPoint
 }
 
@@ -88,8 +85,8 @@ func storageScaleFor(cfg Config) storageScale {
 	return s
 }
 
-// RunStorage runs the pool-size sweep, the checkpoint-cost A/B, and the
-// larger-than-RAM SOU reconstruction.
+// RunStorage runs the pool-size sweep, the incremental checkpoint cost,
+// and the larger-than-RAM SOU reconstruction.
 func RunStorage(cfg Config) (*StorageResult, error) {
 	sc := storageScaleFor(cfg)
 	res := &StorageResult{}
@@ -102,15 +99,10 @@ func RunStorage(cfg Config) (*StorageResult, error) {
 		res.Sweep = append(res.Sweep, pt)
 	}
 
-	paged, err := checkpointCost(cfg, sc, true)
-	if err != nil {
-		return nil, fmt.Errorf("storage checkpoint paged: %w", err)
+	var err error
+	if res.Checkpoint, err = checkpointCost(cfg, sc); err != nil {
+		return nil, fmt.Errorf("storage checkpoint: %w", err)
 	}
-	mem, err := checkpointCost(cfg, sc, false)
-	if err != nil {
-		return nil, fmt.Errorf("storage checkpoint memory: %w", err)
-	}
-	res.Checkpoint = append(res.Checkpoint, paged, mem)
 
 	sou, err := souPoints(cfg)
 	if err != nil {
@@ -157,7 +149,7 @@ func openStorageDB(sc storageScale, opts relational.Options) (string, *relationa
 func pagedStorageOpts(sc storageScale, pool int) relational.Options {
 	return relational.Options{
 		Sync: relational.SyncOff, CheckpointBytes: -1,
-		Storage: relational.StoragePaged, PoolPages: pool, PageSize: sc.pageSize,
+		PoolPages: pool, PageSize: sc.pageSize,
 	}
 }
 
@@ -215,20 +207,15 @@ func sweepPoint(cfg Config, sc storageScale, pool int) (PoolSweepPoint, error) {
 	return pt, nil
 }
 
-func checkpointCost(cfg Config, sc storageScale, paged bool) (CheckpointCost, error) {
-	pt := CheckpointCost{Backend: "memory", Rows: sc.rows, Updated: sc.updated}
-	opts := relational.Options{Sync: relational.SyncOff, CheckpointBytes: -1}
-	if paged {
-		pt.Backend = "paged"
-		opts = pagedStorageOpts(sc, 256)
-	}
-	dir, db, err := openStorageDB(sc, opts)
+func checkpointCost(cfg Config, sc storageScale) (CheckpointCost, error) {
+	pt := CheckpointCost{Rows: sc.rows, Updated: sc.updated}
+	dir, db, err := openStorageDB(sc, pagedStorageOpts(sc, 256))
 	if err != nil {
 		return pt, err
 	}
 	defer os.RemoveAll(dir)
 	defer db.Close()
-	// Baseline checkpoint: the A/B measures the *incremental* cost after a
+	// Baseline checkpoint: this measures the *incremental* cost after a
 	// small batch, so the load itself must already be on disk.
 	if err := db.Checkpoint(); err != nil {
 		return pt, err
@@ -254,21 +241,11 @@ func checkpointCost(cfg Config, sc storageScale, paged bool) (CheckpointCost, er
 		if run == 0 {
 			continue // warm-up, discarded
 		}
-		var bytes int64
-		if paged {
-			// PageWrites counts doublewrite copies and in-place writes, so
-			// this is the full physical write cost of the no-steal protocol.
-			bytes = db.Stats().PageWrites * int64(sc.pageSize)
-		} else {
-			enc, err := relational.EncodeSnapshot(db.Snapshot())
-			if err != nil {
-				return pt, err
-			}
-			bytes = int64(len(enc))
-		}
 		if pt.Seconds == 0 || elapsed < pt.Seconds {
 			pt.Seconds = elapsed
-			pt.Bytes = bytes
+			// PageWrites counts doublewrite copies and in-place writes, so
+			// this is the full physical write cost of the no-steal protocol.
+			pt.Bytes = db.Stats().PageWrites * int64(sc.pageSize)
 		}
 	}
 	recordStats(db)
@@ -276,7 +253,7 @@ func checkpointCost(cfg Config, sc storageScale, paged bool) (CheckpointCost, er
 }
 
 // souPoints shreds a DBLP-like document and times full SOU reconstruction
-// on the memory backend versus a paged store whose pool holds only a small
+// on an in-memory store versus a paged store whose pool holds only a small
 // fraction of the page file.
 func souPoints(cfg Config) ([]SOUPoint, error) {
 	p := datagen.DBLPParams{Conferences: 24, PubsPerConf: 40, Seed: 7}
@@ -286,58 +263,60 @@ func souPoints(cfg Config) ([]SOUPoint, error) {
 	doc := datagen.DBLP(p)
 	const poolPages = 8
 
-	var out []SOUPoint
-	for _, paged := range []bool{false, true} {
-		dir, err := os.MkdirTemp("", "xbench-sou-")
-		if err != nil {
-			return nil, err
-		}
-		dopts := relational.Options{Sync: relational.SyncOff, CheckpointBytes: -1}
-		pt := SOUPoint{Backend: "memory"}
-		if paged {
-			dopts.Storage = relational.StoragePaged
-			dopts.PoolPages = poolPages
-			dopts.PageSize = 1024
-			pt.Backend = "paged"
-			pt.PoolPages = poolPages
-		}
-		s, err := engine.OpenDir(dir, doc, engine.Options{}, dopts)
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		if err := s.Checkpoint(); err != nil {
-			s.Close()
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		pt.Tuples = s.TupleCount()
-		pt.FilePages = s.DB.Stats().DirtyFlushes
-		for run := 0; run <= cfg.runs(); run++ {
-			s.DB.ResetStats()
-			start := time.Now()
-			if _, err := s.Reconstruct(); err != nil {
-				s.Close()
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			elapsed := time.Since(start).Seconds()
-			if run == 0 {
-				continue // warm-up, discarded
-			}
-			if pt.Seconds == 0 || elapsed < pt.Seconds {
-				pt.Seconds = elapsed
-				st := s.DB.Stats()
-				pt.PageReads = st.PageReads
-				pt.Evictions = st.Evictions
-			}
-		}
-		recordStats(s.DB)
-		s.Close()
-		os.RemoveAll(dir)
-		out = append(out, pt)
+	mem, err := engine.Open(doc, engine.Options{})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	memPt, err := timeSOU(cfg, mem, SOUPoint{Backend: "memory"})
+	if err != nil {
+		return nil, err
+	}
+
+	dir, err := os.MkdirTemp("", "xbench-sou-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	s, err := engine.OpenDir(dir, doc, engine.Options{}, relational.Options{
+		Sync: relational.SyncOff, CheckpointBytes: -1, PoolPages: poolPages, PageSize: 1024,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	if err := s.Checkpoint(); err != nil {
+		return nil, err
+	}
+	pagedPt, err := timeSOU(cfg, s, SOUPoint{Backend: "paged", PoolPages: poolPages, FilePages: s.DB.Stats().DirtyFlushes})
+	if err != nil {
+		return nil, err
+	}
+	return []SOUPoint{memPt, pagedPt}, nil
+}
+
+// timeSOU fills pt with the min-of-runs Reconstruct time of s and the page
+// traffic of that fastest run.
+func timeSOU(cfg Config, s *engine.Store, pt SOUPoint) (SOUPoint, error) {
+	pt.Tuples = s.TupleCount()
+	for run := 0; run <= cfg.runs(); run++ {
+		s.DB.ResetStats()
+		start := time.Now()
+		if _, err := s.Reconstruct(); err != nil {
+			return pt, err
+		}
+		elapsed := time.Since(start).Seconds()
+		if run == 0 {
+			continue // warm-up, discarded
+		}
+		if pt.Seconds == 0 || elapsed < pt.Seconds {
+			pt.Seconds = elapsed
+			st := s.DB.Stats()
+			pt.PageReads = st.PageReads
+			pt.Evictions = st.Evictions
+		}
+	}
+	recordStats(s.DB)
+	return pt, nil
 }
 
 // WriteStorage renders the three scenarios as aligned tables.
@@ -348,11 +327,10 @@ func WriteStorage(w io.Writer, res *StorageResult) {
 		fmt.Fprintf(w, "%10d %10d %10.3f %10d %12.6f %14.0f\n",
 			p.PoolPages, p.FilePages, p.HitRatio, p.Evictions, p.Seconds, p.RowsPerSec)
 	}
-	fmt.Fprintln(w, "\nstorage: checkpoint cost after a ~1% update batch (paged dirty-page redo vs memory full snapshot)")
-	fmt.Fprintf(w, "%10s %8s %9s %12s %12s\n", "backend", "rows", "updated", "bytes", "time(s)")
-	for _, p := range res.Checkpoint {
-		fmt.Fprintf(w, "%10s %8d %9d %12d %12.6f\n", p.Backend, p.Rows, p.Updated, p.Bytes, p.Seconds)
-	}
+	fmt.Fprintln(w, "\nstorage: checkpoint cost after a ~1% update batch (dirty pages + doublewrite copies)")
+	fmt.Fprintf(w, "%8s %9s %12s %12s\n", "rows", "updated", "bytes", "time(s)")
+	c := res.Checkpoint
+	fmt.Fprintf(w, "%8d %9d %12d %12.6f\n", c.Rows, c.Updated, c.Bytes, c.Seconds)
 	fmt.Fprintln(w, "\nstorage: SOU reconstruction, in-memory vs larger-than-RAM buffer pool")
 	fmt.Fprintf(w, "%10s %8s %6s %10s %12s %11s %10s\n", "backend", "tuples", "pool", "file pgs", "time(s)", "page reads", "evictions")
 	for _, p := range res.SOU {

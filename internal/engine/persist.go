@@ -151,8 +151,9 @@ func initStore(db *relational.DB, doc *xmltree.Document, opts Options) (*Store, 
 	if err := s.writeMeta(doc.DTD); err != nil {
 		return nil, err
 	}
-	// Checkpoint folds the DDL history and bulk rows into one snapshot; the
-	// log restarts empty, so reopen cost is one snapshot read.
+	// Checkpoint writes the bulk rows to page files and the DDL history to
+	// the marker; the log restarts empty, so a reopen loads pages and
+	// replays nothing.
 	if err := db.Checkpoint(); err != nil {
 		return nil, err
 	}
@@ -288,6 +289,6 @@ func tableInsertSQL(db *relational.DB, name string) []string {
 // in-memory stores it is a no-op.
 func (s *Store) Close() error { return s.DB.Close() }
 
-// Checkpoint snapshots the store into its log directory and truncates
-// superseded log segments. Only valid for persistent stores.
+// Checkpoint writes the store's dirty pages into its directory and
+// truncates superseded log segments. Only valid for persistent stores.
 func (s *Store) Checkpoint() error { return s.DB.Checkpoint() }

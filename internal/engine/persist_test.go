@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -350,15 +352,38 @@ UPDATE $c {
 	}
 }
 
-// pagedOpts runs the store on the paged storage backend with a pool far
-// smaller than the shredded document, so SOU reconstruction streams through
-// faults and evictions rather than resident rows.
+// pagedOpts runs the store with a pool far smaller than the shredded
+// document, so SOU reconstruction streams through faults and evictions
+// rather than resident rows.
 func pagedOpts() relational.Options {
 	o := noCkptOpts()
-	o.Storage = relational.StoragePaged
 	o.PoolPages = 4
 	o.PageSize = 512
 	return o
+}
+
+// TestOpenDirDefaultIsPaged: a directory store is paged without asking —
+// options that name no storage backend still get a bounded buffer pool, and
+// a checkpoint writes one page file per shredded table.
+func TestOpenDirDefaultIsPaged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDir(dir, custDoc(t), Options{}, noCkptOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, limit := s.DB.PagedPoolStats(); limit == 0 {
+		t.Fatal("directory store has no buffer pool")
+	}
+	for _, e := range s.M.TableOrder {
+		name := strings.ToLower(s.M.Tables[e].Name) + ".pages"
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("table %s has no page file after a checkpoint: %v", e, err)
+		}
+	}
 }
 
 // TestOpenDirPagedStorage is the paged twin of the acceptance round-trip:

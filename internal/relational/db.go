@@ -59,8 +59,8 @@ type Stats struct {
 	VersionChainHops int64
 	WriteConflicts   int64
 	VersionsVacuumed int64
-	// Paged-storage buffer pool counters (paged.go), all zero on the
-	// default memory backend. PageReads/PageWrites count physical page
+	// Paged-storage buffer pool counters (paged.go), all zero on an
+	// in-memory DB (NewDB). PageReads/PageWrites count physical page
 	// I/O (a checkpoint's doublewrite and in-place passes both count);
 	// PoolHits/PoolMisses count row-access residency checks; Evictions
 	// counts pages dropped by the CLOCK sweep; DirtyFlushes counts dirty
@@ -208,8 +208,8 @@ type DB struct {
 	ckptWG   sync.WaitGroup
 	ckptErr  atomic.Pointer[error]
 
-	// Paged storage state (paged.go): pool is the shared buffer pool (nil
-	// on the default memory backend — every paged code path gates on it),
+	// Paged storage state (paged.go): pool is the shared buffer pool (set
+	// by Open, nil on a NewDB — every paged code path gates on it),
 	// pagedDir is where page files and the doublewrite buffer live, and
 	// pageErr is the sticky page-I/O failure that poisons the DB rather
 	// than let statements run over silently missing rows. ckptHook is a

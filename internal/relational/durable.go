@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -13,13 +12,14 @@ import (
 // committed transaction — the implicit one wrapping a top-level Exec, or an
 // explicit BEGIN…COMMIT — appends one record holding the SQL text (raw for
 // Exec, the `?` shape plus bound arguments for prepared statements) of its
-// successful mutating statements. Recovery loads the latest checkpoint
-// (schema history + data snapshot) and re-executes the log tail in commit
-// order. Logical logging was chosen over physical page logging because the
-// engine's "pages" are Go heap structures with no stable byte layout, and
-// because statement replay reuses the exact execution paths the engine
-// already tests — determinism is inherited from the executor, not
-// re-implemented in a redo interpreter.
+// successful mutating statements. Every table of such a DB lives on heap
+// pages (paged.go). Recovery loads the latest checkpoint — the schema
+// history plus the page files it names — and re-executes the log tail in
+// commit order. The log stays logical although rows live on pages: no-steal
+// page files hold exactly the last checkpoint's state, so replay has
+// nothing to undo, and statement replay reuses the exact execution paths
+// the engine already tests — determinism is inherited from the executor,
+// not re-implemented in a redo interpreter.
 //
 // Commit protocol: the record is appended to the log (an OS write, no
 // fsync) while the committer still holds the writer lock — so log order is
@@ -57,16 +57,12 @@ type Options struct {
 	// recent-statements ring (see DB.SetSlowQuery / DB.TraceLog). Zero
 	// leaves tracing off.
 	SlowQuery time.Duration
-	// Storage selects the row-storage backend: StorageMemory (default)
-	// keeps every table on the heap and checkpoints whole snapshots;
-	// StoragePaged keeps tables on checksummed heap pages behind a buffer
-	// pool and checkpoints only dirty pages (paged.go). Either mode can
-	// open a directory last written by the other.
+	// Deprecated: every directory is paged; ignored.
 	Storage StorageKind
-	// PoolPages bounds resident pages for StoragePaged (default 256);
-	// PageSize sets the page size (default pager.DefaultPageSize). Both
-	// are ignored by StorageMemory. PageSize must match across reopens of
-	// the same directory.
+	// PoolPages bounds resident pages (default 256). PageSize sets the
+	// page size of a new directory (default pager.DefaultPageSize); on
+	// reopen, zero adopts the size the checkpoint recorded, and any other
+	// value must equal it.
 	PoolPages int
 	PageSize  int
 }
@@ -143,7 +139,7 @@ func classifyStmt(stmt Stmt) (bool, ddlNote) {
 
 // ddlEntry is one line of the schema history a checkpoint must carry:
 // replaying these statements against an empty DB reproduces the schema the
-// snapshot's data belongs to.
+// checkpointed pages belong to.
 type ddlEntry struct {
 	sql  string
 	note ddlNote
@@ -271,8 +267,8 @@ func (db *DB) afterCommit(lsn uint64, qt *QueryTrace) error {
 
 // maybeCheckpoint starts a checkpoint when the log has outgrown the
 // threshold. It runs on a background goroutine — the committer that
-// crossed the threshold should not absorb a full-database snapshot and
-// fsync in its own latency — with at most one in flight; errors are
+// crossed the threshold should not absorb a dirty-page flush and its
+// fsyncs in its own latency — with at most one in flight; errors are
 // remembered and surfaced by Close rather than failing an unrelated
 // commit. A checkpoint racing Close aborts harmlessly inside the log
 // (operations on a closed log error out).
@@ -296,8 +292,8 @@ func (db *DB) maybeCheckpoint() {
 			db.ckptMu.Unlock()
 			db.ckptWG.Done()
 		}()
-		// An open explicit transaction defers a paged checkpoint rather
-		// than failing it; the trigger fires again after the next commit.
+		// An open explicit transaction defers the checkpoint rather than
+		// failing it; the trigger fires again after the next commit.
 		if err := db.Checkpoint(); err != nil && err != errCkptOpenTxn {
 			db.ckptErr.Store(&err)
 		}
@@ -322,11 +318,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.wal = l
 	db.walOpts = opts
 	db.pagedDir = dir
-	if opts.Storage == StoragePaged {
-		// The pool exists before any DDL replays so createTable attaches
-		// paged state to every recovered table.
-		db.pool = newPagePool(opts.PoolPages, opts.PageSize)
-	}
 	db.replaying = true
 	ok := false
 	defer func() {
@@ -339,8 +330,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	// Complete a checkpoint that crashed between its doublewrite buffer
 	// and its marker — after this, every intact page file byte is the
 	// checkpoint's, and any page still failing its checksum is real
-	// corruption. Runs in either storage mode: the pending images belong
-	// to the directory, not to the mode opening it.
+	// corruption.
 	if err := db.recoverDoublewrite(l); err != nil {
 		return nil, err
 	}
@@ -349,30 +339,30 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	pageSize := opts.PageSize
+	var ddl []string
+	var metas []pagedTableMeta
 	if has {
-		ddl, snapBytes, pageSize, metas, v2, err := dispatchCheckpointPayload(payload)
-		if err != nil {
+		var ckptPageSize int
+		if ckptPageSize, ddl, metas, err = decodePagedPayload(payload); err != nil {
 			return nil, err
 		}
-		for _, sql := range ddl {
-			if _, err := db.Exec(sql); err != nil {
-				return nil, fmt.Errorf("relational: recovering schema: %q: %w", sql, err)
-			}
+		if pageSize == 0 {
+			pageSize = ckptPageSize
+		} else if pageSize != ckptPageSize {
+			return nil, fmt.Errorf("relational: configured page size %d, checkpoint written with %d", pageSize, ckptPageSize)
 		}
-		if v2 {
-			if db.pool != nil && db.pool.pageSize != pageSize {
-				return nil, fmt.Errorf("relational: configured page size %d, checkpoint written with %d", db.pool.pageSize, pageSize)
-			}
-			if err := db.attachPagedTables(pageSize, metas); err != nil {
-				return nil, err
-			}
-		} else {
-			snap, err := DecodeSnapshot(snapBytes)
-			if err != nil {
-				return nil, err
-			}
-			db.Restore(snap)
+	}
+	// The pool exists before any DDL replays so createTable attaches paged
+	// state to every recovered table.
+	db.pool = newPagePool(opts.PoolPages, pageSize)
+	for _, sql := range ddl {
+		if _, err := db.Exec(sql); err != nil {
+			return nil, fmt.Errorf("relational: recovering schema: %q: %w", sql, err)
 		}
+	}
+	if err := db.attachPagedTables(metas); err != nil {
+		return nil, err
 	}
 	if err := l.Replay(func(stamp uint64, stmts []wal.Stmt) error {
 		return db.replayCommit(stamp, stmts)
@@ -380,18 +370,16 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.replaying = false
-	if db.pool != nil {
-		// A long replay can leave the pool holding far more dirty pages
-		// than its budget; one checkpoint makes them clean and evictable,
-		// and the explicit sweep brings residency back under the limit.
-		if db.pool.overLimit() {
-			if err := db.Checkpoint(); err != nil {
-				return nil, err
-			}
-			db.pool.mu.Lock()
-			db.pool.evictPressureLocked()
-			db.pool.mu.Unlock()
+	// A long replay can leave the pool holding far more dirty pages than
+	// its budget; one checkpoint makes them clean and evictable, and the
+	// explicit sweep brings residency back under the limit.
+	if db.pool.overLimit() {
+		if err := db.Checkpoint(); err != nil {
+			return nil, err
 		}
+		db.pool.mu.Lock()
+		db.pool.evictPressureLocked()
+		db.pool.mu.Unlock()
 	}
 	// Armed after replay so recovery re-execution does not pollute the
 	// slow-query log.
@@ -494,32 +482,6 @@ func (db *DB) LogBulk(sqls []string) error {
 	return db.afterCommit(lsn, nil)
 }
 
-// Checkpoint serializes the schema history and a data snapshot into a
-// checkpoint file and truncates the log segments it supersedes. It runs
-// under the shared lock — concurrent readers proceed; writers wait exactly
-// as they would for any reader.
-func (db *DB) Checkpoint() error {
-	if db.wal == nil {
-		return fmt.Errorf("relational: Checkpoint requires a DB opened with Open(dir, …)")
-	}
-	if db.pool != nil {
-		return db.checkpointPaged()
-	}
-	db.mu.RLock()
-	snap := db.snapshotLocked()
-	ddl := make([]string, len(db.ddlHist))
-	for i, e := range db.ddlHist {
-		ddl[i] = e.sql
-	}
-	lsn := db.wal.LastLSN()
-	db.mu.RUnlock()
-	snapBytes, err := EncodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	return db.wal.WriteCheckpoint(lsn, encodeCheckpointPayload(ddl, snapBytes))
-}
-
 // Close waits for any in-flight auto-checkpoint, flushes the log to stable
 // storage, and releases it. Further commits on the handle fail. In-memory
 // DBs (NewDB) close as a no-op.
@@ -538,8 +500,8 @@ func (db *DB) Close() error {
 	if p := db.ckptErr.Load(); err == nil && p != nil {
 		err = *p
 	}
-	// Paged: audit that no page is still pinned (a leaked cursor) and
-	// release the page files. Dirty pages need no flush — the WAL tail
+	// Audit that no page is still pinned (a leaked cursor) and release
+	// the page files. Dirty pages need no flush — the WAL tail
 	// replays them on the next Open.
 	db.mu.Lock()
 	auditErr := db.auditPaged()
@@ -551,54 +513,6 @@ func (db *DB) Close() error {
 		err = db.pagedErr()
 	}
 	return err
-}
-
-// Checkpoint payload: "RCKP1", uvarint DDL count, per-statement uvarint
-// length + SQL text, then the snapshot bytes.
-const ckptMagic = "RCKP1"
-
-func encodeCheckpointPayload(ddl []string, snap []byte) []byte {
-	b := []byte(ckptMagic)
-	b = binary.AppendUvarint(b, uint64(len(ddl)))
-	for _, sql := range ddl {
-		b = binary.AppendUvarint(b, uint64(len(sql)))
-		b = append(b, sql...)
-	}
-	return append(b, snap...)
-}
-
-// dispatchCheckpointPayload decodes either checkpoint generation by its
-// magic: v2 ("RCKP2", paged — DDL plus page-file metadata) or v1
-// ("RCKP1", snapshot). v2 fields are zero for a v1 payload and vice
-// versa; v2 reports which was found.
-func dispatchCheckpointPayload(payload []byte) (ddl []string, snap []byte, pageSize int, metas []pagedTableMeta, v2 bool, err error) {
-	if len(payload) >= len(ckptMagicV2) && string(payload[:len(ckptMagicV2)]) == ckptMagicV2 {
-		pageSize, ddl, metas, err = decodePagedPayload(payload)
-		return ddl, nil, pageSize, metas, true, err
-	}
-	ddl, snap, err = decodeCheckpointPayload(payload)
-	return ddl, snap, 0, nil, false, err
-}
-
-func decodeCheckpointPayload(data []byte) (ddl []string, snap []byte, err error) {
-	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, nil, fmt.Errorf("relational: bad checkpoint magic")
-	}
-	b := data[len(ckptMagic):]
-	count, n := binary.Uvarint(b)
-	if n <= 0 || count > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("relational: bad checkpoint DDL count")
-	}
-	b = b[n:]
-	for i := uint64(0); i < count; i++ {
-		ln, n := binary.Uvarint(b)
-		if n <= 0 || ln > uint64(len(b)-n) {
-			return nil, nil, fmt.Errorf("relational: bad checkpoint DDL entry")
-		}
-		ddl = append(ddl, string(b[n:n+int(ln)]))
-		b = b[n+int(ln):]
-	}
-	return ddl, b, nil
 }
 
 // walVal converts a relational value to the log's tagged form — a field

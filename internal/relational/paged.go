@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,8 +17,8 @@ import (
 	"repro/internal/wal"
 )
 
-// Paged storage backend. A DB opened with Options.Storage == StoragePaged
-// keeps each non-temp table's rows on fixed-size slotted heap pages
+// Paged storage backend. A DB opened with Open(dir, …) keeps each
+// non-temp table's rows on fixed-size slotted heap pages
 // (internal/pager) behind a shared buffer pool: a bounded number of pages
 // are resident (decoded into t.rows slots) at a time, clean unpinned pages
 // evict under a CLOCK sweep, and a dataset several times the pool size
@@ -41,19 +42,17 @@ import (
 // Dirty pages are never evicted (no-steal) and are only written at
 // checkpoint time, so the page files always hold exactly the state of the
 // last checkpoint and the logical WAL tail replays on top of them with no
-// double-apply hazard. See checkpointPaged for the dirty-flush protocol.
+// double-apply hazard. See Checkpoint for the dirty-flush protocol.
 
-// StorageKind selects a row-storage backend for Open.
+// StorageKind is the type of Options.Storage.
+//
+// Deprecated: every directory is paged; ignored.
 type StorageKind uint8
 
-const (
-	// StorageMemory keeps every table fully in memory (the default);
-	// checkpoints serialize a whole-database snapshot.
-	StorageMemory StorageKind = iota
-	// StoragePaged stores non-temp tables on checksummed heap pages behind
-	// the buffer pool; checkpoints write only dirty pages.
-	StoragePaged
-)
+// StoragePaged names the only backend Open has.
+//
+// Deprecated: every directory is paged; ignored.
+const StoragePaged StorageKind = 1
 
 // defaultPoolPages bounds resident pages when Options.PoolPages is zero:
 // 256 × 16 KiB = 4 MiB of hot rows, small enough that the
@@ -573,7 +572,7 @@ func (t *Table) curRow(rid int) []Value {
 // ---- row record codec ----
 // One heap-page record is the row's column count followed by the log's
 // tagged value encoding — the same closed NULL/int/string domain the WAL
-// and snapshot codecs share.
+// uses.
 
 func encodeRowInto(b []byte, row []Value) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(row)))
@@ -771,15 +770,21 @@ func (p *pagePool) overLimit() bool {
 	return p.resident > p.limit
 }
 
-// checkpointPaged is Checkpoint's paged form: capture dirty-page images
-// under the writer lock, then — outside the lock — make them durable via
-// the doublewrite buffer, apply them in place, and write the (small) v2
-// checkpoint marker. Crash at any point recovers: before the doublewrite
-// rename the old checkpoint plus the intact WAL cover everything; after
-// it, recovery re-applies the complete doublewrite (fixing torn page
-// writes) and re-stamps the marker.
-func (db *DB) checkpointPaged() error {
-	// One paged checkpoint at a time, and never concurrent with a Restore:
+// Checkpoint writes every dirty page to its table's page file, records an
+// RCKP2 marker — the schema history plus each table's rid-space and page
+// count — and truncates the log segments it supersedes. It captures the
+// page images and the log position under the writer lock (refused with
+// errCkptOpenTxn while a transaction or snapshot is open), then — outside
+// the lock — makes them durable via the doublewrite buffer, applies them
+// in place, and writes the small marker. Crash at any point recovers:
+// before the doublewrite rename the old checkpoint plus the intact WAL
+// cover everything; after it, recovery re-applies the complete doublewrite
+// (fixing torn page writes) and re-stamps the marker.
+func (db *DB) Checkpoint() error {
+	if db.wal == nil {
+		return fmt.Errorf("relational: Checkpoint requires a DB opened with Open(dir, …)")
+	}
+	// One checkpoint at a time, and never concurrent with a Restore:
 	// the durable phase below runs outside db.mu, and finishFlush's page
 	// lookups assume pg.pages kept the captured layout.
 	db.pagedCkptMu.Lock()
@@ -1088,8 +1093,9 @@ func peekPagedPageSize(b []byte) int {
 }
 
 // ---- checkpoint payload v2 ----
-// "RCKP2", uvarint page size, uvarint DDL count + entries (as v1), then
-// uvarint table count and per table: name, rid-space size, page count.
+// "RCKP2", uvarint page size, uvarint DDL count and per statement uvarint
+// length + SQL text, then uvarint table count and per table: name,
+// rid-space size, page count.
 // The page data itself lives in the page files — this marker stays small
 // no matter how large the database is.
 
@@ -1151,14 +1157,16 @@ func decodePagedPayload(data []byte) (pageSize int, ddl []string, metas []pagedT
 		}
 		m := pagedTableMeta{name: string(b[n : n+int(nl)])}
 		b = b[n+int(nl):]
+		// Rids and page ids are int32 in memory (pagedTable.dir), which
+		// bounds both counts.
 		v, n := binary.Uvarint(b)
-		if n <= 0 {
+		if n <= 0 || v > math.MaxInt32 {
 			return bad("row count")
 		}
 		m.nrows = int(v)
 		b = b[n:]
 		v, n = binary.Uvarint(b)
-		if n <= 0 {
+		if n <= 0 || v > math.MaxInt32 {
 			return bad("page count")
 		}
 		m.npages = int(v)
@@ -1180,62 +1188,45 @@ func decodePagedPayload(data []byte) (pageSize int, ddl []string, metas []pagedT
 // stays bounded — and indexes rebuild incrementally. A page failing its
 // checksum here fails recovery loudly: with the doublewrite buffer
 // already replayed, a bad page is real corruption, and it must never be
-// served as data.
-//
-// With a nil pool (a memory-storage DB opening a directory last run as
-// paged), every row simply loads into the heap — the storage modes can
-// reopen each other's directories freely.
-func (db *DB) attachPagedTables(pageSize int, metas []pagedTableMeta) error {
+// served as data. A page file attached to its table is closed by
+// auditPaged, on success or failure alike.
+func (db *DB) attachPagedTables(metas []pagedTableMeta) error {
+	p := db.pool
 	for _, m := range metas {
 		key := strings.ToLower(m.name)
 		t := db.tables[key]
-		if t == nil {
-			return fmt.Errorf("relational: checkpoint references unknown table %q", m.name)
+		if t == nil || t.pg == nil {
+			return fmt.Errorf("relational: checkpoint references unknown or unpaged table %q", m.name)
 		}
+		pg := t.pg
 		t.rows = make([][]Value, m.nrows)
 		t.live = 0
+		pg.dir = make([]int32, m.nrows)
+		for i := range pg.dir {
+			pg.dir[i] = pgDead
+		}
 		if m.npages == 0 {
-			if t.pg != nil {
-				t.pg.dir = make([]int32, m.nrows)
-				for i := range t.pg.dir {
-					t.pg.dir[i] = pgDead
-				}
-			}
 			continue
 		}
-		f, err := pager.OpenFile(filepath.Join(db.pagedDir, pagedFileName(key)), pageSize)
+		f, err := pager.OpenFile(filepath.Join(db.pagedDir, pagedFileName(key)), p.pageSize)
 		if err != nil {
 			return err
 		}
+		pg.file = f
 		if f.NumPages() < m.npages {
-			f.Close()
 			return fmt.Errorf("relational: table %s page file holds %d pages, checkpoint expects %d", m.name, f.NumPages(), m.npages)
 		}
-		pg := t.pg
-		if pg != nil {
-			pg.file = f
-			pg.dir = make([]int32, m.nrows)
-			for i := range pg.dir {
-				pg.dir[i] = pgDead
-			}
-			pg.pages = make([]*pageInfo, 0, m.npages)
-			pg.fill = nil
-		}
-		buf := make([]byte, pageSize)
+		pg.pages = make([]*pageInfo, 0, m.npages)
+		pg.fill = nil
+		buf := make([]byte, p.pageSize)
 		for pid := 0; pid < m.npages; pid++ {
 			if err := f.ReadPage(uint32(pid), buf); err != nil {
-				if pg == nil {
-					f.Close()
-				}
 				return fmt.Errorf("relational: recovering table %s: %w", m.name, err)
 			}
 			db.stats.PageReads.Add(1)
 			db.met.pageReads.Add(1)
-			var pi *pageInfo
-			if pg != nil {
-				pi = &pageInfo{id: int32(pid), est: pager.HeaderSize}
-				pg.pages = append(pg.pages, pi)
-			}
+			pi := &pageInfo{id: int32(pid), est: pager.HeaderSize}
+			pg.pages = append(pg.pages, pi)
 			err := pager.DecodePage(buf, uint32(pid), func(rid uint64, payload []byte) error {
 				r := int(rid)
 				if r >= m.nrows {
@@ -1247,11 +1238,9 @@ func (db *DB) attachPagedTables(pageSize int, metas []pagedTableMeta) error {
 				}
 				t.rows[r] = row
 				t.live++
-				if pg != nil {
-					pg.dir[r] = pi.id
-					pi.rids = append(pi.rids, int32(r))
-					pi.est += pager.RecordSize(rid, len(payload))
-				}
+				pg.dir[r] = pi.id
+				pi.rids = append(pi.rids, int32(r))
+				pi.est += pager.RecordSize(rid, len(payload))
 				for _, idx := range t.index {
 					if v := row[idx.col]; !v.IsNull() {
 						idx.add(v, r)
@@ -1263,35 +1252,26 @@ func (db *DB) attachPagedTables(pageSize int, metas []pagedTableMeta) error {
 				return nil
 			})
 			if err != nil {
-				if pg == nil {
-					f.Close()
-				}
 				return fmt.Errorf("relational: recovering table %s: %w", m.name, err)
 			}
-			if pg != nil {
-				// Stream through the pool: admitting each page applies
-				// eviction pressure, so a huge table attaches under the
-				// pool budget (evicted rows refault on demand later).
-				p := db.pool
-				p.mu.Lock()
-				p.admitLocked(pg, pi)
-				p.mu.Unlock()
-			}
-		}
-		if pg == nil {
-			f.Close()
+			// Stream through the pool: admitting each page applies eviction
+			// pressure, so a huge table attaches under the pool budget
+			// (evicted rows refault on demand later).
+			p.mu.Lock()
+			p.admitLocked(pg, pi)
+			p.mu.Unlock()
 		}
 	}
 	return nil
 }
 
-// rebuildPagedFromRows re-places every row of a freshly Restored table
-// into new dirty pages (the v1-checkpoint fallback and the benchmark
-// Restore path both rebuild t.rows wholesale). Caller holds the DB writer
-// lock and — when checkpoints can be in flight — pagedCkptMu, so no pool
-// sweep (reader faults need the shared DB lock, checkpoint sweeps need
-// pagedCkptMu) observes pg.pages/dir mid-truncation; only the pool's
-// residency/dirty counters need pool.mu here.
+// rebuildFromRows re-places every row of a freshly Restored table into
+// new dirty pages (the benchmark Restore path rebuilds t.rows
+// wholesale). Caller holds the DB writer lock and — when checkpoints can
+// be in flight — pagedCkptMu, so no pool sweep (reader faults need the
+// shared DB lock, checkpoint sweeps need pagedCkptMu) observes
+// pg.pages/dir mid-truncation; only the pool's residency/dirty counters
+// need pool.mu here.
 func (pg *pagedTable) rebuildFromRows() {
 	p := pg.db.pool
 	p.mu.Lock()

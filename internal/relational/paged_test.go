@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // exactly what the recovery sources hold.
 func pagedOpts() Options {
 	return Options{Sync: SyncOff, CheckpointBytes: -1, SegmentSize: 512,
-		Storage: StoragePaged, PoolPages: 4, PageSize: 512}
+		PoolPages: 4, PageSize: 512}
 }
 
 // TestPagedMemoryEquivalenceRandom runs randomized workloads (inserts,
@@ -204,10 +205,10 @@ func pageFileCount(t *testing.T, dir, table string) int {
 	return int(st.Size()) / 512
 }
 
-// TestPagedCheckpointIncremental is the perf claim behind the v2 protocol:
-// after a small update batch, a paged checkpoint writes only the dirty
+// TestPagedCheckpointIncremental is the perf claim behind the dirty-page
+// protocol: after a small update batch, a checkpoint writes only the dirty
 // pages (twice: doublewrite + in place) plus a small marker — under 10% of
-// what the v1 whole-snapshot checkpoint would serialize.
+// what the first, full checkpoint wrote.
 func TestPagedCheckpointIncremental(t *testing.T) {
 	dir := t.TempDir()
 	opts := pagedOpts()
@@ -220,6 +221,9 @@ func TestPagedCheckpointIncremental(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("full checkpoint: %v", err)
 	}
+	// PageWrites counts doublewrite copies and in-place writes alike, so
+	// this is every page byte the full checkpoint put on disk.
+	full := db.Stats().PageWrites * int64(opts.PageSize)
 
 	// A small update batch touching adjacent rids — a handful of pages.
 	db.MustExec("UPDATE item SET name = 'renamed' WHERE id >= 10 AND id < 20")
@@ -243,15 +247,11 @@ func TestPagedCheckpointIncremental(t *testing.T) {
 		t.Fatalf("incremental checkpoint wrote nothing (delta=%d dw=%d)", delta, dwBytes)
 	}
 
-	snapBytes, err := EncodeSnapshot(db.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every image is written twice (doublewrite + in place); the dw file
 	// additionally carries the marker payload and framing.
 	incremental := 2 * dwBytes
-	if full := int64(len(snapBytes)); incremental >= full/10 {
-		t.Fatalf("incremental checkpoint wrote %d bytes (%d pages), want < 10%% of the %d-byte full snapshot",
+	if incremental >= full/10 {
+		t.Fatalf("incremental checkpoint wrote %d bytes (%d pages), want < 10%% of the %d bytes the full checkpoint wrote",
 			incremental, delta/2, full)
 	}
 	if err := db.Close(); err != nil {
@@ -259,65 +259,82 @@ func TestPagedCheckpointIncremental(t *testing.T) {
 	}
 }
 
-// TestPagedReopenModes proves the storage modes can open each other's
-// directories: paged→paged, paged directory reopened by the memory backend
-// (v2 checkpoint, full heap load), and a memory directory (v1 snapshot
-// checkpoint) adopted by the paged backend.
-func TestPagedReopenModes(t *testing.T) {
-	run := func(db *DB) string {
-		db.MustExec("CREATE TABLE item (id INTEGER, parentId INTEGER, name VARCHAR(64))")
-		for i := 0; i < 60; i++ {
-			db.MustExec(fmt.Sprintf("INSERT INTO item VALUES (%d, %d, 'n%d')", i+1, i%3, i))
-		}
-		if err := db.Checkpoint(); err != nil {
-			panic(err)
-		}
-		// A post-checkpoint tail so recovery replays WAL on top of pages.
-		db.MustExec("DELETE FROM item WHERE parentId = 1")
-		db.MustExec("UPDATE item SET name = 'tail' WHERE id = 6")
-		return dbDump(db)
+// writeReopenFixture fills db with rows, checkpoints, and adds a
+// post-checkpoint tail so recovery replays WAL on top of pages. It returns
+// the dump a reopen must reproduce.
+func writeReopenFixture(t *testing.T, db *DB) string {
+	t.Helper()
+	db.MustExec("CREATE TABLE item (id INTEGER, parentId INTEGER, name VARCHAR(64))")
+	for i := 0; i < 60; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO item VALUES (%d, %d, 'n%d')", i+1, i%3, i))
 	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	db.MustExec("DELETE FROM item WHERE parentId = 1")
+	db.MustExec("UPDATE item SET name = 'tail' WHERE id = 6")
+	return dbDump(db)
+}
 
-	// paged → paged and paged → memory.
+// TestPagedReopenModes: a directory reopens to its checkpointed pages plus
+// the replayed WAL tail.
+func TestPagedReopenModes(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpenDB(t, dir, pagedOpts())
-	want := run(db)
+	want := writeReopenFixture(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	for _, opts := range []Options{pagedOpts(), noAutoCkpt()} {
-		re := mustOpenDB(t, dir, opts)
-		if got := dbDump(re); got != want {
-			t.Fatalf("reopen with %+v diverges\n got:\n%s\nwant:\n%s", opts.Storage, got, want)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
+	re := mustOpenDB(t, dir, pagedOpts())
+	if got := dbDump(re); got != want {
+		t.Fatalf("reopen diverges\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if re.RecoveredCommits() == 0 {
+		t.Fatal("reopen replayed no WAL tail")
+	}
+	if err := re.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestPagedReopenAdoptsPageSize: a reopen that leaves PageSize zero — as
+// cmd/xupdate -data does — adopts the page size the checkpoint recorded,
+// while an explicit, different size is still refused.
+func TestPagedReopenAdoptsPageSize(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpenDB(t, dir, pagedOpts()) // 512-byte pages
+	want := writeReopenFixture(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
-	// memory (v1 checkpoint) → paged, then checkpoint and reopen paged again
-	// (the migrated directory now carries a v2 checkpoint).
-	dir2 := t.TempDir()
-	mem := mustOpenDB(t, dir2, noAutoCkpt())
-	want2 := run(mem)
-	if err := mem.Close(); err != nil {
+	opts := pagedOpts()
+	opts.PageSize = 0
+	re := mustOpenDB(t, dir, opts)
+	if got := dbDump(re); got != want {
+		t.Fatalf("zero-PageSize reopen diverges\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if ps := re.pool.pageSize; ps != 512 {
+		t.Fatalf("reopened pool uses %d-byte pages, want the recorded 512", ps)
+	}
+	// The adopted size carries into the next checkpoint and reopen.
+	if err := re.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := re.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	pg := mustOpenDB(t, dir2, pagedOpts())
-	if got := dbDump(pg); got != want2 {
-		t.Fatalf("paged open of memory directory diverges\n got:\n%s\nwant:\n%s", got, want2)
+
+	opts.PageSize = 1024
+	if db, err := Open(dir, opts); err == nil {
+		db.Close()
+		t.Fatal("Open accepted a page size different from the checkpoint's")
 	}
-	if err := pg.Checkpoint(); err != nil {
-		t.Fatalf("migrating checkpoint: %v", err)
+	re = mustOpenDB(t, dir, pagedOpts())
+	if got := dbDump(re); got != want {
+		t.Fatalf("reopen after adopted-size checkpoint diverges\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if err := pg.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	pg2 := mustOpenDB(t, dir2, pagedOpts())
-	if got := dbDump(pg2); got != want2 {
-		t.Fatalf("reopen of migrated directory diverges\n got:\n%s\nwant:\n%s", got, want2)
-	}
-	if err := pg2.Close(); err != nil {
+	if err := re.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 }
@@ -383,6 +400,39 @@ func TestPagedCrashInjectionRandomKillPoints(t *testing.T) {
 			t.Fatalf("iter %d: Close: %v", i, err)
 		}
 	}
+}
+
+// FuzzDecodePagedPayload drives arbitrary bytes through the checkpoint
+// marker decoder, which parses every checkpoint Open reads: corrupt input
+// must return an error — never panic, never over-allocate from a length
+// field — and a payload that decodes must survive an encode/decode round
+// trip with counts attachPagedTables can use.
+func FuzzDecodePagedPayload(f *testing.F) {
+	f.Add(encodePagedPayload(512, nil, nil))
+	f.Add(encodePagedPayload(16384,
+		[]string{"CREATE TABLE item (id INTEGER, name VARCHAR(64))", "CREATE ORDERED INDEX ip ON item (id, name)"},
+		[]pagedTableMeta{{name: "item", nrows: 60, npages: 3}, {name: "empty_t"}}))
+	f.Add(encodePagedPayload(1<<26, []string{""}, []pagedTableMeta{{name: "x%2fy", nrows: 1 << 31, npages: 1}}))
+	f.Add([]byte(ckptMagicV2))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps, ddl, metas, err := decodePagedPayload(data)
+		if err != nil {
+			return
+		}
+		for _, m := range metas {
+			if m.nrows < 0 || m.npages < 0 {
+				t.Fatalf("decoded negative counts: %+v", m)
+			}
+		}
+		ps2, ddl2, metas2, err := decodePagedPayload(encodePagedPayload(ps, ddl, metas))
+		if err != nil {
+			t.Fatalf("re-encoded payload failed to decode: %v", err)
+		}
+		if ps2 != ps || !reflect.DeepEqual(ddl2, ddl) || !reflect.DeepEqual(metas2, metas) {
+			t.Fatalf("round-trip mismatch")
+		}
+	})
 }
 
 // errInjected simulates a crash inside the checkpoint's durable phase.

@@ -26,13 +26,6 @@ type tableSnap struct {
 func (db *DB) Snapshot() *DBSnapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.snapshotLocked()
-}
-
-// snapshotLocked is Snapshot's body; the caller holds db.mu in either mode
-// (Checkpoint captures snapshot and log position under one shared-lock
-// acquisition so no commit can slip between them).
-func (db *DB) snapshotLocked() *DBSnapshot {
 	s := &DBSnapshot{tables: make(map[string]tableSnap, len(db.tables))}
 	for key, t := range db.tables {
 		// Versioned tables (an open transaction's marks, or chains kept
@@ -79,7 +72,7 @@ func (db *DB) snapshotLocked() *DBSnapshot {
 // rebuilds its indexes. Tables created after the snapshot are dropped.
 func (db *DB) Restore(s *DBSnapshot) {
 	if db.pool != nil {
-		// Exclude an in-flight paged checkpoint: its durable phase runs
+		// Exclude an in-flight checkpoint: its durable phase runs
 		// outside db.mu and indexes pg.pages by captured page id, which
 		// rebuildFromRows below invalidates wholesale.
 		db.pagedCkptMu.Lock()

@@ -303,8 +303,8 @@ type engineMetrics struct {
 	// intentRetries counts autocommit park-and-retry rounds.
 	conflicts     *metrics.Counter
 	intentRetries *metrics.Counter
-	// Buffer-pool counters, mirrored from statCounters for paged-storage
-	// DBs (paged.go); flat zero on the memory backend.
+	// Buffer-pool counters, mirrored from statCounters for directory DBs
+	// (paged.go); flat zero on an in-memory DB.
 	pageReads    *metrics.Counter
 	pageWrites   *metrics.Counter
 	poolHits     *metrics.Counter

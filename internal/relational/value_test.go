@@ -270,51 +270,6 @@ func TestValueWalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotValueRoundTrip: a snapshot holding every value kind decodes
-// to identical rows (tombstone holes preserved).
-func TestSnapshotValueRoundTrip(t *testing.T) {
-	db := NewDB()
-	db.MustExec(`CREATE TABLE t (id INTEGER, a INTEGER, b VARCHAR(64))`)
-	db.MustExec(`INSERT INTO t VALUES (1, NULL, NULL)`)
-	// Boundary ints go through prepared args: the SQL lexer cannot spell
-	// MinInt64 (the sign is a separate token and the magnitude overflows).
-	ins, err := db.Prepare(`INSERT INTO t VALUES (?, ?, ?)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins.Exec(Int(2), Int(math.MaxInt64), Text("plain")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins.Exec(Int(3), Int(math.MinInt64), Text("")); err != nil {
-		t.Fatal(err)
-	}
-	db.MustExec(`INSERT INTO t VALUES (4, 0, 'it''s quoted')`)
-	db.MustExec(`DELETE FROM t WHERE id = 2`) // leave a tombstone hole
-	snap := db.Snapshot()
-	enc, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeSnapshot(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := dec.tables["t"], snap.tables["t"]
-	if got.live != want.live || len(got.rows) != len(want.rows) {
-		t.Fatalf("shape mismatch: %d/%d rows live %d/%d", len(got.rows), len(want.rows), got.live, want.live)
-	}
-	for i := range want.rows {
-		if (got.rows[i] == nil) != (want.rows[i] == nil) {
-			t.Fatalf("row %d tombstone mismatch", i)
-		}
-		for c := range want.rows[i] {
-			if got.rows[i][c] != want.rows[i][c] {
-				t.Fatalf("row %d col %d = %#v, want %#v", i, c, got.rows[i][c], want.rows[i][c])
-			}
-		}
-	}
-}
-
 // TestBindBoundary: the any→Value boundary accepts exactly the canonical
 // domain and rejects everything else with an error (never a lossy render).
 func TestBindBoundary(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 )
 
 // Checkpoint files. A checkpoint is an opaque payload (the relational layer
-// serializes schema history + a data snapshot into it) covering every
+// writes schema history + page-file metadata into it) covering every
 // record with LSN ≤ its stamp. The file itself is CRC-framed like a log
 // record and written via rename, so a crash mid-checkpoint leaves either
 // the previous checkpoint or a file Open detects as invalid and discards —

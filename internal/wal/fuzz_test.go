@@ -2,8 +2,34 @@ package wal
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// kind1Payload rewrites a v2 commit payload into the retired kind-1 shape:
+// the same lsn and statements, kind byte 1, and no commit stamp.
+func kind1Payload(v2 []byte) []byte {
+	v1 := append([]byte(nil), v2[:9]...)
+	v1[8] = 1
+	return append(v1, v2[17:]...)
+}
+
+// TestDecodeCommitRejectsKind1: the pre-stamp record kind is no longer a
+// recovery input; a kind-1 payload is an unknown record, not a commit
+// replayed with stamp 0.
+func TestDecodeCommitRejectsKind1(t *testing.T) {
+	payload, err := encodeCommit(7, 42, []Stmt{{SQL: "INSERT INTO t VALUES (?)", Args: []Value{{Kind: KindInt, Int: 1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := DecodeCommit(payload); err != nil {
+		t.Fatalf("v2 payload: %v", err)
+	}
+	_, _, _, err = DecodeCommit(kind1Payload(payload))
+	if err == nil || !strings.Contains(err.Error(), "unknown record kind 1") {
+		t.Fatalf("kind-1 payload: err = %v, want unknown record kind", err)
+	}
+}
 
 // FuzzDecodeCommit drives random byte corruption through the record
 // decoder: any input must either decode cleanly or return an error — never
@@ -25,13 +51,9 @@ func FuzzDecodeCommit(f *testing.F) {
 		f.Add(payload)
 		// Also seed the framed form so the frame reader gets coverage.
 		f.Add(frame(payload))
-		// And a legacy kind-1 (pre-stamp) payload: v2 framing minus the
-		// stamp, with the kind byte rewritten. Recovery of old logs goes
-		// through the same decoder.
-		v1 := append([]byte(nil), payload[:9]...)
-		v1[8] = recCommit
-		v1 = append(v1, payload[17:]...)
-		f.Add(v1)
+		// And the retired kind-1 (pre-stamp) shape: v2 framing minus the
+		// stamp, with the kind byte rewritten. The decoder must reject it.
+		f.Add(kind1Payload(payload))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 255})
@@ -46,8 +68,7 @@ func FuzzDecodeCommit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Valid decode: re-encoding must round-trip. Legacy kind-1 input
-		// re-encodes as v2 with stamp 0, which decodes back identically.
+		// Valid decode: re-encoding must round-trip.
 		re, err := encodeCommit(lsn, stamp, stmts)
 		if err != nil {
 			t.Fatalf("decoded record failed to re-encode: %v", err)

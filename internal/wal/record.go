@@ -45,18 +45,16 @@ type Stmt struct {
 // covers the payload only. Commit payload layout:
 //
 //	u64  lsn
-//	u8   kind (recCommit or recCommitV2)
-//	u64  commit stamp           (recCommitV2 only)
+//	u8   kind (recCommitV2)
+//	u64  commit stamp
 //	uv   statement count
 //	per statement: uv len, sql bytes, uv nargs, per arg: tagged value
 //
 // Tagged values: 0x00 = NULL, 0x01 = int64 (zigzag varint), 0x02 = string
-// (uvarint length + bytes). recCommitV2 adds the MVCC commit stamp so
-// recovery can restore the stamp counter past every replayed transaction;
-// kind-1 records (pre-stamp logs) decode with stamp 0 and remain replayable.
+// (uvarint length + bytes). The MVCC commit stamp lets recovery restore the
+// stamp counter past every replayed transaction.
 const (
 	frameHeaderSize = 8
-	recCommit       = byte(1)
 	recCommitV2     = byte(2)
 	// maxFrameSize bounds a frame length read from disk: anything larger is
 	// treated as corruption, not an allocation request.
@@ -67,7 +65,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendValue appends the tagged encoding of v. A kind outside the closed
 // NULL/int/string set is rejected with an error: the log must never hold a
-// value recovery cannot decode. Exported so the relational snapshot codec
+// value recovery cannot decode. Exported so the relational page-record codec
 // shares one value encoding with the log.
 func AppendValue(b []byte, v Value) ([]byte, error) {
 	switch v.Kind {
@@ -144,20 +142,14 @@ func DecodeCommit(payload []byte) (lsn, stamp uint64, stmts []Stmt, err error) {
 		return 0, 0, nil, fmt.Errorf("wal: short record payload")
 	}
 	lsn = binary.BigEndian.Uint64(payload)
-	var b []byte
-	switch payload[8] {
-	case recCommit:
-		// Pre-stamp record: no MVCC commit stamp on the wire, decode as 0.
-		b = payload[9:]
-	case recCommitV2:
-		if len(payload) < 17 {
-			return 0, 0, nil, fmt.Errorf("wal: short v2 record payload")
-		}
-		stamp = binary.BigEndian.Uint64(payload[9:])
-		b = payload[17:]
-	default:
+	if payload[8] != recCommitV2 {
 		return 0, 0, nil, fmt.Errorf("wal: unknown record kind %d", payload[8])
 	}
+	if len(payload) < 17 {
+		return 0, 0, nil, fmt.Errorf("wal: short v2 record payload")
+	}
+	stamp = binary.BigEndian.Uint64(payload[9:])
+	b := payload[17:]
 	count, n := binary.Uvarint(b)
 	if n <= 0 || count > uint64(len(b)) {
 		return 0, 0, nil, fmt.Errorf("wal: bad statement count")
