@@ -79,7 +79,9 @@ func runData(dataDir, docPath, dtdPath string, dump, reconstruct, edge, order bo
 	}
 	if dump {
 		for _, elem := range s.M.TableOrder {
-			dumpTable(s.DB, s.M.Table(elem).Name)
+			if err := dumpTable(s.DB, s.M.Table(elem).Name); err != nil {
+				return err
+			}
 		}
 	}
 	if reconstruct {
@@ -109,7 +111,9 @@ func run(docPath, dtdPath string, dump, reconstruct, edge, order bool) error {
 		}
 		fmt.Printf("Edge mapping: %d edge tuples\n", n)
 		if dump {
-			dumpTable(db, "Edge")
+			if err := dumpTable(db, "Edge"); err != nil {
+				return err
+			}
 		}
 		if reconstruct {
 			re, err := shred.ReconstructEdge(db)
@@ -144,7 +148,9 @@ func run(docPath, dtdPath string, dump, reconstruct, edge, order bool) error {
 	}
 	if dump {
 		for _, elem := range m.TableOrder {
-			dumpTable(db, m.Table(elem).Name)
+			if err := dumpTable(db, m.Table(elem).Name); err != nil {
+				return err
+			}
 		}
 	}
 	if reconstruct {
@@ -157,17 +163,17 @@ func run(docPath, dtdPath string, dump, reconstruct, edge, order bool) error {
 	return nil
 }
 
-func dumpTable(db *relational.DB, name string) {
+func dumpTable(db *relational.DB, name string) error {
 	t := db.Table(name)
 	if t == nil {
-		return
+		return nil
 	}
 	var cols []string
 	for _, c := range t.Schema.Columns {
 		cols = append(cols, c.Name)
 	}
 	fmt.Printf("\n-- %s (%s) --\n", name, strings.Join(cols, ", "))
-	t.Scan(func(_ int, row []relational.Value) bool {
+	_, err := t.Scan(func(_ int, row []relational.Value) bool {
 		parts := make([]string, len(row))
 		for i, v := range row {
 			parts[i] = relational.FormatValue(v)
@@ -175,4 +181,8 @@ func dumpTable(db *relational.DB, name string) {
 		fmt.Println("  " + strings.Join(parts, ", "))
 		return true
 	})
+	if err != nil {
+		return fmt.Errorf("dumping table %s: %w", name, err)
+	}
+	return nil
 }

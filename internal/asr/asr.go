@@ -99,12 +99,15 @@ func (a *ASR) populate(db *relational.DB) error {
 		idIdx := t.Schema.ColumnIndex("id")
 		pidIdx := t.Schema.ColumnIndex("parentId")
 		byParent := make(map[int64][]int64)
-		t.Scan(func(_ int, row []relational.Value) bool {
+		_, err := t.Scan(func(_ int, row []relational.Value) bool {
 			id, _ := row[idIdx].Int()
 			pid, _ := row[pidIdx].Int()
 			byParent[pid] = append(byParent[pid], id)
 			return true
 		})
+		if err != nil {
+			return fmt.Errorf("asr: reading table %s: %w", t.Name, err)
+		}
 		kids[elem] = byParent
 	}
 	var insert func(elem string, path []relational.Value) error

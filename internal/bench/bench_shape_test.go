@@ -119,6 +119,8 @@ func TestFig10Shape(t *testing.T) {
 // TestCascadeTracksPerStatement: §7.3 found the two within ~5%; our engine
 // makes the cascade issue the same deletes as client statements, so we allow
 // a generous factor while asserting they stay the same order of magnitude.
+// It compares min-of-runs, as TestTable2Shape does: one GC-noisy run can
+// move a quick-scale mean by more than the whole band.
 func TestCascadeTracksPerStatement(t *testing.T) {
 	fig, err := RunCascadeComparison(Config{Runs: 3, Quick: true})
 	if err != nil {
@@ -127,7 +129,7 @@ func TestCascadeTracksPerStatement(t *testing.T) {
 	perStm := findSeries(t, fig, "per-stm trigger")
 	casc := findSeries(t, fig, "cascade")
 	for i := range perStm.Points {
-		a, b := perStm.Points[i].Seconds, casc.Points[i].Seconds
+		a, b := perStm.Points[i].MinSeconds, casc.Points[i].MinSeconds
 		if b > 3*a+0.001 || a > 3*b+0.001 {
 			t.Errorf("x=%d: cascade %.6fs vs per-statement %.6fs diverge", perStm.Points[i].X, b, a)
 		}

@@ -144,7 +144,11 @@ func initStore(db *relational.DB, doc *xmltree.Document, opts Options) (*Store, 
 		return nil, err
 	}
 	if s.ASR != nil {
-		if err := db.LogBulk(tableInsertSQL(db, s.ASR.Name)); err != nil {
+		stmts, err := tableInsertSQL(db, s.ASR.Name)
+		if err != nil {
+			return nil, err
+		}
+		if err := db.LogBulk(stmts); err != nil {
 			return nil, err
 		}
 	}
@@ -268,13 +272,13 @@ func rootName(doc *xmltree.Document) string {
 
 // tableInsertSQL renders a table's live rows as INSERT statements in rowid
 // order — the logged equivalent of a bulk load into a fresh table.
-func tableInsertSQL(db *relational.DB, name string) []string {
+func tableInsertSQL(db *relational.DB, name string) ([]string, error) {
 	t := db.Table(name)
 	if t == nil {
-		return nil
+		return nil, nil
 	}
 	var out []string
-	t.Scan(func(_ int, row []relational.Value) bool {
+	_, err := t.Scan(func(_ int, row []relational.Value) bool {
 		vals := make([]string, len(row))
 		for i, v := range row {
 			vals[i] = relational.FormatValue(v)
@@ -282,7 +286,10 @@ func tableInsertSQL(db *relational.DB, name string) []string {
 		out = append(out, fmt.Sprintf("INSERT INTO %s VALUES (%s)", t.Name, strings.Join(vals, ", ")))
 		return true
 	})
-	return out
+	if err != nil {
+		return nil, fmt.Errorf("engine: reading table %s: %w", t.Name, err)
+	}
+	return out, nil
 }
 
 // Close flushes the store's log to stable storage and releases it. For

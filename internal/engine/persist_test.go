@@ -427,3 +427,50 @@ func TestOpenDirPagedStorage(t *testing.T) {
 		t.Fatalf("paged store diverges from in-memory store:\n got:\n%s\nwant:\n%s", beforeRestart, want)
 	}
 }
+
+// TestReconstructCorruptPage: a page that fails its checksum when faulted
+// in must fail the reconstruction, not silently drop the page's rows. The
+// child tables' page files are damaged under an open store whose two-page
+// pool has evicted most of them, so Reconstruct's table scans fault
+// corrupt pages (the root table stays intact, so the failure cannot hide
+// behind a missing root).
+func TestReconstructCorruptPage(t *testing.T) {
+	dir := t.TempDir()
+	opts := noCkptOpts()
+	opts.PoolPages = 2
+	opts.PageSize = 512
+	s, err := OpenDir(dir, custDoc(t), Options{}, opts)
+	if err != nil {
+		t.Fatalf("OpenDir: %v", err)
+	}
+	defer s.Close()
+	damaged := 0
+	for _, elem := range s.M.TableOrder {
+		if elem == s.M.Root {
+			continue
+		}
+		path := filepath.Join(dir, strings.ToLower(s.M.Tables[elem].Name)+".pages")
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := int64(opts.PageSize)
+		for off := int64(0); off+ps <= st.Size(); off += ps {
+			if _, err := f.WriteAt([]byte("corrupt!"), off+ps/2); err != nil {
+				t.Fatal(err)
+			}
+			damaged++
+		}
+		f.Close()
+	}
+	if _, _, limit := s.DB.PagedPoolStats(); damaged <= limit {
+		t.Fatalf("damaged %d pages, not more than the %d the pool can hold resident", damaged, limit)
+	}
+	if _, err := s.Reconstruct(); err == nil {
+		t.Fatal("Reconstruct over corrupt pages returned no error")
+	}
+}

@@ -787,15 +787,11 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 		}
 		db.schemaVer++
 		delete(db.tables, key)
-		if t.pg != nil {
-			t.pg.gone.Store(true)
-		}
+		t.pgGone(true)
 		if db.undo != nil {
 			db.undo.recordDDL(func() {
 				db.tables[key] = t
-				if t.pg != nil {
-					t.pg.gone.Store(false)
-				}
+				t.pgGone(false)
 				db.schemaVer++
 			})
 		}
@@ -940,9 +936,7 @@ func (db *DB) createTable(s *CreateTableStmt) error {
 		// otherwise linger and block the retry.
 		db.undo.recordDDL(func() {
 			delete(db.tables, key)
-			if t.pg != nil {
-				t.pg.gone.Store(true)
-			}
+			t.pgGone(true)
 			db.schemaVer++
 		})
 	}

@@ -226,29 +226,10 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 		return rids, nil
 	}
 	ctr.fullScans++
-	if t.pg != nil {
-		var c pageCursor
-		defer c.release()
-		for rid := range t.rows {
-			row := c.visibleAt(t, rid, env.snap)
-			if row == nil {
-				continue
-			}
-			ctr.rowsScanned++
-			keep, err := check(row)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				rids = append(rids, rid)
-			}
-		}
-		return rids, nil
-	}
-	for rid, row := range t.rows {
-		if t.vers > 0 {
-			row = t.visibleRow(rid, env.snap)
-		}
+	var c rowCursor
+	defer c.release()
+	for rid := range t.rows {
+		row := c.visibleAt(t, rid, env.snap)
 		if row == nil {
 			continue
 		}

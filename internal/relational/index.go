@@ -39,20 +39,9 @@ func (t *Table) CreateIndex(col string) error {
 	if ci < 0 {
 		return fmt.Errorf("relational: no column %q in table %s", col, t.Name)
 	}
-	idx := &hashIndex{col: ci, entries: make(map[Value][]int)}
-	if t.pg != nil {
-		t.pagedScanAll(func(rid int, row []Value) {
-			if !row[ci].IsNull() {
-				idx.add(row[ci], rid)
-			}
-		})
-	} else {
-		for rid, row := range t.rows {
-			if row == nil || row[ci].IsNull() {
-				continue
-			}
-			idx.add(row[ci], rid)
-		}
+	idx, err := t.scanHashIndex(ci, 0)
+	if err != nil {
+		return err
 	}
 	// Versioned tables: superseded chain versions are still visible to open
 	// snapshots, so their values must be probeable too (mvcc.go).
@@ -68,6 +57,19 @@ func (t *Table) CreateIndex(col string) error {
 	t.index[key] = idx
 	t.indexEpoch++
 	return nil
+}
+
+// scanHashIndex builds a hash index on column ci from the table's current
+// rows; hint sizes the entry map.
+func (t *Table) scanHashIndex(ci, hint int) (*hashIndex, error) {
+	idx := &hashIndex{col: ci, entries: make(map[Value][]int, hint)}
+	_, err := t.Scan(func(rid int, row []Value) bool {
+		if v := row[ci]; !v.IsNull() {
+			idx.add(v, rid)
+		}
+		return true
+	})
+	return idx, err
 }
 
 // DropIndex removes the hash index on the named column and every ordered
@@ -235,7 +237,7 @@ func (t *Table) CreateOrderedIndex(cols ...string) error {
 	if _, ok := t.ordered[key]; ok {
 		return nil
 	}
-	idx := &orderedIndex{name: key, cols: make([]int, len(cols)), tree: newBTree()}
+	idx := &orderedIndex{name: key, cols: make([]int, len(cols))}
 	for i, c := range cols {
 		ci := t.Schema.ColumnIndex(c)
 		if ci < 0 {
@@ -243,17 +245,8 @@ func (t *Table) CreateOrderedIndex(cols ...string) error {
 		}
 		idx.cols[i] = ci
 	}
-	if t.pg != nil {
-		t.pagedScanAll(func(rid int, row []Value) {
-			idx.tree.insert(idx.keyFor(rid, row))
-		})
-	} else {
-		for rid, row := range t.rows {
-			if row == nil {
-				continue
-			}
-			idx.tree.insert(idx.keyFor(rid, row))
-		}
+	if err := idx.rebuild(t); err != nil {
+		return err
 	}
 	// Versioned tables: index superseded chain versions' keys as well, so
 	// snapshot readers can reach them (remove-then-insert keeps each key
@@ -307,22 +300,16 @@ func (t *Table) OrderedIndexes() [][]string {
 func (t *Table) orderedIndexList() []*orderedIndex { return t.orderedList }
 
 // rebuild recreates the tree from the table's live rows, dropping
-// tombstoned entries.
-func (idx *orderedIndex) rebuild(t *Table) {
+// tombstoned entries. An error is a failed page fault, which also poisons
+// the DB.
+func (idx *orderedIndex) rebuild(t *Table) error {
 	idx.tree = newBTree()
 	idx.stale = 0
-	if t.pg != nil {
-		t.pagedScanAll(func(rid int, row []Value) {
-			idx.tree.insert(idx.keyFor(rid, row))
-		})
-		return
-	}
-	for rid, row := range t.rows {
-		if row == nil {
-			continue
-		}
+	_, err := t.Scan(func(rid int, row []Value) bool {
 		idx.tree.insert(idx.keyFor(rid, row))
-	}
+		return true
+	})
+	return err
 }
 
 // keyFor builds the index entry for a row.

@@ -86,12 +86,12 @@ type levelIter struct {
 	bucket    []int
 	bucketPos int
 
-	// pgc pins the page under this level's current row when the source is
-	// a paged table: reads through it are lock-free until the level
-	// crosses a page boundary, and the pin releases at Close — the paged
-	// form of the rowIter buffer-reuse contract (a yielded row is valid
-	// until the next Next/Close).
-	pgc pageCursor
+	// rc reads the level's rows from a base table. On a paged table it
+	// pins the page under the current row: reads through it are lock-free
+	// until the level crosses a page boundary, and the pin releases at
+	// Close — the paged form of the rowIter buffer-reuse contract (a
+	// yielded row is valid until the next Next/Close).
+	rc rowCursor
 
 	// ctr batches the level's per-row and per-probe work counters locally
 	// and flushes them to the shared atomics on Close: with N concurrent
@@ -151,7 +151,7 @@ func (li *levelIter) Close() {
 		li.anm.probes.Add(li.ctr.indexProbes + li.ctr.rangeProbes)
 	}
 	li.ctr.flush(li.db)
-	li.pgc.release()
+	li.rc.release()
 	li.input.Close()
 }
 
@@ -222,27 +222,12 @@ func (li *levelIter) startInner() error {
 		}
 		li.bucket = append(li.bucket[:0], li.ap.idx.probe(v)...)
 		li.bucketPos = 0
+		// Sort by the snapshot-visible versions' values: on a versioned
+		// table the in-place row may carry a foreign uncommitted write.
 		t := li.src.table
-		if t.vers > 0 {
-			// Versioned table: drop entries with no visible row, then sort
-			// by the visible versions' values — the in-place row may carry
-			// a foreign uncommitted write.
-			kept := li.bucket[:0]
-			for _, rid := range li.bucket {
-				if t.visibleRow(rid, li.sn) != nil {
-					kept = append(kept, rid)
-				}
-			}
-			li.bucket = kept
-			sort.SliceStable(li.bucket, func(a, b int) bool {
-				ra := t.visibleRow(li.bucket[a], li.sn)
-				rb := t.visibleRow(li.bucket[b], li.sn)
-				return li.lessByInner(ra, rb, a, b)
-			})
-			return nil
-		}
 		sort.SliceStable(li.bucket, func(a, b int) bool {
-			ra, rb := t.Row(li.bucket[a]), t.Row(li.bucket[b])
+			ra := t.visibleRow(li.bucket[a], li.sn)
+			rb := t.visibleRow(li.bucket[b], li.sn)
 			return li.lessByInner(ra, rb, a, b)
 		})
 	default:
@@ -254,8 +239,15 @@ func (li *levelIter) startInner() error {
 
 // lessByInner compares two bucket rows by the access path's innerOrder
 // terms, tiebreaking on bucket position to reproduce the stable sort's
-// tie order.
+// tie order. Entries with no visible row sort first; advanceInner skips
+// them.
 func (li *levelIter) lessByInner(ra, rb []Value, a, b int) bool {
+	if ra == nil || rb == nil {
+		if (ra == nil) != (rb == nil) {
+			return ra == nil
+		}
+		return li.bucket[a] < li.bucket[b]
+	}
 	for _, ot := range li.ap.innerOrder {
 		c := compareValues(ra[ot.col], rb[ot.col])
 		if c == 0 {
@@ -348,27 +340,12 @@ func (li *levelIter) buildHash() error {
 		return fmt.Errorf("relational: source %s has no column %q", li.src.name, li.ap.probe.col)
 	}
 	if t := li.src.table; t != nil {
-		if t.pg != nil {
-			// Local cursor: the build drains the whole table here, while
-			// li.pgc stays on the probe side's position.
-			var c pageCursor
-			defer c.release()
-			for rid := range t.rows {
-				row := c.visibleAt(t, rid, li.sn)
-				if row == nil || row[ci].IsNull() {
-					continue
-				}
-				li.ctr.rowsScanned++
-				k := row[ci].joinKey()
-				li.ht[k] = append(li.ht[k], rid)
-			}
-			li.ctr.hashJoinBuilds++
-			return nil
-		}
-		for rid, row := range t.rows {
-			if t.vers > 0 {
-				row = t.visibleRow(rid, li.sn)
-			}
+		// Local cursor: the build drains the whole table here, while li.rc
+		// stays on the probe side's position.
+		var c rowCursor
+		defer c.release()
+		for rid := range t.rows {
+			row := c.visibleAt(t, rid, li.sn)
 			if row == nil || row[ci].IsNull() {
 				continue
 			}
@@ -393,6 +370,7 @@ func (li *levelIter) buildHash() error {
 // advanceInner yields the next row of the level's own source that passes
 // the gated conjuncts, or reports exhaustion for the current input tuple.
 func (li *levelIter) advanceInner() (bool, error) {
+	t := li.src.table
 	for {
 		var row []Value
 		switch li.ap.kind {
@@ -402,14 +380,8 @@ func (li *levelIter) advanceInner() (bool, error) {
 			}
 			rid := li.bucket[li.bucketPos]
 			li.bucketPos++
-			if t := li.src.table; t != nil {
-				if t.pg != nil {
-					row = li.pgc.visibleAt(t, rid, li.sn)
-				} else if t.vers == 0 {
-					row = t.Row(rid)
-				} else {
-					row = t.visibleRow(rid, li.sn)
-				}
+			if t != nil {
+				row = li.rc.visibleAt(t, rid, li.sn)
 			} else {
 				row = li.src.rows.Data[rid]
 			}
@@ -417,42 +389,13 @@ func (li *levelIter) advanceInner() (bool, error) {
 				continue
 			}
 		default:
-			if t := li.src.table; t != nil {
-				end := len(t.rows)
-				if t.pg != nil {
-					row = nil
-					for li.scanPos < end {
-						r := li.pgc.visibleAt(t, li.scanPos, li.sn)
-						li.scanPos++
-						if r != nil {
-							row = r
-							break
-						}
-					}
-					if row == nil {
-						return false, nil
-					}
-				} else if t.vers == 0 {
-					for li.scanPos < end && t.rows[li.scanPos] == nil {
-						li.scanPos++
-					}
-					if li.scanPos >= end {
-						return false, nil
-					}
-					row = t.rows[li.scanPos]
+			if t != nil {
+				for row == nil && li.scanPos < len(t.rows) {
+					row = li.rc.visibleAt(t, li.scanPos, li.sn)
 					li.scanPos++
-				} else {
-					row = nil
-					for li.scanPos < end {
-						row = t.visibleRow(li.scanPos, li.sn)
-						li.scanPos++
-						if row != nil {
-							break
-						}
-					}
-					if row == nil {
-						return false, nil
-					}
+				}
+				if row == nil {
+					return false, nil
 				}
 			} else {
 				if li.scanPos >= len(li.src.rows.Data) {

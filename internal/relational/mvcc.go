@@ -92,45 +92,42 @@ func (sn snapshot) sees(begin, end uint64) bool {
 // isMark reports whether a begin/end field holds an uncommitted mark.
 func isMark(v uint64) bool { return v&markBit != 0 }
 
-// visibleRow returns the version of row rid visible to sn, or nil. The
-// single-version fast path (t.vers == 0) is a plain slice load; hot loops
-// gate on t.vers themselves and only call in here when chains can exist.
-// Chain hops are counted into VersionChainHops — structurally zero for
-// single-version tables.
+// visibleRow returns the version of row rid visible to sn, or nil, loading
+// the current row through Row (unpinned). Per-row loops read through
+// rowCursor.visibleAt instead, which pins pages and inlines the
+// single-version memory case.
 func (t *Table) visibleRow(rid int, sn snapshot) []Value {
-	if rid < 0 || rid >= len(t.rows) {
-		return nil
+	if old, cur := t.versionAt(rid, sn); !cur {
+		return old
 	}
-	if t.vers == 0 {
-		if t.pg != nil {
-			return t.pg.rowRef(rid)
-		}
-		return t.rows[rid]
+	return t.Row(rid)
+}
+
+// versionAt is the version-chain walk every visibility read shares. cur
+// reports that sn sees the current row, which the caller loads itself —
+// pinned or not; otherwise old is the visible superseded version, or nil.
+// Chain hops are counted into VersionChainHops — structurally zero for
+// single-version tables, which return at the first test.
+func (t *Table) versionAt(rid int, sn snapshot) (old []Value, cur bool) {
+	if t.vers == 0 || rid < 0 || rid >= len(t.rows) || rid >= len(t.meta) {
+		return nil, true
 	}
-	var m rowMeta
-	if rid < len(t.meta) {
-		m = t.meta[rid]
-	}
+	m := &t.meta[rid]
 	if sn.sees(m.begin, m.end) {
-		if t.pg != nil {
-			return t.pg.rowRef(rid)
-		}
-		return t.rows[rid]
+		return nil, true
 	}
 	hops := int64(0)
 	for v := m.older; v != nil; v = v.older {
 		hops++
 		if sn.sees(v.begin, v.end) {
-			if t.db != nil {
-				t.db.stats.VersionChainHops.Add(hops)
-			}
-			return v.row
+			old = v.row
+			break
 		}
 	}
 	if hops > 0 && t.db != nil {
 		t.db.stats.VersionChainHops.Add(hops)
 	}
-	return nil
+	return old, false
 }
 
 // visKeep returns the scanRangeVis entry filter enforcing snapshot
@@ -361,7 +358,7 @@ func (t *Table) vacuumRow(rid int, horizon uint64, db *DB) bool {
 		// below cannot be undone by an eviction/refault cycle), then kill
 		// the directory entry — the page file drops the record at the next
 		// checkpoint.
-		if row := t.curRow(rid); row != nil {
+		if row := t.Row(rid); row != nil {
 			t.pgMark(rid)
 			for _, idx := range t.index {
 				if v := row[idx.col]; !v.IsNull() {
@@ -397,7 +394,7 @@ func (t *Table) vacuumRow(rid int, horizon uint64, db *DB) bool {
 		}
 	}
 	if cut != nil {
-		survivors := [][]Value{t.curRow(rid)}
+		survivors := [][]Value{t.Row(rid)}
 		for v := m.older; v != nil; v = v.older {
 			survivors = append(survivors, v.row)
 		}

@@ -28,11 +28,16 @@ import (
 // so every len(t.rows) rid-space invariant the memory backend relies on
 // holds unchanged.
 //
+// This file is the only code that tests t.pg. Readers go through
+// rowCursor (every per-row scan and probe loop) or Row (unpinned rid→row
+// fetches); mutations call the nil-guarded pg* hooks, which do nothing
+// for a memory table.
+//
 // Locking: the directory, page list, and page metadata are mutated only
 // under the DB writer lock (mutations) or the pool mutex (residency
 // transitions: fault, evict, pin). Readers run under the shared DB lock
 // and may fault and evict concurrently, so every residency-sensitive slot
-// access takes the pool mutex — except reads through a pageCursor, whose
+// access takes the pool mutex — except reads through a rowCursor, whose
 // pinned page cannot evict, making its slots stable lock-free for the
 // duration of the pin (the iterator pin/unpin contract: a levelIter pins
 // the page under its position across Next and unpins at Close/abandon,
@@ -338,19 +343,80 @@ func (pg *pagedTable) rowRef(rid int) []Value {
 	return row
 }
 
-// pageCursor pins one page at a time for a sequential or probing reader.
-// While the pin is held, the pinned page's slots are stable without
-// taking the pool mutex; crossing a page boundary re-pins. Abandoning a
-// cursor without release would leak the pin — Close paths release, and
-// DB.Close audits that no pins remain.
-type pageCursor struct {
+// rowCursor is the row reader of every scan and probe loop, and the one
+// place that decides how a row is read. A memory table with no versions
+// takes visibleAt's inlined fast path, a slice load. Everything else takes the slow path: the version-chain walk, after
+// pinning the row's page on a paged table. While a pin is held, the pinned
+// page's slots are stable without taking the pool mutex; crossing a page
+// boundary re-pins. Abandoning a cursor without release would leak the
+// pin — Close paths release, and DB.Close audits that no pins remain.
+type rowCursor struct {
 	t  *Table
 	pi *pageInfo
 }
 
-// repin swaps the cursor's pin to page pid, faulting it in if needed.
-func (c *pageCursor) repin(t *Table, pid int32) bool {
+// visibleAt returns the version of row rid visible to sn, or nil. rid must
+// lie in the table's rid space: scan positions do by construction, and
+// index entries never outlive their rids. The fast path leaves that bounds
+// check to the slice index — an explicit one costs more than the inlining
+// budget (CI pins that this method inlines).
+func (c *rowCursor) visibleAt(t *Table, rid int, sn snapshot) []Value {
+	if t.pg == nil && t.vers == 0 {
+		return t.rows[rid]
+	}
+	return c.visibleSlow(t, rid, sn)
+}
+
+func (c *rowCursor) visibleSlow(t *Table, rid int, sn snapshot) []Value {
+	if t.pg == nil {
+		return t.visibleRow(rid, sn)
+	}
+	row := c.pinned(t, rid)
+	if row == nil {
+		return nil
+	}
+	if old, cur := t.versionAt(rid, sn); !cur {
+		return old
+	}
+	return row
+}
+
+// rowAt returns the current row rid with no visibility filtering — the
+// physical rows whole-table passes such as index builds read.
+func (c *rowCursor) rowAt(t *Table, rid int) []Value {
+	if t.pg == nil && uint(rid) < uint(len(t.rows)) {
+		return t.rows[rid]
+	}
+	return c.pinned(t, rid)
+}
+
+// pinned pins the page under rid and returns its current row slot: nil
+// when the row is dead or its page failed to fault (which poisons the DB).
+// The common case — same page as the last call — takes no lock.
+func (c *rowCursor) pinned(t *Table, rid int) []Value {
 	pg := t.pg
+	if rid < 0 || rid >= len(pg.dir) || rid >= len(t.rows) {
+		return nil
+	}
+	pid := pg.dir[rid]
+	if pid < 0 {
+		return nil
+	}
+	if c.pi == nil || c.t != t || c.pi.id != pid {
+		if !c.repin(t, pid) {
+			return nil
+		}
+	}
+	return t.rows[rid]
+}
+
+// repin swaps the cursor's pin to page pid, faulting it in if needed. A
+// poisoned DB serves no more pages, so it fails without retrying the I/O.
+func (c *rowCursor) repin(t *Table, pid int32) bool {
+	pg := t.pg
+	if pg.db.pageErr.Load() != nil {
+		return false
+	}
 	p := pg.db.pool
 	p.mu.Lock()
 	pi := pg.pages[pid]
@@ -378,7 +444,7 @@ func (c *pageCursor) repin(t *Table, pid int32) bool {
 }
 
 // release drops the cursor's pin. Safe to call repeatedly.
-func (c *pageCursor) release() {
+func (c *rowCursor) release() {
 	if c.pi == nil {
 		return
 	}
@@ -389,27 +455,26 @@ func (c *pageCursor) release() {
 	c.t, c.pi = nil, nil
 }
 
-// visibleAt returns the version of row rid visible to sn, pinning the
-// row's page through the cursor. The common path — same page as the last
-// call — is a bounds check and two compares, no lock.
-func (c *pageCursor) visibleAt(t *Table, rid int, sn snapshot) []Value {
-	pg := t.pg
-	if rid < 0 || rid >= len(pg.dir) {
+// Row returns the values of a live row, or nil. A paged row's page is
+// faulted in by rid and not pinned (rowRef); per-row loops read through a
+// rowCursor instead.
+func (t *Table) Row(rid int) []Value {
+	if rid < 0 || rid >= len(t.rows) {
 		return nil
 	}
-	pid := pg.dir[rid]
-	if pid < 0 {
-		return nil
+	if t.pg != nil {
+		return t.pg.rowRef(rid)
 	}
-	if c.pi == nil || c.t != t || c.pi.id != pid {
-		if !c.repin(t, pid) {
-			return nil
-		}
+	return t.rows[rid]
+}
+
+// liveAt reports whether rid refers to a live row without requiring its
+// page to be resident.
+func (t *Table) liveAt(rid int) bool {
+	if t.pg != nil {
+		return rid >= 0 && rid < len(t.pg.dir) && t.pg.dir[rid] >= 0
 	}
-	if t.vers == 0 {
-		return t.rows[rid]
-	}
-	return t.visibleRowPinned(rid, sn)
+	return rid >= 0 && rid < len(t.rows) && t.rows[rid] != nil
 }
 
 // ---- table mutation hooks ----
@@ -528,45 +593,12 @@ func (t *Table) pgTruncate(n int) {
 	pg.dir = pg.dir[:n]
 }
 
-// pagedScanAll walks every live physical row through a page cursor;
-// index builds and other whole-table passes use it (no visibility
-// filtering — the physical current rows).
-func (t *Table) pagedScanAll(fn func(rid int, row []Value)) {
-	var c pageCursor
-	defer c.release()
-	pg := t.pg
-	for rid := 0; rid < len(t.rows) && rid < len(pg.dir); rid++ {
-		pid := pg.dir[rid]
-		if pid < 0 {
-			continue
-		}
-		if c.pi == nil || c.pi.id != pid {
-			if !c.repin(t, pid) {
-				return
-			}
-		}
-		if row := t.rows[rid]; row != nil {
-			fn(rid, row)
-		}
-	}
-}
-
-// liveAt reports whether rid refers to a live row without requiring its
-// page to be resident.
-func (t *Table) liveAt(rid int) bool {
+// pgGone sets the table's drop marker (pagedTable.gone): true when DDL or
+// Restore takes it out of db.tables, false when a rollback brings it back.
+func (t *Table) pgGone(gone bool) {
 	if t.pg != nil {
-		return rid >= 0 && rid < len(t.pg.dir) && t.pg.dir[rid] >= 0
+		t.pg.gone.Store(gone)
 	}
-	return rid >= 0 && rid < len(t.rows) && t.rows[rid] != nil
-}
-
-// curRow returns the current row slot, faulting the page in paged mode.
-// Memory mode is a plain slice load.
-func (t *Table) curRow(rid int) []Value {
-	if t.pg != nil {
-		return t.pg.rowRef(rid)
-	}
-	return t.rows[rid]
 }
 
 // ---- row record codec ----
@@ -1265,14 +1297,17 @@ func (db *DB) attachPagedTables(metas []pagedTableMeta) error {
 	return nil
 }
 
-// rebuildFromRows re-places every row of a freshly Restored table into
-// new dirty pages (the benchmark Restore path rebuilds t.rows
-// wholesale). Caller holds the DB writer lock and — when checkpoints can
-// be in flight — pagedCkptMu, so no pool sweep (reader faults need the
-// shared DB lock, checkpoint sweeps need pagedCkptMu) observes
-// pg.pages/dir mid-truncation; only the pool's residency/dirty counters
-// need pool.mu here.
-func (pg *pagedTable) rebuildFromRows() {
+// pgRebuild re-places every row of a freshly Restored table into new
+// dirty pages (Restore replaces t.rows wholesale). Caller holds the DB
+// writer lock and — when checkpoints can be in flight — pagedCkptMu, so
+// no pool sweep (reader faults need the shared DB lock, checkpoint sweeps
+// need pagedCkptMu) observes pg.pages/dir mid-truncation; only the pool's
+// residency/dirty counters need pool.mu here.
+func (t *Table) pgRebuild() {
+	pg := t.pg
+	if pg == nil {
+		return
+	}
 	p := pg.db.pool
 	p.mu.Lock()
 	for _, pi := range pg.pages {
@@ -1287,7 +1322,6 @@ func (pg *pagedTable) rebuildFromRows() {
 		pi.flushing = false
 	}
 	p.mu.Unlock()
-	t := pg.t
 	pg.pages = pg.pages[:0]
 	pg.fill = nil
 	pg.dir = pg.dir[:0]
@@ -1358,30 +1392,4 @@ func (db *DB) PagedPoolStats() (resident, dirty, limit int) {
 	db.pool.mu.Lock()
 	defer db.pool.mu.Unlock()
 	return db.pool.resident, db.pool.dirty, db.pool.limit
-}
-
-// visibleRowPinned is visibleRow for a caller whose pageCursor pins the
-// page under rid: the slot read is stable without the pool mutex. Version
-// chain metadata and superseded versions always live on the heap, so only
-// the current-row load differs from the memory backend.
-func (t *Table) visibleRowPinned(rid int, sn snapshot) []Value {
-	var m rowMeta
-	if rid < len(t.meta) {
-		m = t.meta[rid]
-	}
-	if sn.sees(m.begin, m.end) {
-		return t.rows[rid]
-	}
-	hops := int64(0)
-	for v := m.older; v != nil; v = v.older {
-		hops++
-		if sn.sees(v.begin, v.end) {
-			t.db.stats.VersionChainHops.Add(hops)
-			return v.row
-		}
-	}
-	if hops > 0 {
-		t.db.stats.VersionChainHops.Add(hops)
-	}
-	return nil
 }

@@ -25,7 +25,11 @@ func pagedOpts() Options {
 // statements) against a paged DB and an in-memory shadow and requires
 // byte-identical dumps — with a checkpoint dropped in the middle so flushed
 // and still-dirty pages mix, and a reopen at the end so the recovered state
-// is held to the same standard.
+// is held to the same standard. After every checkpoint, and once more while
+// an explicit transaction holds an uncommitted update (so the table is
+// versioned), equivQueries must give identical results on both DBs: that
+// drives every row-reading site through the paged, the single-version
+// memory and the versioned memory and paged table states.
 func TestPagedMemoryEquivalenceRandom(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r := rand.New(rand.NewSource(int64(100 + i)))
@@ -46,6 +50,29 @@ func TestPagedMemoryEquivalenceRandom(t *testing.T) {
 				if err := db.Checkpoint(); err != nil {
 					t.Fatalf("iter %d: checkpoint at op %d: %v", i, j, err)
 				}
+				runEquivQueries(t, fmt.Sprintf("iter %d op %d", i, j), j, [2]*DB{db, shadow}, [2]*Tx{}, nil)
+			}
+		}
+		committed := map[string]string{}
+		for _, q := range equivQueries {
+			if strings.HasPrefix(q.sql, "SELECT") {
+				committed[q.sql] = queryDump(t, shadow, q.sql)
+			}
+		}
+		var txs [2]*Tx
+		for k, d := range []*DB{db, shadow} {
+			txs[k] = d.Begin()
+			if _, err := txs[k].Exec("UPDATE item SET pos = pos + 100, name = 'held' WHERE parentId = 2"); err != nil {
+				t.Fatalf("iter %d: held update: %v", i, err)
+			}
+			if d.Table("item").vers == 0 {
+				t.Fatalf("iter %d: held update left the table single-version", i)
+			}
+		}
+		runEquivQueries(t, fmt.Sprintf("iter %d held txn", i), len(ops), [2]*DB{db, shadow}, txs, committed)
+		for _, tx := range txs {
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("iter %d: commit held txn: %v", i, err)
 			}
 		}
 		want := dbDump(shadow)
@@ -180,12 +207,85 @@ func TestPagedLargerThanRAMScan(t *testing.T) {
 	}
 }
 
+// equivQueries reach every row-reading site: a full scan, a hash-index
+// probe, a transient hash join, a sorted probe, an ordered range scan, and
+// UPDATE/DELETE matching through a probe and through a full scan. plan is
+// a fragment the statement's EXPLAIN must contain, so a planner change
+// cannot quietly drop a site; {a}…{d} become ids that vary per run.
+var equivQueries = []struct{ sql, plan string }{
+	{"SELECT id, parentId, pos, name FROM item", "Scan item"},
+	{"SELECT id, name FROM item WHERE parentId = 2", "IndexProbe item"},
+	{"SELECT a.id, b.id FROM item a, item b WHERE a.name = b.name AND a.id < b.id", "HashJoin"},
+	{"SELECT id, name FROM item WHERE parentId = 2 ORDER BY name", "SortedProbe item"},
+	{"SELECT id, pos FROM item WHERE parentId = 2 AND pos >= 10 AND pos < 40", "RangeScan item"},
+	{"UPDATE item SET name = 'probed' WHERE id = {a}", "IndexProbe item"},
+	{"UPDATE item SET pos = pos + 1 WHERE name = 'n{b}'", "Scan item"},
+	{"DELETE FROM item WHERE id = {c}", "IndexProbe item"},
+	{"DELETE FROM item WHERE name = 'n{d}'", "Scan item"},
+}
+
+// runEquivQueries runs equivQueries on dbs (a paged DB and its memory
+// shadow) and fails on any difference in result rows or rows affected.
+// With open transactions in txs, SELECTs run both outside them — where
+// they must match committed, the results from before the transactions
+// wrote — and inside them, and DML runs inside them (an autocommit write
+// would wait on the transaction's table intent).
+func runEquivQueries(t *testing.T, tag string, seq int, dbs [2]*DB, txs [2]*Tx, committed map[string]string) {
+	t.Helper()
+	id := func(k int) string { return fmt.Sprint(seq/3 + k) }
+	ids := strings.NewReplacer("{a}", id(0), "{b}", id(1), "{c}", id(2), "{d}", id(3))
+	for _, q := range equivQueries {
+		sql := ids.Replace(q.sql)
+		var got [2]string
+		for k, db := range dbs {
+			plan, err := db.Explain(sql)
+			if err != nil {
+				t.Fatalf("%s: Explain(%s): %v", tag, sql, err)
+			}
+			if !strings.Contains(plan, q.plan) {
+				t.Fatalf("%s: %s plans without %q:\n%s", tag, sql, q.plan, plan)
+			}
+			tx := txs[k]
+			if !strings.HasPrefix(sql, "SELECT") {
+				exec := db.Exec
+				if tx != nil {
+					exec = tx.Exec
+				}
+				n, err := exec(sql)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", tag, sql, err)
+				}
+				got[k] = fmt.Sprintf("%d rows affected", n)
+				continue
+			}
+			got[k] = queryDump(t, db, sql)
+			if want, ok := committed[sql]; ok && got[k] != want {
+				t.Fatalf("%s: %s outside the open transaction sees its writes\n got:\n%s\nwant:\n%s", tag, sql, got[k], want)
+			}
+			if tx != nil {
+				rows, err := tx.Query(sql)
+				if err != nil {
+					t.Fatalf("%s: in-txn Query(%s): %v", tag, sql, err)
+				}
+				got[k] += "-- in txn --\n" + rowsDump(rows)
+			}
+		}
+		if got[0] != got[1] {
+			t.Fatalf("%s: %s diverges\n paged:\n%s\nmemory:\n%s", tag, sql, got[0], got[1])
+		}
+	}
+}
+
 func queryDump(t *testing.T, db *DB, sql string) string {
 	t.Helper()
 	rows, err := db.Query(sql)
 	if err != nil {
 		t.Fatalf("Query(%s): %v", sql, err)
 	}
+	return rowsDump(rows)
+}
+
+func rowsDump(rows *Rows) string {
 	var b strings.Builder
 	for _, r := range rows.Data {
 		for _, v := range r {

@@ -35,13 +35,9 @@ func (db *DB) Snapshot() *DBSnapshot {
 		vers := t.vers > 0
 		rows := make([][]Value, len(t.rows))
 		live := 0
-		for i, r := range t.rows {
-			if vers {
-				r = t.visibleRow(i, snapshot{ts: allTS})
-			} else if t.pg != nil {
-				// Paged: a nil slot can be an evicted row; fault by rid.
-				r = t.curRow(i)
-			}
+		for i := range t.rows {
+			// visibleRow faults an evicted paged row in by rid.
+			r := t.visibleRow(i, snapshot{ts: allTS})
 			if r == nil {
 				continue
 			}
@@ -74,7 +70,7 @@ func (db *DB) Restore(s *DBSnapshot) {
 	if db.pool != nil {
 		// Exclude an in-flight checkpoint: its durable phase runs
 		// outside db.mu and indexes pg.pages by captured page id, which
-		// rebuildFromRows below invalidates wholesale.
+		// pgRebuild below invalidates wholesale.
 		db.pagedCkptMu.Lock()
 		defer db.pagedCkptMu.Unlock()
 	}
@@ -83,9 +79,7 @@ func (db *DB) Restore(s *DBSnapshot) {
 	for key, t := range db.tables {
 		if _, ok := s.tables[key]; !ok {
 			delete(db.tables, key)
-			if t.pg != nil {
-				t.pg.gone.Store(true)
-			}
+			t.pgGone(true)
 		}
 	}
 	for key, snap := range s.tables {
@@ -104,26 +98,19 @@ func (db *DB) Restore(s *DBSnapshot) {
 		}
 		t.rows = rows
 		t.live = snap.live
-		if t.pg != nil {
-			// Paged: the row slice was replaced wholesale; rebuild the
-			// directory and re-place every row onto fresh (dirty) pages.
-			t.pg.rebuildFromRows()
-		}
+		// Paged: the row slice was replaced wholesale; rebuild the
+		// directory and re-place every row onto fresh (dirty) pages.
+		t.pgRebuild()
 		// Restored rows are single-version by construction; drop any
 		// version metadata left over from the restored-over state.
 		t.meta = nil
 		t.vers = 0
 		t.intentTxn = 0
 		t.lastCommit = 0
+		// Every restored row sits on a resident dirty page, so neither
+		// index rebuild below can fail to fault.
 		for col, idx := range t.index {
-			rebuilt := &hashIndex{col: idx.col, entries: make(map[Value][]int, len(idx.entries))}
-			for rid, row := range t.rows {
-				if row == nil || row[idx.col].IsNull() {
-					continue
-				}
-				rebuilt.add(row[idx.col], rid)
-			}
-			t.index[strings.ToLower(col)] = rebuilt
+			t.index[strings.ToLower(col)], _ = t.scanHashIndex(idx.col, len(idx.entries))
 		}
 		for name, oidx := range t.ordered {
 			if entries, ok := snap.ordered[name]; ok {
@@ -132,7 +119,7 @@ func (db *DB) Restore(s *DBSnapshot) {
 				continue
 			}
 			// Index created after the snapshot: rebuild from the rows.
-			oidx.rebuild(t)
+			_ = oidx.rebuild(t)
 		}
 		// Hash index objects were replaced above; invalidate access plans
 		// caching pointers to them.

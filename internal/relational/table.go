@@ -96,8 +96,8 @@ type Table struct {
 	// pg, when non-nil, is the table's paged-storage state (paged.go): rows
 	// live on buffer-pool-managed heap pages, a nil t.rows slot means
 	// "evicted, refault on demand" rather than "deleted", and pg.dir is the
-	// liveness authority. Every direct t.rows access on a hot path either
-	// gates on pg == nil or routes through curRow/liveAt/pageCursor.
+	// liveness authority. Only paged.go reads it: row reads go through
+	// rowCursor, Row or liveAt, and mutations call its pg* hooks.
 	pg *pagedTable
 }
 
@@ -199,10 +199,7 @@ func (t *Table) Insert(vals []Value) (int, error) {
 // entries stay physically in place — only the version metadata records the
 // deletion, and vacuum removes the row once no snapshot can see it.
 func (t *Table) Delete(rid int) ([]Value, error) {
-	if rid < 0 || rid >= len(t.rows) {
-		return nil, fmt.Errorf("relational: table %s has no row %d", t.Name, rid)
-	}
-	row := t.curRow(rid)
+	row := t.Row(rid)
 	if row == nil {
 		return nil, fmt.Errorf("relational: table %s has no row %d", t.Name, rid)
 	}
@@ -250,7 +247,7 @@ func (t *Table) Delete(rid int) ([]Value, error) {
 // Ordered-index keys are unlinked before the row mutates and re-inserted
 // after, so a multi-column assignment moves each B+tree entry exactly once.
 func (t *Table) Update(rid int, cols []int, vals []Value) error {
-	if rid < 0 || rid >= len(t.rows) || t.curRow(rid) == nil {
+	if t.Row(rid) == nil {
 		return fmt.Errorf("relational: table %s has no row %d", t.Name, rid)
 	}
 	if w := t.writerCtx(); w != nil {
@@ -325,7 +322,7 @@ func (t *Table) updateVersioned(rid int, cols []int, vals []Value, w *writeCtx) 
 	if err := t.db.claimIntentLocked(t); err != nil {
 		return err
 	}
-	row := t.curRow(rid)
+	row := t.Row(rid)
 	t.pgMark(rid)
 	t.ensureMeta()
 	m := &t.meta[rid]
@@ -459,67 +456,26 @@ func (t *Table) uniqueViolatedPhys(ci int, v Value, exclude int) bool {
 		}
 		return false
 	}
-	if t.pg != nil {
-		for rid := range t.rows {
-			if rid == exclude {
-				continue
-			}
-			if row := t.curRow(rid); row != nil && compareValues(row[ci], v) == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for rid, row := range t.rows {
-		if rid != exclude && row != nil && compareValues(row[ci], v) == 0 {
-			return true
-		}
-	}
-	return false
+	// A failed page fault poisons the DB and fails the next statement, so
+	// the scan's error needs no handling here.
+	found := false
+	_, _ = t.Scan(func(rid int, row []Value) bool {
+		found = rid != exclude && compareValues(row[ci], v) == 0
+		return !found
+	})
+	return found
 }
 
-// Row returns the values of a live row, or nil.
-func (t *Table) Row(rid int) []Value {
-	if rid < 0 || rid >= len(t.rows) {
-		return nil
-	}
-	if t.pg != nil {
-		return t.pg.rowRef(rid)
-	}
-	return t.rows[rid]
-}
-
-// Scan calls fn for every live row in rowid order; fn returning false stops
-// the scan. It reports the number of rows visited.
-func (t *Table) Scan(fn func(rid int, row []Value) bool) int {
+// Scan calls fn for every live row in rowid order — the current rows, with
+// no snapshot filtering; fn returning false stops the scan. It reports the
+// number of rows visited, and the paged-storage error when a page failed
+// to fault (rows on pages that could not be read were skipped).
+func (t *Table) Scan(fn func(rid int, row []Value) bool) (int, error) {
+	var c rowCursor
+	defer c.release()
 	visited := 0
-	if t.pg != nil {
-		var c pageCursor
-		defer c.release()
-		// rows and dir grow in lockstep (pgPlace), but bound on both as
-		// pagedScanAll does rather than trust the invariant.
-		for rid := 0; rid < len(t.rows) && rid < len(t.pg.dir); rid++ {
-			pid := t.pg.dir[rid]
-			if pid < 0 {
-				continue
-			}
-			if c.pi == nil || c.pi.id != pid {
-				if !c.repin(t, pid) {
-					break
-				}
-			}
-			row := t.rows[rid]
-			if row == nil {
-				continue
-			}
-			visited++
-			if !fn(rid, row) {
-				break
-			}
-		}
-		return visited
-	}
-	for rid, row := range t.rows {
+	for rid := range t.rows {
+		row := c.rowAt(t, rid)
 		if row == nil {
 			continue
 		}
@@ -528,5 +484,8 @@ func (t *Table) Scan(fn func(rid int, row []Value) bool) int {
 			break
 		}
 	}
-	return visited
+	if t.db == nil {
+		return visited, nil
+	}
+	return visited, t.db.pagedErr()
 }

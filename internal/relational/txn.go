@@ -307,7 +307,9 @@ func (l *undoLog) commit() {
 		}
 		for _, oidx := range t.orderedList {
 			if oidx.stale > t.live {
-				oidx.rebuild(t)
+				// A failed page fault poisons the DB; the next statement
+				// reports it.
+				_ = oidx.rebuild(t)
 			}
 		}
 	}

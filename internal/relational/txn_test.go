@@ -16,9 +16,9 @@ func tableDump(t *Table) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rows(len=%d live=%d):\n", len(t.rows), t.live)
 	for rid := range t.rows {
-		// curRow faults evicted pages back in under the paged backend; in
+		// Row faults evicted pages back in under the paged backend; in
 		// memory mode it is the plain slot read.
-		row := t.curRow(rid)
+		row := t.Row(rid)
 		if row == nil {
 			fmt.Fprintf(&b, "  %d: <dead>\n", rid)
 			continue

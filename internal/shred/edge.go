@@ -119,7 +119,7 @@ func ReconstructEdge(db *relational.DB) (*xmltree.Document, error) {
 		value           relational.Value
 	}
 	var all []edge
-	t.Scan(func(_ int, row []relational.Value) bool {
+	_, err := t.Scan(func(_ int, row []relational.Value) bool {
 		e := edge{kind: row[3].MustText()}
 		e.id = row[0].MustInt()
 		if v, ok := row[1].Int(); ok {
@@ -135,6 +135,9 @@ func ReconstructEdge(db *relational.DB) (*xmltree.Document, error) {
 		all = append(all, e)
 		return true
 	})
+	if err != nil {
+		return nil, fmt.Errorf("shred: reading table Edge: %w", err)
+	}
 	children := make(map[int64][]edge)
 	var root *edge
 	for i := range all {

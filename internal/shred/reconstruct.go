@@ -64,7 +64,7 @@ func tableRows(db *relational.DB, m *Mapping, elem string) (map[int64][]storedRo
 	idIdx := t.Schema.ColumnIndex("id")
 	pidIdx := t.Schema.ColumnIndex("parentId")
 	posIdx := t.Schema.ColumnIndex("pos")
-	t.Scan(func(_ int, row []relational.Value) bool {
+	_, err := t.Scan(func(_ int, row []relational.Value) bool {
 		sr := storedRow{vals: make(map[string]relational.Value, len(row))}
 		for i, c := range t.Schema.Columns {
 			sr.vals[strings.ToLower(c.Name)] = row[i]
@@ -84,6 +84,9 @@ func tableRows(db *relational.DB, m *Mapping, elem string) (map[int64][]storedRo
 		out[key] = append(out[key], sr)
 		return true
 	})
+	if err != nil {
+		return nil, fmt.Errorf("shred: reading table %s: %w", tm.Name, err)
+	}
 	for k := range out {
 		rows := out[k]
 		sort.Slice(rows, func(i, j int) bool {
