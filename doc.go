@@ -6,6 +6,7 @@
 // translation strategies, and the full experimental evaluation.
 //
 // See README.md for a tour and DESIGN.md for the system inventory and the
-// relational layer's three-layer query pipeline. The root package carries
-// the benchmark harness (bench_test.go) regenerating every figure and table.
+// relational layer's three-layer query pipeline. The paper's figures and
+// tables are regenerated as exact-count laws by internal/engine's
+// figures_test.go; benchmark/ measures wall time.
 package repro

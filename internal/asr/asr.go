@@ -271,7 +271,10 @@ func (a *ASR) InsertPaths(db relational.Session, paths [][]relational.Value) err
 // PathQuerySQL builds the §5.3 accelerated path query: join the leaf table
 // to the ASR and the ASR to the start table, skipping all intermediate
 // relations. leafCond filters the leaf table (alias L); the select list
-// draws from the start table (alias S).
+// draws from the start table (alias S). The ASR holds one row per complete
+// path through a tuple, so the (start, leaf) pairs are deduplicated before
+// S is joined: the answer is the conventional join's multiset, one row per
+// matching leaf tuple, at every leaf level.
 func (a *ASR) PathQuerySQL(startElem, leafElem, selectCols, leafCond string) (string, error) {
 	sl, ok := a.LevelOf[startElem]
 	if !ok {
@@ -283,8 +286,9 @@ func (a *ASR) PathQuerySQL(startElem, leafElem, selectCols, leafCond string) (st
 	}
 	start := a.M.Table(startElem)
 	leaf := a.M.Table(leafElem)
-	sql := fmt.Sprintf("SELECT %s FROM %s L, %s A, %s S WHERE %s AND A.%s = L.id AND S.id = A.%s",
-		selectCols, leaf.Name, a.Name, start.Name, leafCond, a.Col(ll), a.Col(sl))
+	sql := fmt.Sprintf("WITH P (sid, lid) AS (SELECT DISTINCT A.%s, A.%s FROM %s L, %s A WHERE %s AND A.%s = L.id) "+
+		"SELECT %s FROM P, %s S WHERE S.id = P.sid",
+		a.Col(sl), a.Col(ll), leaf.Name, a.Name, leafCond, a.Col(ll), selectCols, start.Name)
 	return sql, nil
 }
 

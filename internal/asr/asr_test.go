@@ -1,8 +1,13 @@
 package asr
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/relational"
 	"repro/internal/shred"
 	"repro/internal/testdocs"
@@ -200,6 +205,125 @@ WHERE OL.ItemName_v = 'tire' AND OL.parentId = O.id AND O.parentId = C.id`)
 	for i := range asrRows.Data {
 		if asrRows.Data[i][0] != relational.Text("John") {
 			t.Errorf("row %d = %v", i, asrRows.Data[i])
+		}
+	}
+}
+
+// loadFixed loads the §7.2 document (scaling factor 20, depth 5, seed 9) at
+// the given fanout and builds its ASR.
+func loadFixed(t testing.TB, fanout int) (*relational.DB, *shred.Mapping, *ASR) {
+	t.Helper()
+	doc := datagen.Fixed(datagen.FixedParams{ScalingFactor: 20, Depth: 5, Fanout: fanout, Seed: 9})
+	m, err := shred.BuildMapping(doc.DTD, doc.Root.Name, shred.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := relational.NewDB()
+	if _, err := shred.Load(db, m, doc); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Build(db, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, m, a
+}
+
+// pathQueries returns the conventional multiway join e1→…→e{plen} and the
+// ASR form of the same §7.2 path query. The leaf condition selects the
+// middle leaf tuple's k value, so the query matches rows.
+func pathQueries(t *testing.T, db *relational.DB, m *shred.Mapping, a *ASR, plen int) (conventional, viaASR string) {
+	t.Helper()
+	leaf := fmt.Sprintf("e%d", plen)
+	probe, err := db.Query(fmt.Sprintf("SELECT k%d_v FROM %s", plen, m.Table(leaf).Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := relational.FormatValue(probe.Data[len(probe.Data)/2][0])
+	from := []string{m.Table("e1").Name + " E1"}
+	conds := []string{fmt.Sprintf("E%d.k%d_v = %s", plen, plen, val)}
+	for i := 2; i <= plen; i++ {
+		from = append(from, fmt.Sprintf("%s E%d", m.Table(fmt.Sprintf("e%d", i)).Name, i))
+		conds = append(conds, fmt.Sprintf("E%d.parentId = E%d.id", i, i-1))
+	}
+	conventional = fmt.Sprintf("SELECT E1.s1_v FROM %s WHERE %s", strings.Join(from, ", "), strings.Join(conds, " AND "))
+	viaASR, err = a.PathQuerySQL("e1", leaf, "S.s1_v", fmt.Sprintf("L.k%d_v = %s", plen, val))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conventional, viaASR
+}
+
+// multiset renders a result as its sorted rows, so two results compare
+// equal exactly when they hold the same rows the same number of times.
+func multiset(rows *relational.Rows) []string {
+	out := make([]string, len(rows.Data))
+	for i, r := range rows.Data {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPathQueryMatchesConventionalJoin: the ASR has one row per complete
+// path through an element, so a leaf above the deepest level sits on many
+// ASR rows. The §5.3 query must still answer each leaf tuple once — the
+// conventional join's multiset — at every level of a fanout-4 document.
+func TestPathQueryMatchesConventionalJoin(t *testing.T) {
+	db, m, a := loadFixed(t, 4)
+	for plen := 1; plen <= a.Depth-1; plen++ {
+		conventional, viaASR := pathQueries(t, db, m, a, plen)
+		want, err := db.Query(conventional)
+		if err != nil {
+			t.Fatalf("%s: %v", conventional, err)
+		}
+		got, err := db.Query(viaASR)
+		if err != nil {
+			t.Fatalf("%s: %v", viaASR, err)
+		}
+		if len(want.Data) == 0 {
+			t.Fatalf("path length %d: conventional join selects nothing", plen)
+		}
+		if w, g := multiset(want), multiset(got); !slices.Equal(w, g) {
+			t.Errorf("path length %d: ASR query returned %d rows, conventional join %d", plen, len(g), len(w))
+		}
+	}
+}
+
+// TestASRPathRuns is the §7.2 study in counts. The ASR holds one row per
+// root-to-leaf path, sf·f^(d−1), which is why it grows with fanout (the
+// effect behind the paper's fanout-4 slowdown). Both query forms are run
+// at path lengths 3 and 4 and their rows scanned are logged; run with -v
+// to print the series.
+func TestASRPathRuns(t *testing.T) {
+	const sf, depth = 20, 5
+	for _, fanout := range []int{1, 4} {
+		db, m, a := loadFixed(t, fanout)
+		paths := sf
+		for i := 1; i < depth; i++ {
+			paths *= fanout
+		}
+		if got := db.RowCount(a.Name); got != paths {
+			t.Errorf("fanout %d: ASR rows = %d, want sf·f^(d−1) = %d", fanout, got, paths)
+		}
+		for _, plen := range []int{3, 4} {
+			conventional, viaASR := pathQueries(t, db, m, a, plen)
+			var scanned [2]int64
+			var answers [2]int
+			for i, sql := range []string{conventional, viaASR} {
+				db.ResetStats()
+				rows, err := db.Query(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				scanned[i], answers[i] = db.Stats().RowsScanned, len(rows.Data)
+			}
+			if answers[0] != answers[1] {
+				t.Errorf("fanout %d, path length %d: ASR query answered %d rows, conventional %d",
+					fanout, plen, answers[1], answers[0])
+			}
+			t.Logf("fanout=%d pathlen=%d asr_rows=%d conventional_scanned=%d asr_scanned=%d",
+				fanout, plen, paths, scanned[0], scanned[1])
 		}
 	}
 }

@@ -67,45 +67,6 @@ func TestDeleteMethodsAgree(t *testing.T) {
 	}
 }
 
-// TestDeleteStatementCounts verifies the cost model the paper explains:
-// trigger methods issue one client statement, the cascade issues one per
-// level (§6.1.2 "slightly more overhead since it requires more SQL
-// statements").
-func TestDeleteStatementCounts(t *testing.T) {
-	counts := map[DeleteMethod]int64{}
-	for _, m := range []DeleteMethod{PerTupleTrigger, PerStatementTrigger, CascadingDelete} {
-		s := openCust(t, Options{Delete: m})
-		s.DB.ResetStats()
-		if _, err := s.DeleteSubtrees("Customer", "Name_v = 'John'"); err != nil {
-			t.Fatal(err)
-		}
-		counts[m] = s.DB.Stats().Statements
-	}
-	if counts[PerTupleTrigger] != 1 || counts[PerStatementTrigger] != 1 {
-		t.Errorf("trigger methods issued %d/%d statements, want 1 each",
-			counts[PerTupleTrigger], counts[PerStatementTrigger])
-	}
-	if counts[CascadingDelete] <= 1 {
-		t.Errorf("cascade issued %d statements, want > 1", counts[CascadingDelete])
-	}
-}
-
-// TestPerTupleTriggerUsesIndexProbes: per-tuple triggers look up children by
-// parentId, so rows scanned stays proportional to deleted content, not to
-// table size.
-func TestPerTupleTriggerUsesIndexProbes(t *testing.T) {
-	s := openCust(t, Options{Delete: PerTupleTrigger})
-	s.DB.ResetStats()
-	if _, err := s.DeleteSubtrees("Customer", "Address_State_v = 'CA'"); err != nil {
-		t.Fatal(err)
-	}
-	st := s.DB.Stats()
-	// CA John has no orders: 3 customers scanned + index probes only.
-	if st.RowsScanned > 6 {
-		t.Errorf("per-tuple delete scanned %d rows", st.RowsScanned)
-	}
-}
-
 func TestDeleteInlinedSimple(t *testing.T) {
 	s := openCust(t, Options{Delete: PerTupleTrigger})
 	// Simple deletion: Address is inlined; deleting it is one UPDATE.
@@ -175,51 +136,6 @@ func TestInsertMethodsAgree(t *testing.T) {
 // the tuple method (its base query aliases the target table as T; the
 // engine's SQL resolves unqualified names against it either way).
 func copyWhere(_ InsertMethod, cond string) string { return cond }
-
-// TestInsertStatementCounts verifies §6.2's cost claims: the tuple method
-// issues one INSERT per source tuple; the table method a constant number per
-// relation.
-func TestInsertStatementCounts(t *testing.T) {
-	tupleStore := openCust(t, Options{Insert: TupleInsert})
-	tupleStore.DB.ResetStats()
-	if _, err := tupleStore.CopySubtrees("Customer", "Name_v = 'John'", 1); err != nil {
-		t.Fatal(err)
-	}
-	tupleStmts := tupleStore.DB.Stats().Statements
-
-	tableStore := openCust(t, Options{Insert: TableInsert})
-	tableStore.DB.ResetStats()
-	if _, err := tableStore.CopySubtrees("Customer", "Name_v = 'John'", 1); err != nil {
-		t.Fatal(err)
-	}
-	tableStmts := tableStore.DB.Stats().Statements
-
-	// 7 source tuples copied (2 customers + 2 orders + 3 lines): tuple
-	// method ≈ 1 query + 7 inserts; table method ≈ constant per relation.
-	if tupleStmts < 8 {
-		t.Errorf("tuple method used %d statements, want ≥ 8", tupleStmts)
-	}
-
-	// The scaling claim: the tuple method's statement count grows with the
-	// number of source tuples, the table method's does not (Mary's subtree
-	// has 3 tuples vs the Johns' 7).
-	tupleSmall := openCust(t, Options{Insert: TupleInsert})
-	tupleSmall.DB.ResetStats()
-	if _, err := tupleSmall.CopySubtrees("Customer", "Name_v = 'Mary'", 1); err != nil {
-		t.Fatal(err)
-	}
-	if small := tupleSmall.DB.Stats().Statements; small >= tupleStmts {
-		t.Errorf("tuple statements did not grow with tuples: %d vs %d", small, tupleStmts)
-	}
-	tableSmall := openCust(t, Options{Insert: TableInsert})
-	tableSmall.DB.ResetStats()
-	if _, err := tableSmall.CopySubtrees("Customer", "Name_v = 'Mary'", 1); err != nil {
-		t.Fatal(err)
-	}
-	if small := tableSmall.DB.Stats().Statements; small != tableStmts {
-		t.Errorf("table statements should be constant per relation: %d vs %d", small, tableStmts)
-	}
-}
 
 // TestTupleInsertGaplessIDs: §6.2.1 notes the tuple method allocates ids
 // without gaps.

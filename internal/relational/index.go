@@ -73,8 +73,8 @@ func (t *Table) scanHashIndex(ci, hint int) (*hashIndex, error) {
 }
 
 // DropIndex removes the hash index on the named column and every ordered
-// index led by it, if present. It is used by ablation benchmarks and tests
-// to measure what an access path buys: dropping "parentId" removes the hash
+// index led by it, if present. It is used by ablation tests to measure
+// what an access path buys: dropping "parentId" removes the hash
 // index and the (parentId, …) B+trees together, so the ablated run really
 // falls back to scans and sorts. A dropped auto-index is not recreated.
 func (t *Table) DropIndex(col string) bool {
