@@ -144,7 +144,7 @@ func run(docPath, dtdPath string, dump, reconstruct, edge, order bool) error {
 	for _, elem := range m.TableOrder {
 		tm := m.Table(elem)
 		fmt.Printf("%-24s %6d rows (element <%s>, parent %q)\n",
-			tm.Name, db.Table(tm.Name).RowCount(), tm.Element, tm.Parent)
+			tm.Name, db.RowCount(tm.Name), tm.Element, tm.Parent)
 	}
 	if dump {
 		for _, elem := range m.TableOrder {
@@ -164,25 +164,17 @@ func run(docPath, dtdPath string, dump, reconstruct, edge, order bool) error {
 }
 
 func dumpTable(db *relational.DB, name string) error {
-	t := db.Table(name)
-	if t == nil {
-		return nil
+	rows, err := db.Query("SELECT * FROM " + name)
+	if err != nil {
+		return fmt.Errorf("dumping table %s: %w", name, err)
 	}
-	var cols []string
-	for _, c := range t.Schema.Columns {
-		cols = append(cols, c.Name)
-	}
-	fmt.Printf("\n-- %s (%s) --\n", name, strings.Join(cols, ", "))
-	_, err := t.Scan(func(_ int, row []relational.Value) bool {
+	fmt.Printf("\n-- %s (%s) --\n", name, strings.Join(rows.Cols, ", "))
+	for _, row := range rows.Data {
 		parts := make([]string, len(row))
 		for i, v := range row {
 			parts[i] = relational.FormatValue(v)
 		}
 		fmt.Println("  " + strings.Join(parts, ", "))
-		return true
-	})
-	if err != nil {
-		return fmt.Errorf("dumping table %s: %w", name, err)
 	}
 	return nil
 }

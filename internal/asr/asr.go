@@ -84,63 +84,60 @@ func Build(db *relational.DB, m *shred.Mapping) (*ASR, error) {
 	return a, nil
 }
 
-// populate walks the stored tuples parent-to-child and inserts one path per
+// populate walks the stored tuples parent-to-child and loads one path per
 // leaf tuple (left-complete: interior tuples with no children also
 // contribute a NULL-padded path so every tuple appears in the ASR).
 func (a *ASR) populate(db *relational.DB) error {
-	asrTable := db.Table(a.Name)
-	// children[parentID] for each table element.
-	kids := make(map[string]map[int64][]int64)
-	for _, elem := range a.M.TableOrder {
-		t := db.Table(a.M.Table(elem).Name)
-		if t == nil {
-			return fmt.Errorf("asr: table for %q missing", elem)
-		}
-		idIdx := t.Schema.ColumnIndex("id")
-		pidIdx := t.Schema.ColumnIndex("parentId")
-		byParent := make(map[int64][]int64)
-		_, err := t.Scan(func(_ int, row []relational.Value) bool {
-			id, _ := row[idIdx].Int()
-			pid, _ := row[pidIdx].Int()
-			byParent[pid] = append(byParent[pid], id)
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("asr: reading table %s: %w", t.Name, err)
-		}
-		kids[elem] = byParent
+	kids, err := a.children(db)
+	if err != nil {
+		return err
 	}
-	var insert func(elem string, path []relational.Value) error
-	insert = func(elem string, path []relational.Value) error {
-		tm := a.M.Table(elem)
+	var rows [][]relational.Value
+	var walk func(elem string, path []relational.Value)
+	walk = func(elem string, path []relational.Value) {
 		hasChild := false
 		last, _ := path[len(path)-1].Int()
-		for _, childElem := range tm.ChildTables {
+		for _, childElem := range a.M.Table(elem).ChildTables {
 			for _, cid := range kids[childElem][last] {
 				hasChild = true
-				if err := insert(childElem, append(path, relational.Int(cid))); err != nil {
-					return err
-				}
+				walk(childElem, append(path, relational.Int(cid)))
 			}
 		}
 		if !hasChild {
 			row := make([]relational.Value, a.Depth+1)
 			copy(row, path)
 			row[a.Depth] = relational.Int(0) // mark
-			if _, err := asrTable.Insert(row); err != nil {
-				return err
-			}
+			rows = append(rows, row)
 		}
-		return nil
 	}
+	// The root's NULL parentId reads as 0.
 	for _, rootID := range kids[a.M.Root][0] {
-		if err := insert(a.M.Root, []relational.Value{relational.Int(rootID)}); err != nil {
-			return err
-		}
+		walk(a.M.Root, []relational.Value{relational.Int(rootID)})
 	}
-	// The root with NULL parentId groups under pid 0 only if stored as
-	// NULL→0; stored parentId of the root is NULL, which scans as 0 above.
-	return nil
+	return db.BulkLoad(map[string][][]relational.Value{a.Name: rows})
+}
+
+// children reads every table's (id, parentId) pairs inside one snapshot,
+// returning child ids by parent id per table element (NULL parents as 0).
+func (a *ASR) children(db *relational.DB) (map[string]map[int64][]int64, error) {
+	tx := db.Begin()
+	defer tx.Rollback()
+	kids := make(map[string]map[int64][]int64, len(a.M.TableOrder))
+	for _, elem := range a.M.TableOrder {
+		name := a.M.Table(elem).Name
+		byParent := make(map[int64][]int64)
+		_, err := tx.QueryEach("SELECT id, parentId FROM "+name, func(row []relational.Value) error {
+			id, _ := row[0].Int()
+			pid, _ := row[1].Int()
+			byParent[pid] = append(byParent[pid], id)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("asr: reading table %s: %w", name, err)
+		}
+		kids[elem] = byParent
+	}
+	return kids, nil
 }
 
 // Col returns the ASR column name for a level.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/asr"
 	"repro/internal/relational"
@@ -14,10 +14,10 @@ import (
 )
 
 // Persistent stores. OpenDir roots a Store in a directory backed by the
-// relational layer's write-ahead log: the first open shreds the document,
-// records the bulk load in the log, persists the mapping's provenance (the
-// serialized DTD, root element, and options) in a metadata table, and
-// checkpoints; later opens recover the database from checkpoint + log and
+// relational layer's write-ahead log: the first open shreds the document
+// with a checkpointed bulk load and persists the mapping's provenance (the
+// serialized DTD, root element, and options) in a metadata table through
+// the log; later opens recover the database from checkpoint + log and
 // rebuild the mapping from the stored DTD — no document needed. Update
 // statements executed through the store commit through the log, so a crash
 // between invocations of xupdate/xshred loses nothing that was committed.
@@ -39,8 +39,9 @@ const metaTable = "_xmeta"
 // Initialization is crash-atomic by detection, not by a single commit: the
 // metadata's 'nextid' row is written last, so a directory whose recovered
 // state has tables but no complete metadata is a half-built store — OpenDir
-// wipes the log and redoes the initialization from the document (the data
-// so far was nothing but a replay of that same shred).
+// wipes the log and checkpoints and redoes the initialization from the
+// document (the data so far was nothing but that same shred; the rebuilt
+// tables truncate their stale page files when first checkpointed).
 func OpenDir(dir string, doc *xmltree.Document, opts Options, dopts relational.Options) (*Store, error) {
 	db, err := relational.Open(dir, dopts)
 	if err != nil {
@@ -89,10 +90,11 @@ const (
 // fresh (nothing at all), or partial (an initialization that never reached
 // its final metadata write).
 func storeState(db *relational.DB) storeStateKind {
-	if db.Table(metaTable) == nil {
-		if len(db.TableNames()) == 0 {
-			return stateFresh
-		}
+	names := db.TableNames()
+	if len(names) == 0 {
+		return stateFresh
+	}
+	if !slices.Contains(names, metaTable) {
 		return statePartial
 	}
 	rows, err := db.Query(fmt.Sprintf("SELECT v FROM %s WHERE k = 'nextid'", metaTable))
@@ -130,35 +132,18 @@ func initStore(db *relational.DB, doc *xmltree.Document, opts Options) (*Store, 
 	if err != nil {
 		return nil, err
 	}
+	// The document load (and the ASR build in setup) each end with a
+	// checkpoint, so the rows are on pages before the metadata's commits
+	// reach the log.
 	ds, err := shred.Load(db, m, doc)
 	if err != nil {
-		return nil, err
-	}
-	// The bulk load bypassed SQL; append its statement-equivalent to the
-	// log so recovery works even before the first checkpoint lands.
-	if err := db.LogBulk(m.InsertSQL(ds)); err != nil {
 		return nil, err
 	}
 	s := &Store{DB: db, M: m, Opt: opts, nextID: ds.MaxID + 1, persistent: true}
 	if err := s.setup(); err != nil {
 		return nil, err
 	}
-	if s.ASR != nil {
-		stmts, err := tableInsertSQL(db, s.ASR.Name)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.LogBulk(stmts); err != nil {
-			return nil, err
-		}
-	}
 	if err := s.writeMeta(doc.DTD); err != nil {
-		return nil, err
-	}
-	// Checkpoint writes the bulk rows to page files and the DDL history to
-	// the marker; the log restarts empty, so a reopen loads pages and
-	// replays nothing.
-	if err := db.Checkpoint(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -268,28 +253,6 @@ func rootName(doc *xmltree.Document) string {
 		return ""
 	}
 	return doc.Root.Name
-}
-
-// tableInsertSQL renders a table's live rows as INSERT statements in rowid
-// order — the logged equivalent of a bulk load into a fresh table.
-func tableInsertSQL(db *relational.DB, name string) ([]string, error) {
-	t := db.Table(name)
-	if t == nil {
-		return nil, nil
-	}
-	var out []string
-	_, err := t.Scan(func(_ int, row []relational.Value) bool {
-		vals := make([]string, len(row))
-		for i, v := range row {
-			vals[i] = relational.FormatValue(v)
-		}
-		out = append(out, fmt.Sprintf("INSERT INTO %s VALUES (%s)", t.Name, strings.Join(vals, ", ")))
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("engine: reading table %s: %w", t.Name, err)
-	}
-	return out, nil
 }
 
 // Close flushes the store's log to stable storage and releases it. For

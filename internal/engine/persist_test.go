@@ -278,7 +278,18 @@ func TestHalfInitializedStoreRebuilds(t *testing.T) {
 	if _, err := shred.Load(db, m, doc); err != nil {
 		t.Fatal(err)
 	}
-	// No Close, no meta: this is the half-built state.
+	// No Close, no meta: this is the half-built state. The load checkpointed,
+	// so it is the crash after that checkpoint: page files and a checkpoint
+	// marker that a rebuild must replace, not trust.
+	for _, e := range m.TableOrder {
+		name := strings.ToLower(m.Tables[e].Name) + ".pages"
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("half-built store has no page file for %s: %v", e, err)
+		}
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt")); len(ckpts) == 0 {
+		t.Fatal("half-built store has no checkpoint")
+	}
 
 	if _, err := OpenDir(dir, nil, Options{}, noCkptOpts()); err == nil ||
 		!strings.Contains(err.Error(), "half-initialized") {

@@ -285,9 +285,10 @@ func (s *Store) AllocateIDs(n int64) int64 {
 // NextID returns the systemwide next-available-id counter.
 func (s *Store) NextID() int64 { return s.nextID }
 
-// TupleCount sums live rows across data tables (excluding the ASR). It
-// counts under the DB's shared lock, so it is safe against a concurrent
-// writer (unlike reading through the Table escape hatch).
+// TupleCount sums live rows across data tables (excluding the ASR) with
+// DB.RowCount, which counts under the DB's shared lock and is safe against
+// a concurrent writer. Live counts include an open transaction's
+// uncommitted inserts and deletes.
 func (s *Store) TupleCount() int {
 	n := 0
 	for _, elem := range s.M.TableOrder {

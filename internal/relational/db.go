@@ -309,11 +309,12 @@ func (db *DB) ResetStats() {
 
 // Table returns the named table, or nil.
 //
-// This is an escape hatch: the returned *Table is not synchronized, so
-// direct mutations bypass both the writer lock and the transaction undo
-// log, and direct reads race with concurrent writers. Callers must either
-// hold no concurrent statements (setup, tests, benchmark restore points) or
-// use the SQL surface / RowCount instead.
+// It remains exported only for the index ablations (Table.DropIndex in the
+// engine's figure laws and join-strategy tests) and this package's tests.
+// The returned *Table is not synchronized: direct mutations bypass the
+// writer lock and the undo log, and direct reads see uncommitted versions.
+// Production code reads stored rows through snapshot SQL (Begin,
+// Tx.QueryEach), counts them with RowCount, and loads them with BulkLoad.
 func (db *DB) Table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -1,7 +1,9 @@
 package relational
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -436,50 +438,81 @@ func (db *DB) replayCommit(stamp uint64, stmts []wal.Stmt) error {
 	return nil
 }
 
-// logBulkChunk bounds one bulk record's statement bytes, comfortably under
-// the log's frame limit while keeping huge document loads to a handful of
-// records.
-const logBulkChunk = 8 << 20
+// errBulkOpenTxn refuses a BulkLoad that an open snapshot could observe.
+var errBulkOpenTxn = errors.New("relational: BulkLoad requires no open transactions")
 
-// LogBulk appends redo records for mutations performed outside the SQL
-// layer — the shredder's bulk document load and the ASR build both insert
-// rows directly for speed. The statements are not executed; they are the
-// given mutations' SQL equivalent, recorded so recovery can reproduce the
-// bulk state even before the first checkpoint exists. Large loads split
-// into multiple records (a crash between them is covered by the
-// initialization protocol: engine.OpenDir wipes and redoes a
-// half-initialized directory). Call it immediately after the bulk
-// mutation, before other writers exist.
-func (db *DB) LogBulk(sqls []string) error {
-	if !db.durable() || db.replaying || len(sqls) == 0 {
+// BulkLoad appends rows to existing tables, keyed by table name, in one
+// all-or-nothing step: the document loader's and the ASR build's fast path,
+// with no statement parsed or planned per row. It takes the writer lock and
+// refuses while any transaction or snapshot is open, so no reader sees a
+// half-loaded table. A failure (wrong arity, a coercion error, a duplicate
+// id) rolls every table back through the undo log, where an insert undoes
+// by truncation. The rows do not go through the redo log: on a directory
+// DB the load ends with a checkpoint, taken under the same lock hold, so it
+// is durable when BulkLoad returns, like COPY under wal_level=minimal. A
+// crash before that checkpoint recovers the state before the load. If the
+// checkpoint itself fails, the rows stay loaded in memory but are not
+// durable, and the caller should abandon the DB.
+func (db *DB) BulkLoad(rows map[string][][]Value) error {
+	if db.durable() {
+		db.pagedCkptMu.Lock()
+		defer db.pagedCkptMu.Unlock()
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if len(db.snaps) > 0 {
+		return errBulkOpenTxn
+	}
+	if err := db.pagedErr(); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(rows))
+	for name := range rows {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// Inserts only append, so each table's row count before the load is all
+	// the undo log needs; its entries are built only if the load fails.
+	before := make(map[*Table]int, len(names))
+	if err := db.bulkInsertLocked(names, rows, before); err != nil {
+		undo := newUndoLog()
+		for t, n := range before {
+			for rid := n; rid < len(t.rows); rid++ {
+				undo.recordInsert(t, rid)
+			}
+		}
+		undo.rollbackTo(0)
+		return err
+	}
+	if !db.durable() {
 		return nil
 	}
-	var lsn uint64
-	for len(sqls) > 0 {
-		size, n := 0, 0
-		for n < len(sqls) && (n == 0 || size+len(sqls[n]) <= logBulkChunk) {
-			size += len(sqls[n])
-			n++
+	flush, err := db.captureCheckpointLocked()
+	if err != nil {
+		return err
+	}
+	return flush()
+}
+
+// bulkInsertLocked inserts each named table's rows in order, recording in
+// before the row count of every table it reaches. Caller holds the writer
+// lock.
+func (db *DB) bulkInsertLocked(names []string, rows map[string][][]Value, before map[*Table]int) error {
+	for _, name := range names {
+		t := db.tables[strings.ToLower(name)]
+		if t == nil {
+			return fmt.Errorf("relational: no table %q", name)
 		}
-		stmts := make([]wal.Stmt, n)
-		for i, s := range sqls[:n] {
-			stmts[i] = wal.Stmt{SQL: s}
+		if _, seen := before[t]; !seen {
+			before[t] = len(t.rows)
 		}
-		sqls = sqls[n:]
-		var err error
-		func() {
-			db.mu.Lock()
-			defer db.mu.Unlock()
-			// Bulk loads are commits too: each record gets its own stamp so
-			// the recovered stamp counter covers them.
-			db.commitTS++
-			lsn, err = db.wal.Append(stmts, db.commitTS)
-		}()
-		if err != nil {
-			return err
+		for _, row := range rows[name] {
+			if _, err := t.Insert(row); err != nil {
+				return err
+			}
 		}
 	}
-	return db.afterCommit(lsn, nil)
+	return nil
 }
 
 // Close waits for any in-flight auto-checkpoint, flushes the log to stable

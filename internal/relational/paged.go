@@ -822,13 +822,23 @@ func (db *DB) Checkpoint() error {
 	db.pagedCkptMu.Lock()
 	defer db.pagedCkptMu.Unlock()
 	db.mu.Lock()
+	flush, err := db.captureCheckpointLocked()
+	db.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return flush()
+}
+
+// captureCheckpointLocked is a checkpoint's capture phase. It returns the
+// durable phase, which Checkpoint runs after releasing the writer lock and
+// BulkLoad runs before. Caller holds pagedCkptMu and the writer lock.
+func (db *DB) captureCheckpointLocked() (flush func() error, err error) {
 	if len(db.snaps) > 0 || db.sqlTx.Load() != nil {
-		db.mu.Unlock()
-		return errCkptOpenTxn
+		return nil, errCkptOpenTxn
 	}
 	if err := db.pagedErr(); err != nil {
-		db.mu.Unlock()
-		return err
+		return nil, err
 	}
 	// Collapse committed version chains first: with no snapshots open the
 	// vacuum horizon is unbounded, so committed-deleted rows come out of
@@ -837,27 +847,26 @@ func (db *DB) Checkpoint() error {
 	db.vacuumPendingLocked()
 	images, metas, err := db.capturePagedLocked()
 	if err != nil {
-		db.mu.Unlock()
-		return err
+		return nil, err
 	}
 	ddl := make([]string, len(db.ddlHist))
 	for i, e := range db.ddlHist {
 		ddl[i] = e.sql
 	}
 	lsn := db.wal.LastLSN()
-	db.mu.Unlock()
-
-	err = db.writePagedCheckpoint(lsn, ddl, metas, images)
-	db.finishFlush(images, err == nil)
-	if err == nil {
-		// The flush is what makes an over-budget pool shrinkable again
-		// (dirty pages pin themselves in memory); sweep now rather than
-		// waiting for the next admission to notice.
-		db.pool.mu.Lock()
-		db.pool.evictPressureLocked()
-		db.pool.mu.Unlock()
-	}
-	return err
+	return func() error {
+		err := db.writePagedCheckpoint(lsn, ddl, metas, images)
+		db.finishFlush(images, err == nil)
+		if err == nil {
+			// The flush is what makes an over-budget pool shrinkable again
+			// (dirty pages pin themselves in memory); sweep now rather than
+			// waiting for the next admission to notice.
+			db.pool.mu.Lock()
+			db.pool.evictPressureLocked()
+			db.pool.mu.Unlock()
+		}
+		return err
+	}, nil
 }
 
 func (db *DB) testCkptHook(stage string) error {

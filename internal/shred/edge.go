@@ -44,82 +44,58 @@ func LoadEdge(db *relational.DB, doc *xmltree.Document) (int, error) {
 			}
 		}
 	}
-	t := db.Table("Edge")
-	next := int64(1)
-	count := 0
-	var walk func(e *xmltree.Element, parent int64, ord int) error
-	walk = func(e *xmltree.Element, parent int64, ord int) error {
-		id := next
-		next++
-		pid := relational.Null
-		if parent != 0 {
-			pid = relational.Int(parent)
-		}
-		if _, err := t.Insert([]relational.Value{relational.Int(id), pid, relational.Int(int64(ord)), relational.Text(EdgeElem), domText(e.Name), relational.Null}); err != nil {
-			return err
-		}
-		count++
+	var rows [][]relational.Value
+	add := func(parent relational.Value, ord int, kind string, name, value relational.Value) int64 {
+		id := int64(len(rows) + 1)
+		rows = append(rows, []relational.Value{relational.Int(id), parent, relational.Int(int64(ord)), relational.Text(kind), name, value})
+		return id
+	}
+	var walk func(e *xmltree.Element, parent relational.Value, ord int)
+	walk = func(e *xmltree.Element, parent relational.Value, ord int) {
+		id := relational.Int(add(parent, ord, EdgeElem, domText(e.Name), relational.Null))
 		sub := 0
 		for _, a := range e.Attrs() {
-			aid := next
-			next++
-			if _, err := t.Insert([]relational.Value{relational.Int(aid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeAttr), domText(a.Name), domText(a.Value)}); err != nil {
-				return err
-			}
-			count++
+			add(id, sub, EdgeAttr, domText(a.Name), domText(a.Value))
 			sub++
 		}
 		for _, r := range e.Refs() {
 			for _, idv := range r.IDs {
-				rid := next
-				next++
-				if _, err := t.Insert([]relational.Value{relational.Int(rid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeRef), domText(r.Name), domText(idv)}); err != nil {
-					return err
-				}
-				count++
+				add(id, sub, EdgeRef, domText(r.Name), domText(idv))
 				sub++
 			}
 		}
 		for _, c := range e.Children() {
 			switch n := c.(type) {
 			case *xmltree.Text:
-				tid := next
-				next++
-				if _, err := t.Insert([]relational.Value{relational.Int(tid), relational.Int(id), relational.Int(int64(sub)), relational.Text(EdgeText), relational.Text(""), domText(n.Data)}); err != nil {
-					return err
-				}
-				count++
+				add(id, sub, EdgeText, relational.Text(""), domText(n.Data))
 				sub++
 			case *xmltree.Element:
-				if err := walk(n, id, sub); err != nil {
-					return err
-				}
+				walk(n, id, sub)
 				sub++
 			}
 		}
-		return nil
 	}
-	if err := walk(doc.Root, 0, 0); err != nil {
+	walk(doc.Root, relational.Null, 0)
+	if err := db.BulkLoad(map[string][][]relational.Value{"Edge": rows}); err != nil {
 		return 0, err
 	}
-	return count, nil
+	return len(rows), nil
 }
 
 // ReconstructEdge rebuilds the document from the Edge table, restoring full
 // document order (the Edge mapping is the only scheme here that preserves
 // order without the optional pos column).
 func ReconstructEdge(db *relational.DB) (*xmltree.Document, error) {
-	t := db.Table("Edge")
-	if t == nil {
-		return nil, fmt.Errorf("shred: no Edge table")
-	}
 	type edge struct {
 		id, parent, ord int64
 		kind, name      string
 		value           relational.Value
 	}
 	var all []edge
-	_, err := t.Scan(func(_ int, row []relational.Value) bool {
+	// One snapshot: the document read is a committed state.
+	tx := db.Begin()
+	defer tx.Rollback()
+	_, err := tx.QueryEach("SELECT id, parentId, ord, kind, name, value FROM Edge", func(row []relational.Value) error {
 		e := edge{kind: row[3].MustText()}
 		e.id = row[0].MustInt()
 		if v, ok := row[1].Int(); ok {
@@ -133,7 +109,7 @@ func ReconstructEdge(db *relational.DB) (*xmltree.Document, error) {
 		}
 		e.value = row[5]
 		all = append(all, e)
-		return true
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shred: reading table Edge: %w", err)

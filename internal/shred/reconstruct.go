@@ -14,26 +14,25 @@ import (
 // order column, children appear in schema order (inlined children in DTD
 // order, then child-table rows by tuple id); with Options.OrderColumn they
 // appear by stored position, interleaving table children faithfully.
+//
+// Every table is read inside one transaction snapshot, so the document is
+// a committed state even while another transaction has writes in flight,
+// and the reads count in Stats like any other query.
 func Reconstruct(db *relational.DB, m *Mapping) (*xmltree.Document, error) {
-	rootRows, err := tableRows(db, m, m.Root)
-	if err != nil {
-		return nil, err
-	}
-	roots := rootRows[nilKey]
-	if len(roots) != 1 {
-		return nil, fmt.Errorf("shred: expected 1 root tuple, found %d", len(roots))
-	}
+	tx := db.Begin()
+	defer tx.Rollback()
 	// Pre-fetch all tables grouped by parentId.
-	byParent := map[string]map[int64][]storedRow{m.Root: regroup(rootRows)}
+	byParent := make(map[string]map[int64][]storedRow, len(m.TableOrder))
 	for _, elem := range m.TableOrder {
-		if elem == m.Root {
-			continue
-		}
-		rows, err := tableRows(db, m, elem)
+		rows, err := tableRows(tx, m, elem)
 		if err != nil {
 			return nil, err
 		}
-		byParent[elem] = regroup(rows)
+		byParent[elem] = rows
+	}
+	roots := byParent[m.Root][nilKey]
+	if len(roots) != 1 {
+		return nil, fmt.Errorf("shred: expected 1 root tuple, found %d", len(roots))
 	}
 	root, err := m.buildElement(m.Root, roots[0], byParent)
 	if err != nil {
@@ -54,35 +53,38 @@ type storedRow struct {
 const nilKey = int64(-1)
 
 // tableRows loads an entire table grouped by parentId (nilKey for NULL).
-func tableRows(db *relational.DB, m *Mapping, elem string) (map[int64][]storedRow, error) {
+func tableRows(tx *relational.Tx, m *Mapping, elem string) (map[int64][]storedRow, error) {
 	tm := m.Tables[elem]
-	t := db.Table(tm.Name)
-	if t == nil {
-		return nil, fmt.Errorf("shred: table %s missing", tm.Name)
+	cols := []string{"id", "parentId"}
+	if m.Opts.OrderColumn {
+		cols = append(cols, "pos")
+	}
+	first := len(cols) // position of the first mapped column in a result row
+	keys := make([]string, len(tm.Columns))
+	for i, c := range tm.Columns {
+		cols = append(cols, c.Name)
+		keys[i] = strings.ToLower(c.Name)
 	}
 	out := make(map[int64][]storedRow)
-	idIdx := t.Schema.ColumnIndex("id")
-	pidIdx := t.Schema.ColumnIndex("parentId")
-	posIdx := t.Schema.ColumnIndex("pos")
-	_, err := t.Scan(func(_ int, row []relational.Value) bool {
-		sr := storedRow{vals: make(map[string]relational.Value, len(row))}
-		for i, c := range t.Schema.Columns {
-			sr.vals[strings.ToLower(c.Name)] = row[i]
+	_, err := tx.QueryEach("SELECT "+strings.Join(cols, ", ")+" FROM "+tm.Name, func(row []relational.Value) error {
+		sr := storedRow{vals: make(map[string]relational.Value, len(keys))}
+		for i, k := range keys {
+			sr.vals[k] = row[first+i]
 		}
-		if v, ok := row[idIdx].Int(); ok {
+		if v, ok := row[0].Int(); ok {
 			sr.id = v
 		}
-		if posIdx >= 0 {
-			if v, ok := row[posIdx].Int(); ok {
+		if m.Opts.OrderColumn {
+			if v, ok := row[2].Int(); ok {
 				sr.pos = v
 			}
 		}
 		key := nilKey
-		if v, ok := row[pidIdx].Int(); ok {
+		if v, ok := row[1].Int(); ok {
 			key = v
 		}
 		out[key] = append(out[key], sr)
-		return true
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shred: reading table %s: %w", tm.Name, err)
@@ -98,8 +100,6 @@ func tableRows(db *relational.DB, m *Mapping, elem string) (map[int64][]storedRo
 	}
 	return out, nil
 }
-
-func regroup(rows map[int64][]storedRow) map[int64][]storedRow { return rows }
 
 func (m *Mapping) buildElement(elem string, row storedRow, byParent map[string]map[int64][]storedRow) (*xmltree.Element, error) {
 	tm := m.Tables[elem]
@@ -181,21 +181,18 @@ func (m *Mapping) applyInlined(tm *TableMap, e *xmltree.Element, path []string, 
 // non-NULL.
 func (m *Mapping) pathPresent(tm *TableMap, path []string, row storedRow) bool {
 	prefix := strings.Join(path, "/")
-	found := false
 	for _, c := range tm.Columns {
 		p := strings.Join(c.Path, "/")
 		if p != prefix && !strings.HasPrefix(p, prefix+"/") {
 			continue
 		}
-		found = true
 		if !row.vals[strings.ToLower(c.Name)].IsNull() {
 			return true
 		}
 	}
-	// The path belongs to this table but every column is NULL → absent.
-	// A path with no columns at all (pure structural element that has
-	// table children only) cannot be inlined, so found=false means absent.
-	_ = found
+	// Every column under the path is NULL, or the path has none (a pure
+	// structural element with table children only cannot be inlined): the
+	// element is absent.
 	return false
 }
 

@@ -349,7 +349,8 @@ func (l *Log) Append(stmts []Stmt, stamp uint64) (uint64, error) {
 	if len(payload) > maxFrameSize {
 		// readFrame treats anything larger as corruption at recovery, so
 		// writing it would silently destroy the log tail on the next open.
-		// Callers with bulk payloads split them (relational.LogBulk chunks).
+		// Bulk loads never reach the log (relational.BulkLoad checkpoints
+		// instead), so only a single enormous statement can get here.
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame limit", len(payload), maxFrameSize)
 	}
 	fr := frame(payload)
