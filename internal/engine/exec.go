@@ -105,11 +105,9 @@ func (s *Store) QuerySubtrees(stmt *xquery.Statement) ([]*xmltree.Element, error
 	if len(target.Inlined) > 0 || target.Attr != "" {
 		return nil, fmt.Errorf("engine: RETURN variable must bind a table element")
 	}
-	where := target.Where
-	if where != "" {
-		where = qualifyOuterUnion(where)
-	}
-	subs, err := outerunion.Query(s.DB, s.M, target.Elem, where)
+	// The condition's bare column names resolve against the outer union's
+	// base query, whose only source is the target table.
+	subs, err := outerunion.Query(s.DB, s.M, target.Elem, target.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -118,17 +116,6 @@ func (s *Store) QuerySubtrees(stmt *xquery.Statement) ([]*xmltree.Element, error
 		out[i] = st.Root
 	}
 	return out, nil
-}
-
-// qualifyOuterUnion prefixes bare column references in a generated condition
-// with the outer union's target alias T. Conditions produced by the
-// translator reference only the target table's columns and id.
-func qualifyOuterUnion(cond string) string {
-	// The generated conditions use unqualified identifiers; the outer union
-	// base query aliases the target table as T, and our SQL resolves
-	// unqualified names against it unambiguously, so no rewriting is
-	// needed. The hook exists for clarity.
-	return cond
 }
 
 // sqlEnv resolves statement variables to relational path targets.

@@ -22,6 +22,7 @@ import (
 	"repro/internal/relational"
 	"repro/internal/shred"
 	"repro/internal/xmltree"
+	"repro/internal/xquery"
 )
 
 // figInput is one row of the law table: a document and the element whose
@@ -480,6 +481,94 @@ func TestTable2Shape(t *testing.T) {
 	table, tuple := ins[tableIns][0].st, ins[tupleIns][0].st
 	if table.Statements >= tuple.Statements {
 		t.Errorf("table2 insert statements: table %d, tuple %d; want table < tuple", table.Statements, tuple.Statements)
+	}
+}
+
+// pointShape is one statement shape of the point workload (the benchmark's
+// pointMix), written against the publication keyed key in the conference
+// named conf. read marks a RETURN query.
+type pointShape struct {
+	name, text string
+	read       bool
+}
+
+// pointShapes lists every pointMix statement shape, in an order that leaves
+// the document as it found it: the publication is inserted, updated, read
+// and deleted again.
+func pointShapes(conf, key string) []pointShape {
+	confPath := `document("dblp.xml")/dblp/conference[name="` + conf + `"]`
+	pubPath := `document("dblp.xml")/dblp/conference/publication[@key="` + key + `"]`
+	return []pointShape{
+		{name: "insert pub", text: `FOR $c IN ` + confPath + ` UPDATE $c { INSERT <publication key="` + key +
+			`" year="1999"><title>Point law</title><pages>1-9</pages><author>Author A</author><author>Author B</author><author>Author C</author></publication> }`},
+		{name: "replace title", text: `FOR $p IN ` + pubPath + `, $t IN $p/title UPDATE $p { REPLACE $t WITH <title>Point law, revised</title> }`},
+		{name: "insert author", text: `FOR $p IN ` + pubPath + ` UPDATE $p { INSERT <author>Author D</author> }`},
+		{name: "delete year", text: `FOR $p IN ` + pubPath + `, $y IN $p/@year UPDATE $p { DELETE $y }`},
+		{name: "insert year", text: `FOR $p IN ` + pubPath + ` UPDATE $p { INSERT new_attribute(year, "2001") }`},
+		{name: "read pub", text: `FOR $p IN ` + pubPath + ` RETURN $p`, read: true},
+		{name: "read conf", text: `FOR $c IN ` + confPath + ` RETURN $c`, read: true},
+		{name: "delete pub", text: `FOR $c IN ` + confPath + `, $p IN $c/publication[@key="` + key + `"] UPDATE $c { DELETE $p }`},
+	}
+}
+
+// runPointShape executes one shape and returns the Stats it cost.
+func runPointShape(t *testing.T, s *Store, sh pointShape) relational.Stats {
+	t.Helper()
+	stmt, err := xquery.Parse(sh.text)
+	if err != nil {
+		t.Fatalf("%s: %v", sh.name, err)
+	}
+	s.DB.ResetStats()
+	if sh.read {
+		subs, err := s.QuerySubtrees(stmt)
+		if err != nil || len(subs) != 1 {
+			t.Fatalf("%s: %d subtrees, err %v", sh.name, len(subs), err)
+		}
+	} else if n, err := s.Exec(stmt); err != nil || n != 1 {
+		t.Fatalf("%s: %d targets, err %v", sh.name, n, err)
+	}
+	return s.DB.Stats()
+}
+
+// TestPointUpdateScaling — a point statement costs a function of the change,
+// not of the database ("Answering FO+MOD queries under updates"). Every
+// pointMix shape runs against a publication it inserts into the first
+// conference, which the generator draws identically whatever the number of
+// conferences,
+// at 160, 2,400 and 24,000 publications. Its binding SELECT probes the
+// value index its `[@key=…]` or `[name=…]` equality derived, and its
+// `WHERE id IN (…)` writes probe the id index, so statements issued and
+// rows scanned are the same at every size. The reads are point reads too:
+// read-conf reads its conference's subtree, which is the same subtree at
+// every size. A warm-up pass creates the derived indexes before the
+// measured pass.
+func TestPointUpdateScaling(t *testing.T) {
+	var first map[string]relational.Stats
+	for _, confs := range []int{4, 60, 600} {
+		doc := datagen.DBLP(datagen.DBLPParams{Conferences: confs, PubsPerConf: 40, Seed: 7})
+		s, err := Open(doc, Options{OrderColumn: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range pointShapes("Conf-000", "law/warm") {
+			runPointShape(t, s, sh)
+		}
+		got := make(map[string]relational.Stats)
+		for _, sh := range pointShapes("Conf-000", "law/point") {
+			got[sh.name] = runPointShape(t, s, sh)
+			st := got[sh.name]
+			t.Logf("point %-13s pubs=%-5d statements=%-3d rows_scanned=%-4d index_probes=%-3d full_scans=%d",
+				sh.name, s.DB.RowCount(s.M.Table("publication").Name), st.Statements, st.RowsScanned, st.IndexProbes, st.FullScans)
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		for name, st := range got {
+			label := fmt.Sprintf("point %s at %d conferences", name, confs)
+			expect(t, label+" statements", st.Statements, int(first[name].Statements))
+			expect(t, label+" rows scanned", st.RowsScanned, int(first[name].RowsScanned))
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/asr"
 	"repro/internal/relational"
@@ -120,6 +121,12 @@ type Store struct {
 	// metadata table inside the same transaction, so gapless allocation
 	// survives restarts exactly as it survives rollbacks.
 	persistent bool
+
+	// indexed holds the "table.column" keys (lower case) whose value index
+	// a translated equality has claimed (valueIndex). A sync.Map, because
+	// readers translate statements concurrently with the updater and each
+	// key is written once, then only read.
+	indexed sync.Map
 }
 
 // sql returns the session statements execute against: the transaction

@@ -209,14 +209,18 @@ func literalSQL(e xpath.Expr) (string, error) {
 }
 
 // pathCondition builds the SQL condition for `relpath op literal` (or bare
-// existence when op == "") evaluated at (elem, inlined).
+// existence when op == "") evaluated at (elem, inlined). Every comparison a
+// statement makes — from a path predicate or from WHERE — is translated
+// here, so this is the one place that derives value indexes: an equality
+// with a literal (`[@key="x"]`, `$c/name = "x"`) gets a hash index on the
+// compared column the first time it is translated (valueIndex). The
+// predicate syntax is the selectivity signal; no column list is configured.
 func (s *Store) pathCondition(elem string, inlined []string, rel *xpath.Path, op, lit string) (string, error) {
 	// Walk the relative path: attribute step or element steps, which may
 	// stay inlined or cross into a child table.
 	curInlined := append([]string(nil), inlined...)
 	curElem := elem
 	crossed := false
-	var childCond string
 	for si, st := range rel.Steps {
 		switch st.Kind {
 		case xpath.AttrStep:
@@ -227,8 +231,7 @@ func (s *Store) pathCondition(elem string, inlined []string, rel *xpath.Path, op
 			if c == nil {
 				return "", fmt.Errorf("engine: no column for @%s at %s/%s", st.Name, curElem, strings.Join(curInlined, "/"))
 			}
-			cond := columnCondition(c.Name, op, lit)
-			return s.wrapChild(elem, curElem, cond, crossed, childCond)
+			return s.compareColumn(curElem, c.Name, op, lit, crossed), nil
 		case xpath.ChildStep:
 			if len(st.Preds) > 0 {
 				return "", fmt.Errorf("engine: nested predicates in predicate paths are not supported")
@@ -252,7 +255,7 @@ func (s *Store) pathCondition(elem string, inlined []string, rel *xpath.Path, op
 		// Perhaps the element has no text but a flag (existence check).
 		if op == "" {
 			if f := s.M.FlagColumnFor(curElem, curInlined); f != nil {
-				return s.wrapChild(elem, curElem, f.Name+" IS NOT NULL", crossed, childCond)
+				return s.wrapChild(curElem, f.Name+" IS NOT NULL", crossed), nil
 			}
 			// A child-table existence check.
 			if crossed || s.isChildTable(curElem, "") {
@@ -261,25 +264,53 @@ func (s *Store) pathCondition(elem string, inlined []string, rel *xpath.Path, op
 		}
 		return "", fmt.Errorf("engine: no text column at %s/%s", curElem, strings.Join(curInlined, "/"))
 	}
-	cond := columnCondition(c.Name, op, lit)
-	return s.wrapChild(elem, curElem, cond, crossed, childCond)
+	return s.compareColumn(curElem, c.Name, op, lit, crossed), nil
+}
+
+// compareColumn renders `col op lit` (existence when op == "") on condElem's
+// table, wrapped for the outer table when the path crossed into a child
+// table. An equality first derives the column's value index.
+func (s *Store) compareColumn(condElem, col, op, lit string, crossed bool) string {
+	if op == "" {
+		return s.wrapChild(condElem, col+" IS NOT NULL", crossed)
+	}
+	if op == "=" {
+		s.valueIndex(s.M.Table(condElem).Name, col)
+	}
+	return s.wrapChild(condElem, fmt.Sprintf("%s %s %s", col, op, lit), crossed)
+}
+
+// valueIndex gives table.col a hash index the first time a translated
+// equality compares it with a literal, so the statement's binding SELECT
+// and its `WHERE id IN (…)` writes probe instead of scanning. The index is
+// ordinary DDL issued in its own autocommit statement: logged, carried by
+// checkpoints, and never rolled back with the update that asked for it.
+// Readers translate concurrently with the updater; the first translation
+// to claim the column in s.indexed issues the statement — through s.DB,
+// never the updater's session — so a column is indexed exactly once per
+// Store. Translations racing it do not wait: their statements plan against
+// whatever indexes exist when they run, which changes cost, not answers.
+// After a reopen the first claim re-issues the statement, which the DB
+// skips as a no-op. A failed CREATE INDEX drops the claim so a later
+// translation retries; the comparison itself still runs, by scan, and a DB
+// too broken to index reports that on the statement itself.
+func (s *Store) valueIndex(table, col string) {
+	key := strings.ToLower(table + "." + col)
+	if _, claimed := s.indexed.LoadOrStore(key, true); claimed {
+		return
+	}
+	if _, err := s.DB.Exec(fmt.Sprintf("CREATE INDEX vidx_%s_%s ON %s (%s)", table, col, table, col)); err != nil {
+		s.indexed.Delete(key)
+	}
 }
 
 // wrapChild rewrites a condition evaluated on a child table into a condition
 // on the outer table: id IN (SELECT parentId FROM Child WHERE …).
-func (s *Store) wrapChild(outerElem, condElem, cond string, crossed bool, _ string) (string, error) {
+func (s *Store) wrapChild(condElem, cond string, crossed bool) string {
 	if !crossed {
-		return cond, nil
+		return cond
 	}
-	ctm := s.M.Table(condElem)
-	return fmt.Sprintf("id IN (SELECT parentId FROM %s WHERE %s)", ctm.Name, cond), nil
-}
-
-func columnCondition(col, op, lit string) string {
-	if op == "" {
-		return col + " IS NOT NULL"
-	}
-	return fmt.Sprintf("%s %s %s", col, op, lit)
+	return fmt.Sprintf("id IN (SELECT parentId FROM %s WHERE %s)", s.M.Table(condElem).Name, cond)
 }
 
 // columnFor resolves a pathTarget to its column map when it names an inlined

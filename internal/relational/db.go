@@ -432,6 +432,9 @@ func (db *DB) execAutocommitLocked(sql string, qt *QueryTrace) (n int, lsn uint6
 // released and reacquired while waiting behind an explicit transaction's
 // write intent.
 func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value, qt *QueryTrace, an *analyzeRun) (int, uint64, error) {
+	if db.isNoopLocked(stmt) {
+		return 0, 0, nil
+	}
 	log := newUndoLog()
 	for {
 		env := newEnv(nil)
@@ -802,14 +805,15 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 		if t == nil {
 			return 0, fmt.Errorf("relational: no table %q", s.Table)
 		}
-		// New indexes change the preferred join order; bump so plans
+		// Both statement paths (runAutocommit, Tx.execStmtSpan) skip a
+		// CREATE INDEX of an existing index (isNoopLocked), so this one is
+		// new. New indexes change the preferred join order; bump so plans
 		// reorder on next use.
 		db.schemaVer++
 		if s.Ordered || len(s.Columns) > 1 {
 			key := orderedKeyName(s.Columns)
-			existed := t.ordered[key] != nil
 			err := t.CreateOrderedIndex(s.Columns...)
-			if err == nil && !existed && db.undo != nil {
+			if err == nil && db.undo != nil {
 				db.undo.recordDDL(func() {
 					delete(t.ordered, key)
 					t.refreshOrderedList()
@@ -820,9 +824,8 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 			return 0, err
 		}
 		key := strings.ToLower(s.Columns[0])
-		existed := t.index[key] != nil
 		err := t.CreateIndex(s.Columns[0])
-		if err == nil && !existed && db.undo != nil {
+		if err == nil && db.undo != nil {
 			db.undo.recordDDL(func() {
 				delete(t.index, key)
 				t.indexEpoch++
@@ -889,6 +892,26 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 	default:
 		return 0, fmt.Errorf("relational: unsupported statement %T", stmt)
 	}
+}
+
+// isNoopLocked reports whether stmt is a CREATE INDEX naming an index its
+// table already has. Such a statement changes nothing, so it is not
+// executed: it bumps no schema version (cached plans stay valid), writes no
+// log record and adds no schema-history entry. Caller holds the writer
+// lock.
+func (db *DB) isNoopLocked(stmt Stmt) bool {
+	s, ok := stmt.(*CreateIndexStmt)
+	if !ok {
+		return false
+	}
+	t := db.tables[strings.ToLower(s.Table)]
+	if t == nil {
+		return false
+	}
+	if s.Ordered || len(s.Columns) > 1 {
+		return t.ordered[orderedKeyName(s.Columns)] != nil
+	}
+	return t.index[strings.ToLower(s.Columns[0])] != nil
 }
 
 // removeTrigger unlinks tr from its table's firing list, returning the

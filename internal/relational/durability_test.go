@@ -356,6 +356,74 @@ func TestDDLRecoveryAndTempTableCompaction(t *testing.T) {
 	}
 }
 
+// TestRepeatedCreateIndexIsFree: a CREATE INDEX naming an existing index
+// changes nothing. It bumps no schema version, so cached plans stay valid;
+// it appends no log record; and it adds no schema-history entry. A store
+// that re-requests its indexes after every reopen therefore keeps one
+// history entry per index, however often it reopens.
+func TestRepeatedCreateIndexIsFree(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpenDB(t, dir, noAutoCkpt())
+	db.MustExec("CREATE TABLE t (id INTEGER, k VARCHAR(32), v INTEGER)")
+	for i := 0; i < 10; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'k%d', 0)", i, i))
+	}
+	db.MustExec("CREATE INDEX ik ON t (k)")
+	const point = "SELECT v FROM t WHERE k = 'k3'"
+	for round := 0; round < 3; round++ {
+		db.Close()
+		db = mustOpenDB(t, dir, noAutoCkpt())
+		// Compile the statement's plan before the repeated CREATE INDEX.
+		if _, err := db.Query(point); err != nil {
+			t.Fatal(err)
+		}
+		ver, logged := db.schemaVer, db.wal.SizeSinceCheckpoint()
+		db.MustExec("CREATE INDEX ik ON t (k)")
+		if db.schemaVer != ver || db.wal.SizeSinceCheckpoint() != logged {
+			t.Errorf("round %d: repeated CREATE INDEX moved the schema version %d→%d or the log %d→%d bytes",
+				round, ver, db.schemaVer, logged, db.wal.SizeSinceCheckpoint())
+		}
+		plan := cachedPlan(t, db, point)
+		hits := db.Stats().PlanCacheHits
+		if _, err := db.Query(point); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Stats().PlanCacheHits; got != hits+1 {
+			t.Errorf("round %d: plan cache hits %d after a repeated CREATE INDEX, want %d", round, got, hits+1)
+		}
+		if cachedPlan(t, db, point) != plan {
+			t.Errorf("round %d: a repeated CREATE INDEX made the cached statement re-plan", round)
+		}
+		db.MustExec(fmt.Sprintf("UPDATE t SET v = %d WHERE k = 'k3'", round+1))
+		if round == 1 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := 0
+		for _, h := range db.ddlHist {
+			if h.note.kind == ddlCreateIndex {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("round %d: schema history holds %d CREATE INDEX entries, want 1", round, n)
+		}
+	}
+	db.Close()
+}
+
+// cachedPlan returns the compiled plan riding on the shape-cached AST of a
+// single-body SELECT.
+func cachedPlan(t *testing.T, db *DB, sql string) *simplePlan {
+	t.Helper()
+	stmt, _, _, err := db.prepared(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt.(*SelectStmt).Body[0].plan
+}
+
 // TestGroupCommitConcurrentReadersWriters is the PR 3 concurrency stress
 // with durability on: writers commit under the group-commit window while
 // readers stream under the shared lock. Run with -race; afterwards the log

@@ -143,10 +143,11 @@ func (db *DB) execUpdate(s *UpdateStmt, env *execEnv) (int, error) {
 }
 
 // matchRows returns rowids of t satisfying where, in ascending order. The
-// access path — hash probe, B+tree range scan, or full scan — is chosen by
-// the same chooseAccessPlan the SELECT pipeline uses; the plan is compiled
-// into the statement node. The loop itself is direct rather than an
-// iterator chain: trigger bodies run it once per firing, so it stays lean.
+// access path — hash probe, IN-list probe, B+tree range scan, or full scan —
+// is chosen by the same chooseAccessPlan the SELECT pipeline uses; the plan
+// is compiled into the statement node. The loop itself is direct rather
+// than an iterator chain: trigger bodies run it once per firing, so it
+// stays lean.
 func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr, env *execEnv) (rids []int, err error) {
 	lp := db.matchPlanFor(planSlot, name, t, where)
 	ev := newEval(db, env)
@@ -178,6 +179,7 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 		}()
 	}
 	ap := chooseAccessPlan(lp, bind.srcs[0], 0, nil, true)
+	var bucket []int
 	switch ap.kind {
 	case accessIndexProbe:
 		ctr.indexProbes++
@@ -185,31 +187,23 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 		if err != nil {
 			return nil, err
 		}
-		for _, rid := range ap.idx.probe(v) {
-			row := t.visibleRow(rid, env.snap)
-			if row == nil {
-				continue
-			}
-			ctr.rowsScanned++
-			keep, err := check(row)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				rids = append(rids, rid)
-			}
+		bucket = ap.idx.probe(v)
+	case accessInProbe:
+		if bucket, err = inBucketFor(&ctr, ev, &ap, bind, nil); err != nil {
+			return nil, err
 		}
-		sort.Ints(rids)
-		return rids, nil
 	case accessOrderedProbe, accessRangeScan:
 		// Walk the B+tree window; bound expressions are constants or OLD
 		// references here (single-table DML), evaluated once.
-		bucket, err := orderedBucketFor(&ctr, ev, &ap, t, bind, env.snap, nil)
-		if err != nil {
+		if bucket, err = orderedBucketFor(&ctr, ev, &ap, t, bind, env.snap, nil); err != nil {
 			return nil, err
 		}
-		for _, rid := range bucket {
-			row := t.visibleRow(rid, env.snap)
+	default:
+		ctr.fullScans++
+		var c rowCursor
+		defer c.release()
+		for rid := range t.rows {
+			row := c.visibleAt(t, rid, env.snap)
 			if row == nil {
 				continue
 			}
@@ -222,14 +216,10 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 				rids = append(rids, rid)
 			}
 		}
-		sort.Ints(rids)
 		return rids, nil
 	}
-	ctr.fullScans++
-	var c rowCursor
-	defer c.release()
-	for rid := range t.rows {
-		row := c.visibleAt(t, rid, env.snap)
+	for _, rid := range bucket {
+		row := t.visibleRow(rid, env.snap)
 		if row == nil {
 			continue
 		}
@@ -242,6 +232,7 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 			rids = append(rids, rid)
 		}
 	}
+	sort.Ints(rids)
 	return rids, nil
 }
 

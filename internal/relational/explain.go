@@ -206,6 +206,8 @@ func levelLine(lp levelPlan, src *source, ap accessPlan) string {
 	switch ap.kind {
 	case accessIndexProbe:
 		line = fmt.Sprintf("IndexProbe %s (%s = %s)", label, ap.probe.col, exprString(ap.probe.expr))
+	case accessInProbe:
+		line = fmt.Sprintf("InProbe %s (%s)", label, exprString(ap.in.cond))
 	case accessHashJoin:
 		line = fmt.Sprintf("HashJoin %s (%s = %s)", label, ap.probe.col, exprString(ap.probe.expr))
 	case accessOrderedProbe:

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,6 +31,9 @@ const (
 	// accessSortedProbe probes a hash index and sorts each (small) bucket
 	// by the wanted columns — order without maintaining a B+tree for it.
 	accessSortedProbe
+	// accessInProbe probes a hash index once per constant of an IN-list and
+	// enumerates the union of the buckets in rowid order.
+	accessInProbe
 )
 
 // bindIter advances a shared binding through successive join tuples.
@@ -214,6 +218,13 @@ func (li *levelIter) startInner() error {
 		}
 		li.bucket = bucket
 		li.bucketPos = 0
+	case accessInProbe:
+		bucket, err := inBucketFor(&li.ctr, li.ev, &li.ap, li.bind, li.bucket[:0])
+		if err != nil {
+			return err
+		}
+		li.bucket = bucket
+		li.bucketPos = 0
 	case accessSortedProbe:
 		li.ctr.indexProbes++
 		v, err := li.ev.eval(li.ap.probe.expr, li.bind)
@@ -328,6 +339,29 @@ func orderedBucketFor(ctr *levelCounters, ev *exprEval, ap *accessPlan, t *Table
 	return ap.oidx.scanRangeVis(prefix, lo, hi, ap.desc, buf, t.visKeep(ap.oidx, sn)), nil
 }
 
+// inBucketFor probes an InProbe path's hash index once per non-NULL list
+// item (a NULL item matches nothing) and returns the union of the buckets
+// sorted by rowid, each rowid once: a duplicate item, two items sharing a
+// joinKey, or a versioned row indexed under an old and a new key all yield
+// the row a single time, in the order the heap scan would visit it. The
+// caller re-checks the IN conjunct against the visible row. Like
+// orderedBucketFor it is a free function so the DML path can share it.
+func inBucketFor(ctr *levelCounters, ev *exprEval, ap *accessPlan, bind *binding, buf []int) ([]int, error) {
+	for _, item := range ap.in.items {
+		v, err := ev.eval(item, bind)
+		if err != nil {
+			return nil, err
+		}
+		if v.IsNull() {
+			continue
+		}
+		ctr.indexProbes++
+		buf = append(buf, ap.idx.probe(v)...)
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf), nil
+}
+
 // buildHash drains the level's source once into a transient hash table on
 // the probe column. Keys are joinKey-normalized Values, so hash equality
 // matches SQL equality across the int/string comparison the engine supports
@@ -374,7 +408,7 @@ func (li *levelIter) advanceInner() (bool, error) {
 	for {
 		var row []Value
 		switch li.ap.kind {
-		case accessIndexProbe, accessHashJoin, accessOrderedProbe, accessRangeScan, accessOrderedScan, accessSortedProbe:
+		case accessIndexProbe, accessHashJoin, accessOrderedProbe, accessRangeScan, accessOrderedScan, accessSortedProbe, accessInProbe:
 			if li.bucketPos >= len(li.bucket) {
 				return false, nil
 			}

@@ -34,9 +34,11 @@ type wantTerm struct {
 type accessPlan struct {
 	kind accessKind
 
-	// hash access (accessIndexProbe, accessHashJoin)
+	// hash access (accessIndexProbe, accessHashJoin; accessInProbe probes
+	// idx once per item of in)
 	probe probeCand
 	idx   *hashIndex
+	in    inCand
 
 	// ordered access (accessOrderedProbe, accessRangeScan, accessOrderedScan)
 	oidx     *orderedIndex
@@ -308,10 +310,11 @@ func singleRowLevel(lp levelPlan, src *source) bool {
 // database. Candidate order: an ordered index serving both an equality
 // prefix and a range bound (the tightest window), an ordered index whose
 // remaining key columns continue the wanted order (sort elision), a hash
-// probe, an ordered index serving plain equality, a transient hash join, a
-// bounded range walk, a full ordered walk that buys the wanted order, and
-// finally the heap scan. wantEnds reports that upcoming reaches the end of
-// the wanted keys (see planPhysical).
+// probe, an ordered index serving plain equality, an IN-list of constants
+// on a hash-indexed column (one probe per item, InProbe), a transient hash
+// join, a bounded range walk, a full ordered walk that buys the wanted
+// order, and finally the heap scan. wantEnds reports that upcoming reaches
+// the end of the wanted keys (see planPhysical).
 func chooseAccessPlan(lp levelPlan, src *source, pos int, upcoming []wantTerm, wantEnds bool) accessPlan {
 	t := src.table
 	if t == nil {
@@ -364,8 +367,8 @@ func chooseAccessPlan(lp levelPlan, src *source, pos int, upcoming []wantTerm, w
 
 	// Fast path: with no range conjuncts and no wanted order, the decision
 	// reduces to the PR 1 ladder (hash probe, equality via an ordered
-	// index, hash join, scan) — skip option enumeration entirely. Trigger
-	// bodies and orderless queries hit this per execution.
+	// index, IN-list probe, hash join, scan) — skip option enumeration
+	// entirely. Trigger bodies and orderless queries hit this per execution.
 	if len(lp.ranges) == 0 && len(upcoming) == 0 {
 		for _, c := range lp.cands {
 			if idx := t.lookupIndex(c.col); idx != nil {
@@ -380,6 +383,9 @@ func chooseAccessPlan(lp levelPlan, src *source, pos int, upcoming []wantTerm, w
 					return accessPlan{kind: accessOrderedProbe, oidx: oidx, eqPrefix: lp.cands[i : i+1 : i+1]}
 				}
 			}
+		}
+		if ap, ok := inProbePlan(lp, t); ok {
+			return ap
 		}
 		if pos > 0 {
 			for _, c := range lp.cands {
@@ -510,7 +516,11 @@ func chooseAccessPlan(lp levelPlan, src *source, pos int, upcoming []wantTerm, w
 	if o := pick(func(o option) bool { return len(o.eq) > 0 }); o != nil {
 		return mk(o, accessOrderedProbe)
 	}
-	// 6. Correlated equality with no index: transient hash join.
+	// 6. IN-list of constants on a hash-indexed column: k bucket probes.
+	if ap, ok := inProbePlan(lp, t); ok {
+		return ap
+	}
+	// 7. Correlated equality with no index: transient hash join.
 	if pos > 0 {
 		for _, c := range lp.cands {
 			if c.correlated {
@@ -518,15 +528,27 @@ func chooseAccessPlan(lp levelPlan, src *source, pos int, upcoming []wantTerm, w
 			}
 		}
 	}
-	// 7. Bounded range walk with no equality prefix.
+	// 8. Bounded range walk with no equality prefix.
 	if o := pick(func(o option) bool { return o.lo != nil || o.hi != nil }); o != nil {
 		return mk(o, accessRangeScan)
 	}
-	// 8. Full ordered walk, only when it buys the wanted order.
+	// 9. Full ordered walk, only when it buys the wanted order.
 	if o := pick(func(o option) bool { return o.gain > 0 }); o != nil {
 		return mk(o, accessOrderedScan)
 	}
 	return accessPlan{kind: accessScan}
+}
+
+// inProbePlan returns the InProbe path for the level's first IN-list
+// candidate whose column has a hash index. The probe yields rowids in
+// ascending order — the heap scan's order — and contributes no sort order.
+func inProbePlan(lp levelPlan, t *Table) (accessPlan, bool) {
+	for _, c := range lp.ins {
+		if idx := t.lookupIndex(c.col); idx != nil {
+			return accessPlan{kind: accessInProbe, in: c, idx: idx}, true
+		}
+	}
+	return accessPlan{}, false
 }
 
 // ---- desired-order propagation into CTEs ----

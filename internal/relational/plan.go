@@ -42,6 +42,16 @@ type rangeCand struct {
 	expr Expr
 }
 
+// inCand is a conjunct `col IN (c1, …, ck)` whose items are all constants
+// (literals or parameters), usable as a multi-key hash probe: one bucket per
+// item, unioned. cond is the conjunct itself, which stays gated and is
+// re-checked per row.
+type inCand struct {
+	col   string
+	items []Expr
+	cond  Expr
+}
+
 // flipOp mirrors a comparison across its operands (`5 <= pos` → `pos >= 5`).
 func flipOp(op string) string {
 	switch op {
@@ -66,6 +76,7 @@ type levelPlan struct {
 	conds     []Expr
 	cands     []probeCand
 	ranges    []rangeCand
+	ins       []inCand
 	schemaVer int64
 }
 
@@ -158,6 +169,10 @@ func planSimple(s *SimpleSelect, srcs []*source) *simplePlan {
 			}
 			if rc, ok := rangeCandidate(c, slot, srcs, posOf, lvl); ok {
 				plan.levels[lvl].ranges = append(plan.levels[lvl].ranges, rc)
+				continue
+			}
+			if ic, ok := inCandidate(c, slot, srcs); ok {
+				plan.levels[lvl].ins = append(plan.levels[lvl].ins, ic)
 			}
 		}
 	}
@@ -199,6 +214,10 @@ func planMatch(name string, t *Table, where Expr) levelPlan {
 		}
 		if rc, ok := rangeCandidate(c, 0, srcs, posOf, 0); ok {
 			lp.ranges = append(lp.ranges, rc)
+			continue
+		}
+		if ic, ok := inCandidate(c, 0, srcs); ok {
+			lp.ins = append(lp.ins, ic)
 		}
 	}
 	return lp
@@ -329,6 +348,28 @@ func rangeCandidate(c Expr, slot int, srcs []*source, posOf []int, lvl int) (ran
 		return rc, true
 	}
 	return try(b.R, b.L, flipOp(b.Op))
+}
+
+// inCandidate checks whether conjunct c is `slot.col IN (c1, …, ck)` with
+// every item a literal or parameter. NOT IN and IN (subquery) are not
+// candidates: neither names the keys to probe.
+func inCandidate(c Expr, slot int, srcs []*source) (inCand, bool) {
+	in, ok := c.(*InExpr)
+	if !ok || in.Negate || in.Select != nil || len(in.List) == 0 {
+		return inCand{}, false
+	}
+	cr, ok := in.X.(*ColumnRef)
+	if !ok || resolveSlot(cr, srcs) != slot {
+		return inCand{}, false
+	}
+	for _, item := range in.List {
+		switch item.(type) {
+		case *Literal, *Param:
+		default:
+			return inCand{}, false
+		}
+	}
+	return inCand{col: cr.Name, items: in.List, cond: c}, true
 }
 
 // orderSources greedily orders the FROM slots: the most syntactically

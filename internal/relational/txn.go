@@ -439,6 +439,9 @@ func (tx *Tx) execStmtSpan(stmt Stmt, args []Value, src string, logArgs []Value,
 	if qt != nil {
 		qt.LockWait = time.Since(lockStart)
 	}
+	if db.isNoopLocked(stmt) {
+		return 0, nil
+	}
 	var execStart time.Time
 	if qt != nil {
 		execStart = time.Now()
