@@ -72,6 +72,12 @@ func runData(dataDir, docPath, dtdPath string, dump, reconstruct, edge, order bo
 		fmt.Println(sql + ";")
 	}
 	fmt.Printf("-- %d tuples stored, next id %d --\n", s.TupleCount(), s.NextID())
+	return report(s, dump, reconstruct)
+}
+
+// report prints each table's row count, then optionally every table's
+// contents and the document rebuilt through Store.Reconstruct.
+func report(s *engine.Store, dump, reconstruct bool) error {
 	for _, elem := range s.M.TableOrder {
 		tm := s.M.Table(elem)
 		fmt.Printf("%-24s %6d rows (element <%s>, parent %q)\n",
@@ -85,7 +91,7 @@ func runData(dataDir, docPath, dtdPath string, dump, reconstruct, edge, order bo
 		}
 	}
 	if reconstruct {
-		re, err := shred.Reconstruct(s.DB, s.M)
+		re, err := s.Reconstruct()
 		if err != nil {
 			return err
 		}
@@ -102,9 +108,8 @@ func run(docPath, dtdPath string, dump, reconstruct, edge, order bool) error {
 	if err != nil {
 		return err
 	}
-	db := relational.NewDB()
-
 	if edge {
+		db := relational.NewDB()
 		n, err := shred.LoadEdge(db, doc)
 		if err != nil {
 			return err
@@ -128,39 +133,16 @@ func run(docPath, dtdPath string, dump, reconstruct, edge, order bool) error {
 	if doc.DTD == nil {
 		return fmt.Errorf("Shared Inlining requires a DTD (use -dtd, or -edge for the DTD-less mapping)")
 	}
-	m, err := shred.BuildMapping(doc.DTD, doc.Root.Name, shred.Options{OrderColumn: order})
+	s, err := engine.Open(doc, engine.Options{OrderColumn: order})
 	if err != nil {
 		return err
 	}
 	fmt.Println("-- generated schema --")
-	for _, sql := range m.CreateTablesSQL() {
+	for _, sql := range s.M.CreateTablesSQL() {
 		fmt.Println(sql + ";")
 	}
-	ds, err := shred.Load(db, m, doc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("-- loaded %d tuples --\n", ds.TupleCount())
-	for _, elem := range m.TableOrder {
-		tm := m.Table(elem)
-		fmt.Printf("%-24s %6d rows (element <%s>, parent %q)\n",
-			tm.Name, db.RowCount(tm.Name), tm.Element, tm.Parent)
-	}
-	if dump {
-		for _, elem := range m.TableOrder {
-			if err := dumpTable(db, m.Table(elem).Name); err != nil {
-				return err
-			}
-		}
-	}
-	if reconstruct {
-		re, err := shred.Reconstruct(db, m)
-		if err != nil {
-			return err
-		}
-		fmt.Println(re.Indented())
-	}
-	return nil
+	fmt.Printf("-- loaded %d tuples --\n", s.TupleCount())
+	return report(s, dump, reconstruct)
 }
 
 func dumpTable(db *relational.DB, name string) error {

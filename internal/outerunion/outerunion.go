@@ -36,6 +36,7 @@ type Plan struct {
 }
 
 // BuildPlan computes the wide-tuple layout for the subtree rooted at target.
+// It fails when the subtree reaches a table twice.
 func BuildPlan(m *shred.Mapping, target string) (*Plan, error) {
 	if m.Table(target) == nil {
 		return nil, fmt.Errorf("outerunion: element %q has no table", target)
@@ -47,8 +48,14 @@ func BuildPlan(m *shred.Mapping, target string) (*Plan, error) {
 		DataCols: make(map[string][]int),
 		ParentOf: make(map[string]string),
 	}
-	var walk func(elem, parent string)
-	walk = func(elem, parent string) {
+	var walk func(elem, parent string) error
+	walk = func(elem, parent string) error {
+		if _, dup := p.IDCol[elem]; dup {
+			// Each table has one branch and one key column, so a table
+			// that is recursive or shared by two parents has no
+			// fixed-depth outer union.
+			return fmt.Errorf("outerunion: table %q occurs twice in the subtree of %q", elem, target)
+		}
 		p.Tables = append(p.Tables, elem)
 		p.ParentOf[elem] = parent
 		p.IDCol[elem] = p.Width
@@ -61,10 +68,15 @@ func BuildPlan(m *shred.Mapping, target string) (*Plan, error) {
 		}
 		p.DataCols[elem] = cols
 		for _, c := range tm.ChildTables {
-			walk(c, elem)
+			if err := walk(c, elem); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	walk(target, "")
+	if err := walk(target, ""); err != nil {
+		return nil, err
+	}
 	p.ColNames = make([]string, p.Width)
 	for i := range p.ColNames {
 		p.ColNames[i] = fmt.Sprintf("C%d", i+1)
@@ -201,13 +213,9 @@ func (r *reconstructor) feed(row []relational.Value) error {
 	if !ok {
 		return fmt.Errorf("outerunion: all-NULL key row")
 	}
-	tm := p.M.Table(elem)
-	vals := make(map[string]relational.Value, len(tm.Columns)+2)
-	vals["id"] = relational.Int(id)
-	for i, wi := range p.DataCols[elem] {
-		vals[strings.ToLower(tm.Columns[i].Name)] = row[wi]
-	}
-	e, err := p.M.ElementFromRow(elem, vals)
+	// A branch's data columns directly follow its id column.
+	first := p.IDCol[elem] + 1
+	e, err := p.M.ElementFromRow(elem, row[first:first+len(p.DataCols[elem])])
 	if err != nil {
 		return err
 	}
@@ -264,30 +272,23 @@ func (p *Plan) Reconstruct(rows *relational.Rows) ([]*Subtree, error) {
 // pre-order rank; nodes without a rank (inlined content, text) keep their
 // position at the front.
 func reorderChildren(e *xmltree.Element, rank map[*xmltree.Element]int) {
-	kids := append([]xmltree.Node(nil), e.Children()...)
-	needs := false
-	last := -1
-	for _, k := range kids {
-		if ke, ok := k.(*xmltree.Element); ok {
+	keyOf := func(n xmltree.Node) int {
+		if ke, ok := n.(*xmltree.Element); ok {
 			if r, has := rank[ke]; has {
-				if r < last {
-					needs = true
-				}
-				last = r
+				return r
 			}
 		}
+		return -1
 	}
-	if needs {
-		keyOf := func(n xmltree.Node) int {
-			if ke, ok := n.(*xmltree.Element); ok {
-				if r, has := rank[ke]; has {
-					return r
-				}
-			}
-			return -1
-		}
-		// Insertion sort keeps the order stable and the code allocation-free
-		// beyond the copied slice.
+	kids := e.Children()
+	sorted := 1
+	for sorted < len(kids) && keyOf(kids[sorted]) >= keyOf(kids[sorted-1]) {
+		sorted++
+	}
+	if sorted < len(kids) {
+		// Out of order: sort a copy. Insertion sort keeps the order
+		// stable and the code allocation-free beyond the copied slice.
+		kids = append([]xmltree.Node(nil), kids...)
 		for i := 1; i < len(kids); i++ {
 			for j := i; j > 0 && keyOf(kids[j]) < keyOf(kids[j-1]); j-- {
 				kids[j], kids[j-1] = kids[j-1], kids[j]
@@ -300,8 +301,10 @@ func reorderChildren(e *xmltree.Element, rank map[*xmltree.Element]int) {
 			e.AppendChild(k)
 		}
 	}
-	for _, k := range e.ChildElements() {
-		reorderChildren(k, rank)
+	for _, k := range e.Children() {
+		if ke, ok := k.(*xmltree.Element); ok {
+			reorderChildren(ke, rank)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/relational"
 	"repro/internal/shred"
 	"repro/internal/testdocs"
@@ -113,25 +114,84 @@ func TestExample6OuterUnion(t *testing.T) {
 	}
 }
 
-// TestReconstructionMatchesDirectReconstruct cross-checks the outer union
-// subtree against shred.Reconstruct output.
+// TestReconstructionMatchesDirectReconstruct cross-checks the two readers:
+// for every table element of every document, under both storage orders,
+// the outer union's subtrees must serialize byte for byte like the same
+// elements of shred.Reconstruct's document. Bio brings IDREF/IDREFS lists,
+// presence flags and a shared table; Fixed and DBLP bring depth and bushy
+// child tables.
 func TestReconstructionMatchesDirectReconstruct(t *testing.T) {
-	db, m := loadCust(t)
-	subs, err := Query(db, m, "CustDB", "")
+	docs := []struct {
+		name string
+		doc  *xmltree.Document
+		// noPlan names the target whose subtree reaches one table twice,
+		// which the outer union rejects: Bio's lab table is shared by db
+		// and university.
+		noPlan string
+	}{
+		{"cust", testdocs.Cust(), ""},
+		{"bio", testdocs.Bio(), "db"},
+		{"fixed", datagen.Fixed(datagen.FixedParams{ScalingFactor: 5, Depth: 3, Fanout: 3, Seed: 1}), ""},
+		{"dblp", datagen.DBLP(datagen.DBLPParams{Conferences: 3, PubsPerConf: 6, Seed: 1}), ""},
+	}
+	for _, d := range docs {
+		for _, order := range []bool{false, true} {
+			m, err := shred.BuildMapping(d.doc.DTD, d.doc.Root.Name, shred.Options{OrderColumn: order})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := relational.NewDB()
+			if _, err := shred.Load(db, m, d.doc); err != nil {
+				t.Fatal(err)
+			}
+			direct, err := shred.Reconstruct(db, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, elem := range m.TableOrder {
+				subs, err := Query(db, m, elem, "")
+				if elem == d.noPlan {
+					if err == nil {
+						t.Errorf("%s order=%v: outer union of %s should be rejected", d.name, order, elem)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s order=%v: %s: %v", d.name, order, elem, err)
+				}
+				var want []string
+				xmltree.Walk(direct.Root, func(e *xmltree.Element) bool {
+					if e.Name == elem {
+						want = append(want, xmltree.Serialize(e))
+					}
+					return true
+				})
+				if len(subs) != len(want) {
+					t.Fatalf("%s order=%v: %s: %d subtrees, want %d", d.name, order, elem, len(subs), len(want))
+				}
+				for i, st := range subs {
+					if got := xmltree.Serialize(st.Root); got != want[i] {
+						t.Errorf("%s order=%v: %s subtree %d differs:\ngot:  %s\nwant: %s", d.name, order, elem, i, got, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRecursiveDTDHasNoOuterUnion: a recursive table would need one branch
+// per level, so the plan is an error rather than unbounded recursion.
+func TestRecursiveDTDHasNoOuterUnion(t *testing.T) {
+	dtd := xmltree.MustParseDTD(`
+<!ELEMENT part (name, part*)>
+<!ELEMENT name (#PCDATA)>
+`)
+	m, err := shred.BuildMapping(dtd, "part", shred.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(subs) != 1 {
-		t.Fatalf("subtrees = %d", len(subs))
-	}
-	direct, err := shred.Reconstruct(db, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := xmltree.Serialize(subs[0].Root)
-	want := direct.String()
-	if got != want {
-		t.Errorf("outer union reconstruction differs:\ngot:  %s\nwant: %s", got, want)
+	if _, err := BuildPlan(m, "part"); err == nil {
+		t.Error("recursive table should have no outer union plan")
 	}
 }
 

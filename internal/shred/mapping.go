@@ -59,6 +59,10 @@ type TableMap struct {
 	// InlinedChildren lists, in DTD order, the inlined child element names
 	// (used by the reconstructor to emit children in schema order).
 	InlinedChildren []string
+
+	// shape is the table element's compiled layout, which both readers
+	// build elements from.
+	shape *elemShape
 }
 
 // ColumnNames returns the full SQL column list: id, parentId, then data.
@@ -253,7 +257,11 @@ func BuildMapping(dtd *xmltree.DTD, root string, opts Options) (*Mapping, error)
 			return err
 		}
 		for _, child := range pendingChildren {
-			tm.ChildTables = append(tm.ChildTables, child)
+			// A child shared by the table element and an inlined
+			// descendant is pending twice but has one table.
+			if !contains(tm.ChildTables, child) {
+				tm.ChildTables = append(tm.ChildTables, child)
+			}
 		}
 		for _, child := range pendingChildren {
 			if err := buildTable(child, element); err != nil {
@@ -264,6 +272,9 @@ func BuildMapping(dtd *xmltree.DTD, root string, opts Options) (*Mapping, error)
 	}
 	if err := buildTable(root, ""); err != nil {
 		return nil, err
+	}
+	for _, tm := range m.Tables {
+		tm.shape = compileShape(dtd, tm, tm.Element, nil)
 	}
 	return m, nil
 }

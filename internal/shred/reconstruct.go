@@ -1,8 +1,9 @@
 package shred
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,16 +44,21 @@ func Reconstruct(db *relational.DB, m *Mapping) (*xmltree.Document, error) {
 	return doc, nil
 }
 
-// storedRow pairs a tuple with its id and position.
+// storedRow is one tuple: its id, parent id, position, and its data
+// columns aligned with TableMap.Columns.
 type storedRow struct {
-	id   int64
-	pos  int64
-	vals map[string]relational.Value // keyed by lower-case column name
+	id, parent, pos int64
+	vals            []relational.Value
 }
 
 const nilKey = int64(-1)
 
-// tableRows loads an entire table grouped by parentId (nilKey for NULL).
+// slabRows is how many rows' data columns tableRows allocates at once.
+const slabRows = 256
+
+// tableRows loads an entire table grouped by parentId (nilKey for NULL),
+// each group in child order. The groups are windows of one slice sorted by
+// parent, position and id.
 func tableRows(tx *relational.Tx, m *Mapping, elem string) (map[int64][]storedRow, error) {
 	tm := m.Tables[elem]
 	cols := []string{"id", "parentId"}
@@ -60,55 +66,56 @@ func tableRows(tx *relational.Tx, m *Mapping, elem string) (map[int64][]storedRo
 		cols = append(cols, "pos")
 	}
 	first := len(cols) // position of the first mapped column in a result row
-	keys := make([]string, len(tm.Columns))
-	for i, c := range tm.Columns {
+	n := len(tm.Columns)
+	for _, c := range tm.Columns {
 		cols = append(cols, c.Name)
-		keys[i] = strings.ToLower(c.Name)
 	}
-	out := make(map[int64][]storedRow)
+	var rows []storedRow
+	var slab []relational.Value
 	_, err := tx.QueryEach("SELECT "+strings.Join(cols, ", ")+" FROM "+tm.Name, func(row []relational.Value) error {
-		sr := storedRow{vals: make(map[string]relational.Value, len(keys))}
-		for i, k := range keys {
-			sr.vals[k] = row[first+i]
+		if len(slab) < n {
+			slab = make([]relational.Value, n*slabRows)
 		}
+		sr := storedRow{parent: nilKey, vals: slab[:n:n]}
+		slab = slab[n:]
+		copy(sr.vals, row[first:])
 		if v, ok := row[0].Int(); ok {
 			sr.id = v
+		}
+		if v, ok := row[1].Int(); ok {
+			sr.parent = v
 		}
 		if m.Opts.OrderColumn {
 			if v, ok := row[2].Int(); ok {
 				sr.pos = v
 			}
 		}
-		key := nilKey
-		if v, ok := row[1].Int(); ok {
-			key = v
-		}
-		out[key] = append(out[key], sr)
+		rows = append(rows, sr)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shred: reading table %s: %w", tm.Name, err)
 	}
-	for k := range out {
-		rows := out[k]
-		sort.Slice(rows, func(i, j int) bool {
-			if m.Opts.OrderColumn && rows[i].pos != rows[j].pos {
-				return rows[i].pos < rows[j].pos
-			}
-			return rows[i].id < rows[j].id
-		})
+	slices.SortFunc(rows, func(a, b storedRow) int {
+		return cmp.Or(cmp.Compare(a.parent, b.parent), cmp.Compare(a.pos, b.pos), cmp.Compare(a.id, b.id))
+	})
+	out := make(map[int64][]storedRow)
+	for lo, hi := 0, 0; lo < len(rows); lo = hi {
+		for hi = lo + 1; hi < len(rows) && rows[hi].parent == rows[lo].parent; hi++ {
+		}
+		out[rows[lo].parent] = rows[lo:hi:hi]
 	}
 	return out, nil
 }
 
 func (m *Mapping) buildElement(elem string, row storedRow, byParent map[string]map[int64][]storedRow) (*xmltree.Element, error) {
 	tm := m.Tables[elem]
-	e := xmltree.NewElement(elem)
-	if err := m.applyInlined(tm, e, nil, row); err != nil {
+	e, err := tm.build(tm.shape, row.vals)
+	if err != nil {
 		return nil, err
 	}
 	// Children in schema order: the DTD's declared order interleaves
-	// inlined children (already applied above, as elements) and table
+	// inlined children (already built above, as elements) and table
 	// children.
 	for _, childElem := range tm.ChildTables {
 		for _, childRow := range byParent[childElem][row.id] {
@@ -122,94 +129,117 @@ func (m *Mapping) buildElement(elem string, row storedRow, byParent map[string]m
 	return e, nil
 }
 
-// applyInlined populates e with the attributes, text, and inlined child
-// elements stored at the given path prefix.
-func (m *Mapping) applyInlined(tm *TableMap, e *xmltree.Element, path []string, row storedRow) error {
-	prefix := strings.Join(path, "/")
-	// Attributes and text at this path.
-	for _, c := range tm.Columns {
-		if strings.Join(c.Path, "/") != prefix {
+// elemShape is one element position of a table's compiled layout: the
+// table's element or an inlined descendant. Compiled once per mapping, it
+// lets both readers build an element from a row without consulting the DTD
+// or comparing column paths.
+type elemShape struct {
+	name string
+	// own indexes the attribute and text columns stored at this position.
+	own []int
+	// under indexes every column at or below this position; the element is
+	// present when any of them is non-NULL (its flag is set, or it has
+	// content).
+	under []int
+	// children are the inlined children that own at least one column, in
+	// DTD order.
+	children []*elemShape
+}
+
+// compileShape builds the shape of the element at path within tm. It
+// returns nil for an inlined position with no columns at or below it — a
+// table child, or the recursive step of a recursive DTD — so compilation
+// follows only stored paths and always terminates.
+func compileShape(dtd *xmltree.DTD, tm *TableMap, name string, path []string) *elemShape {
+	s := &elemShape{name: name}
+	for i, c := range tm.Columns {
+		if len(c.Path) < len(path) || !slices.Equal(c.Path[:len(path)], path) {
 			continue
 		}
-		v := row.vals[strings.ToLower(c.Name)]
+		s.under = append(s.under, i)
+		if len(c.Path) == len(path) && c.Kind != FlagColumn {
+			s.own = append(s.own, i)
+		}
+	}
+	if len(path) > 0 && len(s.under) == 0 {
+		return nil
+	}
+	for _, child := range dtd.ChildNamesOrdered(name) {
+		if cs := compileShape(dtd, tm, child, append(path[:len(path):len(path)], child)); cs != nil {
+			s.children = append(s.children, cs)
+		}
+	}
+	return s
+}
+
+// build materializes the element at s from vals, the tuple's data columns
+// aligned with tm.Columns: its attributes, text, and present inlined
+// children.
+func (tm *TableMap) build(s *elemShape, vals []relational.Value) (*xmltree.Element, error) {
+	e := xmltree.NewElement(s.name)
+	for _, ci := range s.own {
+		v := vals[ci]
 		if v.IsNull() {
 			continue
 		}
+		c := &tm.Columns[ci]
 		switch c.Kind {
 		case AttrColumn:
-			s := valueAsString(v)
+			str := valueAsString(v)
 			switch c.RefKind {
 			case xmltree.AttrIDREF, xmltree.AttrIDREFS:
-				ids := strings.Fields(s)
+				ids := strings.Fields(str)
 				if len(ids) > 0 {
 					if err := e.AttachRefList(&xmltree.RefList{Name: c.Attr, IDs: ids}); err != nil {
-						return err
+						return nil, err
 					}
 				}
 			default:
-				if _, err := e.SetAttr(c.Attr, s); err != nil {
-					return err
+				if _, err := e.SetAttr(c.Attr, str); err != nil {
+					return nil, err
 				}
 			}
 		case TextColumn:
-			if s := valueAsString(v); s != "" {
-				e.AppendChild(xmltree.NewText(s))
+			if str := valueAsString(v); str != "" {
+				e.AppendChild(xmltree.NewText(str))
 			}
 		}
 	}
-	// Inlined child elements one level deeper.
-	elemName := tm.Element
-	if len(path) > 0 {
-		elemName = path[len(path)-1]
-	}
-	for _, child := range m.DTD.ChildNamesOrdered(elemName) {
-		childPath := append(append([]string(nil), path...), child)
-		if !m.pathPresent(tm, childPath, row) {
+	for _, cs := range s.children {
+		if !cs.present(vals) {
 			continue
 		}
-		ce := xmltree.NewElement(child)
-		if err := m.applyInlined(tm, ce, childPath, row); err != nil {
-			return err
+		ce, err := tm.build(cs, vals)
+		if err != nil {
+			return nil, err
 		}
 		e.AppendChild(ce)
 	}
-	return nil
+	return e, nil
 }
 
-// pathPresent reports whether the inlined element at path exists in the
-// tuple: its flag is set, or any of its (or its descendants') columns are
-// non-NULL.
-func (m *Mapping) pathPresent(tm *TableMap, path []string, row storedRow) bool {
-	prefix := strings.Join(path, "/")
-	for _, c := range tm.Columns {
-		p := strings.Join(c.Path, "/")
-		if p != prefix && !strings.HasPrefix(p, prefix+"/") {
-			continue
-		}
-		if !row.vals[strings.ToLower(c.Name)].IsNull() {
+// present reports whether the inlined element exists in the tuple: any
+// column at or below it is non-NULL.
+func (s *elemShape) present(vals []relational.Value) bool {
+	for _, ci := range s.under {
+		if !vals[ci].IsNull() {
 			return true
 		}
 	}
-	// Every column under the path is NULL, or the path has none (a pure
-	// structural element with table children only cannot be inlined): the
-	// element is absent.
 	return false
 }
 
 // ElementFromRow materializes the element a single tuple stores — its
 // attributes, text, and inlined children — without descending into child
-// tables. vals maps lower-case column names to values. The Sorted Outer
-// Union reconstructor attaches child-table elements afterwards.
-func (m *Mapping) ElementFromRow(tableElem string, vals map[string]relational.Value) (*xmltree.Element, error) {
+// tables. vals holds the tuple's data columns, aligned with
+// TableMap.Columns. The Sorted Outer Union reconstructor attaches
+// child-table elements afterwards.
+func (m *Mapping) ElementFromRow(tableElem string, vals []relational.Value) (*xmltree.Element, error) {
 	tm := m.Tables[tableElem]
 	if tm == nil {
 		return nil, fmt.Errorf("shred: element %q has no table", tableElem)
 	}
-	e := xmltree.NewElement(tableElem)
-	if err := m.applyInlined(tm, e, nil, storedRow{vals: vals}); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return tm.build(tm.shape, vals)
 }
 
 func valueAsString(v relational.Value) string {

@@ -315,6 +315,30 @@ func TestRecursiveDTDGetsOwnTable(t *testing.T) {
 	if ds.TupleCount() != 3 {
 		t.Errorf("tuples = %d, want 3", ds.TupleCount())
 	}
+	// The compiled shape stops at the recursive step — part below part
+	// stores no column in its parent's tuple — so both readers terminate:
+	// the whole document round-trips, and each tuple alone builds its part
+	// and inlined name without descending.
+	re, err := Reconstruct(db, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := re.String(), doc.String(); got != want {
+		t.Errorf("round trip:\ngot:  %s\nwant: %s", got, want)
+	}
+	rows, err := db.Query("SELECT " + strings.Join(pt.ColumnNames(), ", ") + " FROM " + pt.Name + " ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows.Data {
+		e, err := m.ElementFromRow("part", row[2:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := xmltree.Serialize(e), "<part><name>"+string(rune('a'+i))+"</name></part>"; got != want {
+			t.Errorf("tuple %d builds %s, want %s", i, got, want)
+		}
+	}
 }
 
 func TestShredRejectsUnknownElement(t *testing.T) {
