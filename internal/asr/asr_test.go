@@ -46,10 +46,9 @@ func TestBuildLevels(t *testing.T) {
 
 func TestLeftCompletePaths(t *testing.T) {
 	db, _, _ := loadCust(t)
-	asrTab := db.Table("ASR")
 	// Paths: 4 order lines (full depth) + customer 3 with no orders
 	// (truncated) = 5 paths.
-	if got := asrTab.RowCount(); got != 5 {
+	if got := db.RowCount("ASR"); got != 5 {
 		t.Fatalf("ASR rows = %d, want 5", got)
 	}
 	// The truncated path has NULLs only at the bottom.
@@ -131,7 +130,7 @@ func TestDeleteMarkedRepairsLeftCompleteness(t *testing.T) {
 	// Seattle John's 3 line-paths are gone; Mary's path and Sacramento
 	// John's truncated path remain; CustDB must NOT have lost its presence
 	// (it still has children, so no repair row needed for it).
-	asrRows := db.Table("ASR").RowCount()
+	asrRows := db.RowCount("ASR")
 	if asrRows != 2 {
 		t.Errorf("ASR rows after delete = %d, want 2", asrRows)
 	}
@@ -144,7 +143,7 @@ func TestDeleteMarkedRepairsLeftCompleteness(t *testing.T) {
 	if err := a.DeleteMarked(db, "Customer", []int64{maryID}); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Table("ASR").RowCount(); got != 1 {
+	if got := db.RowCount("ASR"); got != 1 {
 		t.Errorf("ASR rows = %d, want 1", got)
 	}
 	// Delete the last customer: the root becomes a leaf and must be
@@ -168,7 +167,7 @@ func TestDeleteMarkedRepairsLeftCompleteness(t *testing.T) {
 
 func TestInsertPaths(t *testing.T) {
 	db, _, a := loadCust(t)
-	before := db.Table("ASR").RowCount()
+	before := db.RowCount("ASR")
 	err := a.InsertPaths(db, [][]relational.Value{
 		{relational.Int(1), relational.Int(900), relational.Int(901), relational.Int(902)},
 		{relational.Int(1), relational.Int(900), relational.Int(903), relational.Null},
@@ -176,7 +175,7 @@ func TestInsertPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Table("ASR").RowCount(); got != before+2 {
+	if got := db.RowCount("ASR"); got != before+2 {
 		t.Errorf("ASR rows = %d, want %d", got, before+2)
 	}
 }

@@ -32,7 +32,7 @@ func TestTriggerDeleteWithASRKeptConsistent(t *testing.T) {
 	if _, err := s.CopySubtrees("Customer", "Name_v = 'John'", 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DB.Table("Customer").RowCount(); got != 4 {
+	if got := s.DB.RowCount("Customer"); got != 4 {
 		t.Errorf("customers = %d, want 4", got)
 	}
 }
@@ -198,7 +198,7 @@ func TestNumericPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DB.Table("e1").RowCount(); got != 10-n {
+	if got := s.DB.RowCount("e1"); got != 10-n {
 		t.Errorf("e1 rows = %d after deleting %d", got, n)
 	}
 }

@@ -47,10 +47,10 @@ func TestDeleteMethodsAgree(t *testing.T) {
 			t.Errorf("%v: deleted %d roots, want 2", m, n)
 		}
 		// All orders and lines belonged to Johns.
-		if got := s.DB.Table(s.M.Table("Order").Name).RowCount(); got != 1 {
+		if got := s.DB.RowCount(s.M.Table("Order").Name); got != 1 {
 			t.Errorf("%v: orders left = %d, want 1", m, got)
 		}
-		if got := s.DB.Table(s.M.Table("OrderLine").Name).RowCount(); got != 1 {
+		if got := s.DB.RowCount(s.M.Table("OrderLine").Name); got != 1 {
 			t.Errorf("%v: lines left = %d, want 1", m, got)
 		}
 		doc, err := s.Reconstruct()
@@ -109,13 +109,13 @@ func TestInsertMethodsAgree(t *testing.T) {
 		if n != 2 {
 			t.Errorf("%v: copied %d roots, want 2", m, n)
 		}
-		if got := s.DB.Table(s.M.Table("Customer").Name).RowCount(); got != 5 {
+		if got := s.DB.RowCount(s.M.Table("Customer").Name); got != 5 {
 			t.Errorf("%v: customers = %d, want 5", m, got)
 		}
-		if got := s.DB.Table(s.M.Table("Order").Name).RowCount(); got != 5 {
+		if got := s.DB.RowCount(s.M.Table("Order").Name); got != 5 {
 			t.Errorf("%v: orders = %d, want 5", m, got)
 		}
-		if got := s.DB.Table(s.M.Table("OrderLine").Name).RowCount(); got != 7 {
+		if got := s.DB.RowCount(s.M.Table("OrderLine").Name); got != 7 {
 			t.Errorf("%v: lines = %d, want 7", m, got)
 		}
 		doc, err := s.Reconstruct()

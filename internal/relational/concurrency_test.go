@@ -8,9 +8,9 @@ import (
 
 // TestConcurrentReadersWithWriter races N document-order reader goroutines
 // against a writer doing pos-renumber updates, failing statements, and
-// explicit rollbacks. Because transactions hold the writer lock from BEGIN
-// to COMMIT/ROLLBACK and every committed state in this workload equals the
-// seed state, each read must observe exactly the seed multiset — a torn
+// explicit rollbacks. Because readers see only committed versions (mvcc.go)
+// and every committed state in this workload equals the seed state, each
+// read must observe exactly the seed multiset — a torn
 // statement or a lost undo shows up as a wrong row count or wrong pos sum.
 // Run under -race this also proves the lock discipline over the stats
 // counters, the shape cache, and the AST plan caches.

@@ -49,9 +49,9 @@ type Stats struct {
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	// SnapshotsTaken counts MVCC snapshots registered by explicit
-	// transactions (Begin / SQL BEGIN). VersionChainHops counts version-chain
-	// nodes walked by visibility checks — structurally zero while every table
-	// is single-version, which is what keeps the read fast path unchanged.
+	// transactions (Begin). VersionChainHops counts version-chain nodes
+	// walked by visibility checks — structurally zero while every table is
+	// single-version, which is what keeps the read fast path unchanged.
 	// WriteConflicts counts first-committer-wins aborts and intent
 	// collisions; VersionsVacuumed counts row versions reclaimed once no
 	// live snapshot could see them (mvcc.go).
@@ -109,10 +109,9 @@ type statCounters struct {
 //
 // Concurrency model: individual statements hold the writer lock exclusively;
 // Query/QueryEach/Snapshot/Stats hold it shared. An explicit transaction
-// (Begin / SQL BEGIN) no longer holds the writer lock between its
-// statements: it takes an MVCC snapshot at Begin, marks the rows it writes
-// with its transaction id, and readers evaluate row visibility against
-// their snapshot (mvcc.go). Readers therefore only ever observe a committed
+// (Begin) does not hold the writer lock between its statements: it takes
+// an MVCC snapshot at Begin, marks the rows it writes with its transaction
+// id, and readers evaluate row visibility against their snapshot (mvcc.go). Readers therefore only ever observe a committed
 // version of the data — and they keep completing while a write transaction
 // sits open, blocking at most for the duration of one statement. N
 // goroutines can run Sorted-Outer-Union reconstruction concurrently,
@@ -168,10 +167,6 @@ type DB struct {
 	writer     *writeCtx
 	intentCh   chan struct{}
 	pendingVac []vacRec
-	// sqlTx is the transaction opened by a SQL-level BEGIN through DB.Exec,
-	// which subsequent DB.Exec calls join (single-session semantics).
-	// Atomic because the joining check runs before the lock is taken.
-	sqlTx atomic.Pointer[Tx]
 
 	// wal, when non-nil, is the redo log of a DB opened with Open(dir, …)
 	// (durable.go); commits append records to it under the writer lock and
@@ -353,24 +348,14 @@ func (db *DB) TableNames() []string {
 // Every top-level Exec runs in an implicit per-statement transaction: a
 // mid-statement error (a unique violation on the nth row, a coercion
 // failure after earlier assignments) rolls the statement back completely
-// instead of leaving earlier row mutations behind. BEGIN opens a SQL-level
-// transaction that subsequent Exec calls join until COMMIT or ROLLBACK;
-// while it is open the DB handle is single-session (concurrent use of Exec
-// is the caller's misuse; DB.Query joins the transaction and sees its
-// uncommitted writes).
+// instead of leaving earlier row mutations behind. A multi-statement
+// transaction is opened with Begin; the SQL statements BEGIN, COMMIT and
+// ROLLBACK are parse errors.
 func (db *DB) Exec(sql string) (int, error) {
-	if tx := db.sqlTx.Load(); tx != nil {
-		n, err := tx.Exec(sql)
-		if err != errTxDone {
-			return n, err
-		}
-		// The transaction ended between the check and the join; fall
-		// through to autocommit execution.
-	}
 	start := time.Now()
 	qt := db.traceBegin("exec", sql)
-	n, lsn, err, done := db.execAutocommitLocked(sql, qt)
-	if done || err != nil {
+	n, lsn, err := db.execAutocommitLocked(sql, qt)
+	if err != nil {
 		db.traceFinish(qt, n, err)
 		return n, err
 	}
@@ -387,9 +372,8 @@ func (db *DB) Exec(sql string) (int, error) {
 
 // execAutocommitLocked is Exec's writer-lock critical section. The unlock
 // is deferred so a panic inside statement execution cannot strand the
-// exclusive lock. done=true means the caller has nothing left to do
-// (transaction control, or an error).
-func (db *DB) execAutocommitLocked(sql string, qt *QueryTrace) (n int, lsn uint64, err error, done bool) {
+// exclusive lock.
+func (db *DB) execAutocommitLocked(sql string, qt *QueryTrace) (int, uint64, error) {
 	lockStart := time.Now()
 	db.mu.Lock()
 	db.met.lockWait.ObserveSince(lockStart)
@@ -400,7 +384,7 @@ func (db *DB) execAutocommitLocked(sql string, qt *QueryTrace) (n int, lsn uint6
 	prepStart := time.Now()
 	stmt, args, hit, err := db.prepared(sql)
 	if err != nil {
-		return 0, 0, err, true
+		return 0, 0, err
 	}
 	if qt != nil {
 		qt.CacheHit = hit
@@ -408,20 +392,8 @@ func (db *DB) execAutocommitLocked(sql string, qt *QueryTrace) (n int, lsn uint6
 			qt.Parse = time.Since(prepStart)
 		}
 	}
-	switch stmt.(type) {
-	case *BeginStmt:
-		// The new SQL-level transaction takes an MVCC snapshot and claims
-		// write intents lazily; it does not hold the writer lock between
-		// statements (mvcc.go).
-		db.stats.Statements.Add(1)
-		db.beginLocked(true)
-		return 0, 0, nil, true
-	case *CommitStmt, *RollbackStmt:
-		return 0, 0, fmt.Errorf("relational: no open transaction"), true
-	}
 	db.stats.Statements.Add(1)
-	n, lsn, err = db.runAutocommit(stmt, args, sql, nil, qt, nil)
-	return n, lsn, err, false
+	return db.runAutocommit(stmt, args, sql, nil, qt, nil)
 }
 
 // runAutocommit executes one statement under its own implicit transaction,
@@ -518,22 +490,11 @@ func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value
 // number of them run concurrently, serialized only against individual
 // writer statements — and since uncommitted writes are marked with their
 // transaction id, a query always observes a committed version of the
-// database, even while a write transaction sits open (mvcc.go). During an
-// open SQL-level transaction the query joins it, like Exec does
-// (single-session semantics: it sees the transaction's uncommitted writes);
-// handle transactions (Begin) are not joined, so concurrent readers keep
-// full isolation there.
+// database, even while a write transaction sits open (mvcc.go). To read a
+// transaction's own uncommitted writes, query through its Tx.
 func (db *DB) Query(sql string) (*Rows, error) {
 	if rows, handled, err := db.dispatchExplain(sql); handled {
 		return rows, err
-	}
-	if tx := db.sqlTx.Load(); tx != nil {
-		rows, err := tx.Query(sql)
-		if err != errTxDone {
-			return rows, err
-		}
-		// The transaction ended between the check and the join; fall
-		// through to a normal committed-state read.
 	}
 	qt := db.traceBegin("query", sql)
 	rows, err := db.queryLocked(sql, qt)
@@ -593,15 +554,9 @@ func (db *DB) queryLocked(sql string, qt *QueryTrace) (*Rows, error) {
 // row slice is reused between calls (the pipeline's buffer-reuse contract;
 // this is what makes streaming reads allocation-free per row): fn must
 // copy the slice to retain it, though retaining individual Values is
-// always safe. It returns the output column names. Like Query, it joins an
-// open SQL-level transaction.
+// always safe. It returns the output column names. Like Query, it reads
+// committed state.
 func (db *DB) QueryEach(sql string, fn func(row []Value) error) ([]string, error) {
-	if tx := db.sqlTx.Load(); tx != nil {
-		cols, err := tx.QueryEach(sql, fn)
-		if err != errTxDone {
-			return cols, err
-		}
-	}
 	qt := db.traceBegin("query-each", sql)
 	rows := 0
 	if qt != nil {
@@ -887,8 +842,6 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 			return 0, err
 		}
 		return len(rows.Data), nil
-	case *BeginStmt, *CommitStmt, *RollbackStmt:
-		return 0, fmt.Errorf("relational: transaction control not allowed here")
 	default:
 		return 0, fmt.Errorf("relational: unsupported statement %T", stmt)
 	}

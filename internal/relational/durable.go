@@ -12,7 +12,7 @@ import (
 
 // Durability. A DB opened with Open(dir, …) keeps a logical redo log: every
 // committed transaction — the implicit one wrapping a top-level Exec, or an
-// explicit BEGIN…COMMIT — appends one record holding the SQL text (raw for
+// explicit Begin…Commit — appends one record holding the SQL text (raw for
 // Exec, the `?` shape plus bound arguments for prepared statements) of its
 // successful mutating statements. Every table of such a DB lives on heap
 // pages (paged.go). Recovery loads the latest checkpoint — the schema

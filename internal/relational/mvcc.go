@@ -6,7 +6,7 @@ import (
 )
 
 // Multi-version concurrency control. The PR 3 design held the writer lock
-// from BEGIN to COMMIT, so one open transaction stalled every concurrent
+// from Begin to Commit, so one open transaction stalled every concurrent
 // reconstruction. Now the exclusive lock covers only individual statements
 // and the commit critical section; between them an open transaction's
 // uncommitted writes stay in the tables as *marked* versions that no other

@@ -834,7 +834,7 @@ func (db *DB) Checkpoint() error {
 // durable phase, which Checkpoint runs after releasing the writer lock and
 // BulkLoad runs before. Caller holds pagedCkptMu and the writer lock.
 func (db *DB) captureCheckpointLocked() (flush func() error, err error) {
-	if len(db.snaps) > 0 || db.sqlTx.Load() != nil {
+	if len(db.snaps) > 0 {
 		return nil, errCkptOpenTxn
 	}
 	if err := db.pagedErr(); err != nil {

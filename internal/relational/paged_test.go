@@ -120,11 +120,13 @@ func TestPagedOversizedRowRejected(t *testing.T) {
 	if _, err := db.Exec(fmt.Sprintf("UPDATE big SET body = '%s' WHERE id = 1", huge)); err == nil {
 		t.Fatal("oversized UPDATE accepted")
 	}
-	mustExec("BEGIN")
-	if _, err := db.Exec(fmt.Sprintf("UPDATE big SET body = '%s' WHERE id = 1", huge)); err == nil {
+	tx := db.Begin()
+	if _, err := tx.Exec(fmt.Sprintf("UPDATE big SET body = '%s' WHERE id = 1", huge)); err == nil {
 		t.Fatal("oversized versioned UPDATE accepted")
 	}
-	mustExec("COMMIT")
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit after rejected versioned UPDATE: %v", err)
+	}
 	rows, err := db.Query("SELECT body FROM big WHERE id = 1")
 	if err != nil {
 		t.Fatalf("query after rejections: %v", err)

@@ -113,25 +113,10 @@ func (p *sqlParser) parseStmt() (Stmt, error) {
 		return p.parseUpdate()
 	case p.peekKw("SELECT"), p.peekKw("WITH"), p.peekSym("("):
 		return p.parseSelect()
-	case p.kw("BEGIN"):
-		p.txnNoise()
-		return &BeginStmt{}, nil
-	case p.kw("COMMIT"):
-		p.txnNoise()
-		return &CommitStmt{}, nil
-	case p.kw("ROLLBACK"):
-		p.txnNoise()
-		return &RollbackStmt{}, nil
+	case p.peekKw("BEGIN"), p.peekKw("COMMIT"), p.peekKw("ROLLBACK"):
+		return nil, fmt.Errorf("SQL transaction control %q is not supported; open a transaction with DB.Begin and finish it with Tx.Commit or Tx.Rollback", p.cur().text)
 	default:
 		return nil, fmt.Errorf("unexpected statement start %q", p.cur().text)
-	}
-}
-
-// txnNoise consumes the optional TRANSACTION/WORK keyword after a
-// transaction-control verb.
-func (p *sqlParser) txnNoise() {
-	if p.kw("TRANSACTION") || p.kw("WORK") {
-		return
 	}
 }
 

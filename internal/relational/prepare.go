@@ -42,17 +42,11 @@ func (db *DB) Prepare(sql string) (*Prepared, error) {
 
 // Exec runs the prepared statement with the given parameter values,
 // returning the number of affected rows. Like DB.Exec it runs in an
-// implicit per-statement transaction, and joins an open SQL-level
-// transaction.
+// implicit per-statement transaction; Tx.ExecPrepared runs it inside an
+// open one.
 func (p *Prepared) Exec(args ...Value) (int, error) {
 	if len(args) != p.nparams {
 		return 0, fmt.Errorf("relational: prepared statement takes %d args, got %d", p.nparams, len(args))
-	}
-	if tx := p.db.sqlTx.Load(); tx != nil {
-		n, err := tx.ExecPrepared(p, args...)
-		if err != errTxDone {
-			return n, err
-		}
 	}
 	start := time.Now()
 	qt := p.db.traceBegin("prepared-exec", p.src)
@@ -86,8 +80,7 @@ func (p *Prepared) Exec(args ...Value) (int, error) {
 }
 
 // Query runs a prepared SELECT with the given parameter values, under the
-// shared lock like DB.Query; it likewise joins an open SQL-level
-// transaction.
+// shared lock like DB.Query; it likewise reads committed state.
 func (p *Prepared) Query(args ...Value) (*Rows, error) {
 	sel, ok := p.stmt.(*SelectStmt)
 	if !ok {
@@ -95,12 +88,6 @@ func (p *Prepared) Query(args ...Value) (*Rows, error) {
 	}
 	if len(args) != p.nparams {
 		return nil, fmt.Errorf("relational: prepared statement takes %d args, got %d", p.nparams, len(args))
-	}
-	if tx := p.db.sqlTx.Load(); tx != nil {
-		rows, err := tx.QueryPrepared(p, args...)
-		if err != errTxDone {
-			return rows, err
-		}
 	}
 	p.db.mu.RLock()
 	defer p.db.mu.RUnlock()

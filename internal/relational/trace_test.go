@@ -109,8 +109,8 @@ func TestTraceReadExecutePhase(t *testing.T) {
 	}
 }
 
-// TestTracePreparedAndTx: prepared executions and SQL-transaction paths
-// carry their own span kinds.
+// TestTracePreparedAndTx: prepared executions and transaction paths carry
+// their own span kinds.
 func TestTracePreparedAndTx(t *testing.T) {
 	db := NewDB()
 	db.MustExec(`CREATE TABLE item (id INTEGER)`)
@@ -124,11 +124,15 @@ func TestTracePreparedAndTx(t *testing.T) {
 	if _, err := p.Exec(Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec(`BEGIN`)
-	db.MustExec(`INSERT INTO item VALUES (2)`)
-	db.MustExec(`COMMIT`)
+	tx := db.Begin()
+	if _, err := tx.Exec(`INSERT INTO item VALUES (2)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
-	want := []string{"prepared-exec", "exec", "tx-exec", "tx-commit"} // BEGIN is a plain exec
+	want := []string{"prepared-exec", "tx-exec", "tx-commit"}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Errorf("span kinds = %v, want %v", kinds, want)
 	}

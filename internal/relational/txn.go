@@ -12,7 +12,7 @@ import (
 // sub-operation executes must leave no trace of the ones before it. The
 // engine gets that from this layer: an undo log records every row mutation
 // (insert, delete, update) with enough of a pre-image to reverse it, and a
-// transaction — explicit via Begin/BEGIN or the implicit one wrapping every
+// transaction — explicit via Begin or the implicit one wrapping every
 // top-level Exec — applies the log backwards on rollback, restoring rows,
 // live counts, hash buckets, and B+tree entries.
 //
@@ -325,9 +325,8 @@ func (l *undoLog) commit() {
 // (mvcc.go). Its reads observe the snapshot plus its own uncommitted
 // writes; its writes take per-table write intents, and an overlapping
 // writer aborts first-committer-wins. Tx methods serialize on an internal
-// mutex, so goroutines that join a SQL-level transaction through
-// DB.Exec/DB.Query cannot race the transaction's own statements — they
-// interleave into it.
+// mutex, so goroutines sharing one Tx handle interleave their statements
+// into it rather than racing each other.
 type Tx struct {
 	db  *DB
 	log *undoLog
@@ -337,10 +336,6 @@ type Tx struct {
 	id     uint64
 	snapTS uint64
 	wctx   writeCtx
-	// sqlLevel marks a transaction opened by a SQL BEGIN through DB.Exec:
-	// subsequent DB.Exec/Query calls join it (single-session semantics,
-	// like one SQLite connection) until COMMIT/ROLLBACK.
-	sqlLevel bool
 	// mu serializes the transaction's statements; done (guarded by mu)
 	// marks it finished.
 	mu   sync.Mutex
@@ -350,55 +345,27 @@ type Tx struct {
 // Begin opens an explicit transaction: a short critical section registers
 // its snapshot, after which the writer lock is released — concurrent
 // readers and other writers proceed, isolated from this transaction's
-// writes by version visibility (mvcc.go).
+// writes by version visibility (mvcc.go). The transaction allocates its
+// id, snapshots the current commit stamp, and registers the snapshot, which
+// switches writers into versioned mode until it unregisters.
 func (db *DB) Begin() *Tx {
 	db.mu.Lock()
-	tx := db.beginLocked(false)
-	db.mu.Unlock()
-	return tx
-}
-
-// beginLocked installs a fresh transaction: allocates its id, snapshots the
-// current commit stamp, and registers the snapshot (which switches writers
-// into versioned mode until it unregisters). Caller holds the writer lock.
-func (db *DB) beginLocked(sqlLevel bool) *Tx {
+	defer db.mu.Unlock()
 	db.nextTxn++
-	tx := &Tx{db: db, log: newUndoLog(), sqlLevel: sqlLevel}
-	tx.id = db.nextTxn
-	tx.snapTS = db.commitTS
+	tx := &Tx{db: db, log: newUndoLog(), id: db.nextTxn, snapTS: db.commitTS}
 	tx.wctx = writeCtx{txnID: tx.id, snapTS: tx.snapTS, explicit: true}
 	db.snaps[tx.id] = tx.snapTS
 	db.stats.SnapshotsTaken.Add(1)
-	if sqlLevel {
-		db.sqlTx.Store(tx)
-	}
 	return tx
 }
 
 // Exec executes a statement inside the transaction. A statement that fails
 // rolls back to its own start (statement atomicity); the transaction stays
-// open. COMMIT and ROLLBACK statements finish the transaction.
+// open until Commit or Rollback.
 func (tx *Tx) Exec(sql string) (int, error) {
 	stmt, args, _, err := tx.db.prepared(sql)
 	if err != nil {
 		return 0, err
-	}
-	switch stmt.(type) {
-	case *BeginStmt:
-		// Check done first: a joiner racing the commit must get errTxDone
-		// (which DB.Exec falls through on, opening a fresh transaction),
-		// not a spurious already-open error.
-		tx.mu.Lock()
-		done := tx.done
-		tx.mu.Unlock()
-		if done {
-			return 0, errTxDone
-		}
-		return 0, fmt.Errorf("relational: transaction already open")
-	case *CommitStmt:
-		return 0, tx.Commit()
-	case *RollbackStmt:
-		return 0, tx.Rollback()
 	}
 	return tx.execStmt(stmt, args, sql, nil)
 }
@@ -409,11 +376,6 @@ func (tx *Tx) Exec(sql string) (int, error) {
 func (tx *Tx) execStmt(stmt Stmt, args []Value, src string, logArgs []Value) (int, error) {
 	qt := tx.db.traceBegin("tx-exec", src)
 	n, err := tx.execStmtSpan(stmt, args, src, logArgs, qt)
-	if err == errTxDone {
-		// The caller falls through to a fresh autocommit execution, which
-		// opens its own span; this one never ran a statement.
-		return n, err
-	}
 	tx.db.traceFinish(qt, n, err)
 	return n, err
 }
@@ -579,9 +541,6 @@ func (tx *Tx) Commit() error {
 	start := time.Now()
 	qt := tx.db.traceBegin("tx-commit", "COMMIT")
 	err := tx.commitSpan(qt, start)
-	if err == errTxDone {
-		return err
-	}
 	tx.db.traceFinish(qt, 0, err)
 	return err
 }
@@ -608,9 +567,6 @@ func (tx *Tx) commitSpan(qt *QueryTrace, start time.Time) error {
 	db.vacuumPendingLocked()
 	tx.log.commit()
 	lsn, werr := db.applyRedoLocked(tx.log.redo, stamp)
-	if tx.sqlLevel {
-		db.sqlTx.Store(nil)
-	}
 	if qt != nil {
 		qt.Commit = time.Since(commitStart)
 	}
@@ -642,9 +598,6 @@ func (tx *Tx) Rollback() error {
 	db.releaseIntentsLocked(&tx.wctx)
 	delete(db.snaps, tx.id)
 	db.vacuumPendingLocked()
-	if tx.sqlLevel {
-		db.sqlTx.Store(nil)
-	}
 	db.mu.Unlock()
 	return nil
 }

@@ -149,42 +149,141 @@ func TestFailedDeleteTriggerRollsBackStatement(t *testing.T) {
 	}
 }
 
-// TestExplicitTxnCommitAndRollback covers the SQL-level BEGIN/COMMIT/
-// ROLLBACK statements through DB.Exec.
+// TestExplicitTxnCommitAndRollback: through the Begin handle, a rolled-back
+// transaction reverts its inserts, deletes and updates, and a committed one
+// persists.
 func TestExplicitTxnCommitAndRollback(t *testing.T) {
 	db := txnTestDB(t)
 	before := dbDump(db)
 
-	// Rolled-back transaction: inserts, deletes, and updates all revert.
-	if _, err := db.Exec("BEGIN"); err != nil {
-		t.Fatal(err)
+	tx := db.Begin()
+	for _, sql := range []string{
+		"INSERT INTO item VALUES (100, 0, 50, 'tmp')",
+		"DELETE FROM item WHERE id = 3",
+		"UPDATE item SET pos = pos + 10 WHERE parentId = 2",
+	} {
+		if _, err := tx.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
 	}
-	db.MustExec("INSERT INTO item VALUES (100, 0, 50, 'tmp')")
-	db.MustExec("DELETE FROM item WHERE id = 3")
-	db.MustExec("UPDATE item SET pos = pos + 10 WHERE parentId = 2")
-	if _, err := db.Exec("ROLLBACK"); err != nil {
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	if got := dbDump(db); got != before {
-		t.Errorf("ROLLBACK did not restore state:\n--- before ---\n%s--- after ---\n%s", before, got)
+		t.Errorf("Rollback did not restore state:\n--- before ---\n%s--- after ---\n%s", before, got)
 	}
 
-	// Committed transaction: effects persist.
-	if _, err := db.Exec("BEGIN TRANSACTION"); err != nil {
+	tx = db.Begin()
+	if _, err := tx.Exec("INSERT INTO item VALUES (100, 0, 50, 'kept')"); err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec("INSERT INTO item VALUES (100, 0, 50, 'kept')")
-	if _, err := db.Exec("COMMIT"); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.Query("SELECT name FROM item WHERE id = 100")
 	if err != nil || len(rows.Data) != 1 || rows.Data[0][0] != Text("kept") {
 		t.Fatalf("committed insert missing: %v %v", rows, err)
 	}
+}
 
-	// COMMIT with no open transaction errors.
-	if _, err := db.Exec("COMMIT"); err == nil {
-		t.Fatalf("expected error for COMMIT without BEGIN")
+// TestSQLTxnControlRejected: BEGIN, COMMIT and ROLLBACK are not SQL
+// statements here — every entry point rejects them with an error naming
+// the handle API, and none of them leaves a snapshot registered.
+func TestSQLTxnControlRejected(t *testing.T) {
+	db := mustOpenDB(t, t.TempDir(), pagedOpts())
+	defer db.Close()
+	db.MustExec("CREATE TABLE t (id INTEGER, parentId INTEGER)")
+	tx := db.Begin()
+	entries := map[string]func(sql string) error{
+		"DB.Exec":           func(sql string) error { _, err := db.Exec(sql); return err },
+		"Tx.Exec":           func(sql string) error { _, err := tx.Exec(sql); return err },
+		"DB.Prepare":        func(sql string) error { _, err := db.Prepare(sql); return err },
+		"DB.ExplainAnalyze": func(sql string) error { _, err := db.ExplainAnalyze(sql); return err },
+	}
+	for _, sql := range []string{"BEGIN", "BEGIN TRANSACTION", "COMMIT", "ROLLBACK WORK"} {
+		for name, run := range entries {
+			if err := run(sql); err == nil || !strings.Contains(err.Error(), "DB.Begin") {
+				t.Errorf("%s(%q): err = %v, want an error naming DB.Begin", name, sql, err)
+			}
+		}
+	}
+	// The rejected COMMIT/ROLLBACK did not finish the handle transaction.
+	if _, err := tx.Exec("INSERT INTO t VALUES (1, NULL)"); err != nil {
+		t.Fatalf("Tx.Exec after rejected control statements: %v", err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BulkLoad(map[string][][]Value{"t": {{Int(2), Null}}}); err != nil {
+		t.Fatalf("BulkLoad after rejected control statements: %v", err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after rejected control statements: %v", err)
+	}
+	if got := db.RowCount("t"); got != 1 {
+		t.Fatalf("rows = %d, want 1", got)
+	}
+}
+
+// TestFinishedTxRefuses: once a transaction is committed, or separately
+// rolled back, every statement, read and finish call on it fails and changes
+// nothing; a statement on it still emits one failed tx-exec span.
+func TestFinishedTxRefuses(t *testing.T) {
+	for _, finish := range []string{"commit", "rollback"} {
+		t.Run(finish, func(t *testing.T) {
+			db := txnTestDB(t)
+			tx := db.Begin()
+			if _, err := tx.Exec("INSERT INTO item VALUES (100, 0, 50, 'tx')"); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if finish == "commit" {
+				err = tx.Commit()
+			} else {
+				err = tx.Rollback()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, err := db.Prepare("INSERT INTO item VALUES (?, 0, 0, 'p')")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := db.Prepare("SELECT id FROM item WHERE id = ?")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := dbDump(db)
+			ops := map[string]func() error{
+				"Exec":  func() error { _, err := tx.Exec("INSERT INTO item VALUES (101, 0, 51, 'late')"); return err },
+				"Query": func() error { _, err := tx.Query("SELECT id FROM item"); return err },
+				"QueryEach": func() error {
+					_, err := tx.QueryEach("SELECT id FROM item", func([]Value) error { return nil })
+					return err
+				},
+				"ExecPrepared":  func() error { _, err := tx.ExecPrepared(ins, Int(102)); return err },
+				"QueryPrepared": func() error { _, err := tx.QueryPrepared(sel, Int(100)); return err },
+				"Commit":        tx.Commit,
+				"Rollback":      tx.Rollback,
+			}
+			for name, op := range ops {
+				if err := op(); err == nil {
+					t.Errorf("%s on a finished transaction succeeded", name)
+				}
+				if got := dbDump(db); got != before {
+					t.Fatalf("%s on a finished transaction changed state:\n--- before ---\n%s--- after ---\n%s", name, before, got)
+				}
+			}
+
+			var spans []*QueryTrace
+			defer db.OnTrace(func(qt *QueryTrace) { spans = append(spans, qt) })()
+			if _, err := tx.Exec("INSERT INTO item VALUES (103, 0, 52, 'traced')"); err == nil {
+				t.Fatal("Exec on a finished transaction succeeded")
+			}
+			if len(spans) != 1 || spans[0].Kind != "tx-exec" || spans[0].Err == "" {
+				t.Fatalf("spans = %+v, want one failed tx-exec span", spans)
+			}
+		})
 	}
 }
 
@@ -216,13 +315,6 @@ func TestTxHandle(t *testing.T) {
 	}
 	if got := dbDump(db); got != before {
 		t.Errorf("handle rollback did not restore state:\n--- before ---\n%s--- after ---\n%s", before, got)
-	}
-	// Operations on a finished transaction fail.
-	if _, err := tx.Exec("INSERT INTO item VALUES (60, 0, 0, 'z')"); err == nil {
-		t.Fatalf("expected error on finished txn")
-	}
-	if err := tx.Commit(); err == nil {
-		t.Fatalf("expected error on double finish")
 	}
 }
 
@@ -344,31 +436,5 @@ func TestDDLRollback(t *testing.T) {
 	db.MustExec("DELETE FROM item WHERE id = 1")
 	if n := db.RowCount("keep"); n != 0 {
 		t.Errorf("restored trigger did not fire: keep has %d rows", n)
-	}
-}
-
-// TestSQLTxnQueriesJoin: SELECTs issued through the DB while a SQL-level
-// transaction is open join it (seeing uncommitted writes) instead of
-// deadlocking on the reader lock.
-func TestSQLTxnQueriesJoin(t *testing.T) {
-	db := txnTestDB(t)
-	db.MustExec("BEGIN")
-	db.MustExec("INSERT INTO item VALUES (200, 0, 99, 'ghost')")
-	rows, err := db.Query("SELECT name FROM item WHERE id = 200")
-	if err != nil || len(rows.Data) != 1 {
-		t.Fatalf("query inside SQL txn: %v %v", rows, err)
-	}
-	p, err := db.Prepare("SELECT name FROM item WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err = p.Query(Int(int64(200)))
-	if err != nil || len(rows.Data) != 1 {
-		t.Fatalf("prepared query inside SQL txn: %v %v", rows, err)
-	}
-	db.MustExec("ROLLBACK")
-	rows, err = db.Query("SELECT name FROM item WHERE id = 200")
-	if err != nil || len(rows.Data) != 0 {
-		t.Fatalf("after rollback: %v %v", rows, err)
 	}
 }

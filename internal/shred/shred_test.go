@@ -112,7 +112,7 @@ func TestShredAndLoad(t *testing.T) {
 	if got := ds.TupleCount(); got != 11 {
 		t.Errorf("tuples = %d, want 11", got)
 	}
-	if got := db.Table("Customer").RowCount(); got != 3 {
+	if got := db.RowCount("Customer"); got != 3 {
 		t.Errorf("Customer rows = %d", got)
 	}
 	// Inlined values landed in the parent tuple.
@@ -230,7 +230,7 @@ func TestBioMappingWithReferences(t *testing.T) {
 	if m.Table("lab") == nil {
 		t.Fatal("lab has no table")
 	}
-	labRows := db.Table(m.Table("lab").Name).RowCount()
+	labRows := db.RowCount(m.Table("lab").Name)
 	if labRows != 3 {
 		t.Errorf("lab table rows = %d, want 3 (shared across parents)", labRows)
 	}
@@ -249,9 +249,13 @@ func TestStoredTextDoesNotPinSource(t *testing.T) {
 	}
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
 	hi := lo + uintptr(len(src))
-	checkTable := func(tbl *relational.Table) int {
+	checkTable := func(db *relational.DB, name string) int {
+		rows, err := db.Query("SELECT * FROM " + name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := 0
-		tbl.Scan(func(rid int, row []relational.Value) bool {
+		for r, row := range rows.Data {
 			for c, v := range row {
 				s, ok := v.Text()
 				if !ok || s == "" {
@@ -259,11 +263,10 @@ func TestStoredTextDoesNotPinSource(t *testing.T) {
 				}
 				n++
 				if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p < hi {
-					t.Errorf("%s row %d col %d (%q) points into the parsed source", tbl.Name, rid, c, s)
+					t.Errorf("%s row %d col %d (%q) points into the parsed source", name, r, c, s)
 				}
 			}
-			return true
-		})
+		}
 		return n
 	}
 
@@ -277,13 +280,13 @@ func TestStoredTextDoesNotPinSource(t *testing.T) {
 	}
 	cells := 0
 	for _, elem := range m.TableOrder {
-		cells += checkTable(inl.Table(m.Tables[elem].Name))
+		cells += checkTable(inl, m.Tables[elem].Name)
 	}
 	edge := relational.NewDB()
 	if _, err := LoadEdge(edge, doc); err != nil {
 		t.Fatal(err)
 	}
-	cells += checkTable(edge.Table("Edge"))
+	cells += checkTable(edge, "Edge")
 	if cells < 40 {
 		t.Fatalf("checked %d TEXT cells, implausibly few", cells)
 	}
@@ -374,7 +377,7 @@ func TestInsertSQLForm(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	if got := db.Table("Customer").RowCount(); got != 3 {
+	if got := db.RowCount("Customer"); got != 3 {
 		t.Errorf("customers = %d", got)
 	}
 }
