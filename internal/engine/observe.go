@@ -1,40 +1,18 @@
 package engine
 
 import (
-	"io"
-	"time"
-
 	"repro/internal/metrics"
 	"repro/internal/relational"
 )
 
-// Observability passthroughs. The store's relational substrate carries the
-// instrumentation (EXPLAIN ANALYZE, query tracing, latency histograms);
-// these forwarders let XML-level tooling reach it without holding a DB
-// reference alongside the Store.
-
-// ExplainAnalyze executes the SQL statement with per-operator
-// instrumentation and returns the annotated plan tree.
-func (s *Store) ExplainAnalyze(sql string) (string, error) { return s.DB.ExplainAnalyze(sql) }
+// The store's relational substrate carries the instrumentation (EXPLAIN
+// ANALYZE, query tracing, latency histograms); XML-level tooling reaches it
+// through s.DB. The two methods below exist for callers that hold only a
+// Store.
 
 // OnTrace registers fn to receive a QueryTrace span after every statement;
 // the returned function unregisters it.
 func (s *Store) OnTrace(fn func(*relational.QueryTrace)) func() { return s.DB.OnTrace(fn) }
 
-// SetSlowQuery arms the slow-query log: statements slower than d enter the
-// recent-statements ring. Zero disables the threshold.
-func (s *Store) SetSlowQuery(d time.Duration) { s.DB.SetSlowQuery(d) }
-
-// EnableTraceLog keeps the last n statement traces in a ring (n <= 0
-// disables it).
-func (s *Store) EnableTraceLog(n int) { s.DB.EnableTraceLog(n) }
-
-// TraceLog returns the ring's contents, oldest first.
-func (s *Store) TraceLog() []*relational.QueryTrace { return s.DB.TraceLog() }
-
-// Metrics snapshots the engine's latency histograms and counters.
+// Metrics snapshots the engine's latency histograms and intent-retry count.
 func (s *Store) Metrics() metrics.Snapshot { return s.DB.Metrics() }
-
-// WriteMetrics dumps the metrics snapshot as one JSON object to w
-// (expvar-compatible).
-func (s *Store) WriteMetrics(w io.Writer) error { return s.DB.WriteMetrics(w) }

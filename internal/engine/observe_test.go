@@ -9,13 +9,13 @@ import (
 	"repro/internal/relational"
 )
 
-// TestStoreExplainAnalyze: the Store forwards EXPLAIN ANALYZE to its
-// relational substrate; an analyzed scan over a shredded table carries
-// actual row counts.
+// TestStoreExplainAnalyze: EXPLAIN ANALYZE through the store's relational
+// substrate; an analyzed scan over a shredded table carries actual row
+// counts.
 func TestStoreExplainAnalyze(t *testing.T) {
 	s := openCust(t, Options{})
 	tbl := s.M.Table("Customer").Name
-	out, err := s.ExplainAnalyze("SELECT id FROM " + tbl)
+	out, err := s.DB.ExplainAnalyze("SELECT id FROM " + tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestStoreTracing(t *testing.T) {
 		t.Error("delete produced no trace spans")
 	}
 	var buf bytes.Buffer
-	if err := s.WriteMetrics(&buf); err != nil {
+	if err := s.DB.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var m map[string]any
@@ -52,23 +52,4 @@ func TestStoreTracing(t *testing.T) {
 	if _, ok := m["commit_ns_mem"]; !ok {
 		t.Error("commit histogram missing from store metrics dump")
 	}
-}
-
-// TestStoreSlowQueryLog: the trace ring is reachable through the Store.
-func TestStoreSlowQueryLog(t *testing.T) {
-	s := openCust(t, Options{})
-	s.EnableTraceLog(8)
-	tbl := s.M.Table("Order").Name
-	if _, err := s.DB.Query("SELECT id FROM " + tbl); err != nil {
-		t.Fatal(err)
-	}
-	log := s.TraceLog()
-	if len(log) == 0 {
-		t.Fatal("trace ring empty after a traced query")
-	}
-	last := log[len(log)-1]
-	if !strings.Contains(last.SQL, tbl) {
-		t.Errorf("last ring entry = %q, want the %s query", last.SQL, tbl)
-	}
-	s.EnableTraceLog(0)
 }

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,9 +19,9 @@ import (
 //
 // Per-operator actuals are keyed by the compiled structures themselves
 // (*bodyCompiled for body operators, *selectCompiled for the statement-top
-// operators, the DML plan slot for match access paths), so the renderer —
-// which walks the same compiled tree EXPLAIN renders — finds each
-// operator's record by identity, with no name matching.
+// operators, the DML plan slot for match access paths), so the one plan
+// renderer (explain.go), handed this run, finds each operator's record by
+// identity, with no name matching; handed no run, it prints plain EXPLAIN.
 
 // anKey addresses one operator of an analyze run: the compiled structure it
 // belongs to plus its position. Non-negative positions are join levels
@@ -120,8 +121,12 @@ func (an *analyzeRun) op(owner any, pos int) *opMetrics {
 	return m
 }
 
-// find returns the operator's record, or nil if the operator never ran.
+// find returns the operator's record, or nil if the operator never ran or
+// there is no run (plain EXPLAIN).
 func (an *analyzeRun) find(owner any, pos int) *opMetrics {
+	if an == nil {
+		return nil
+	}
 	an.mu.Lock()
 	defer an.mu.Unlock()
 	return an.ops[anKey{owner, pos}]
@@ -133,7 +138,12 @@ func (an *analyzeRun) noteSelect(s *SelectStmt, cs *selectCompiled) {
 	an.mu.Unlock()
 }
 
+// selectFor returns the compiled form the run executed for s, or nil if s
+// never ran or there is no run.
 func (an *analyzeRun) selectFor(s *SelectStmt) *selectCompiled {
+	if an == nil {
+		return nil
+	}
 	an.mu.Lock()
 	defer an.mu.Unlock()
 	return an.selects[s]
@@ -206,9 +216,10 @@ func (ir *instrRow) Close() {
 // returns the EXPLAIN tree annotated with actuals: rows produced, open
 // count, inclusive wall time, and source rows scanned / probes issued per
 // join level. The statement runs for real: a DML statement mutates the
-// database and appends its redo record exactly as Exec would. Also
-// reachable through the SQL path as `EXPLAIN ANALYZE <stmt>` (or the
-// shorthand `ANALYZE <stmt>`) via Query.
+// database and appends its redo record exactly as Exec would. The tree is
+// rendered by the same functions as Explain, so with the actuals and the
+// footer stripped the two print the same plan. This method is the only way
+// to run ANALYZE: the SQL path rejects `EXPLAIN`/`ANALYZE` prefixes.
 func (db *DB) ExplainAnalyze(sql string) (string, error) {
 	stmt, err := ParseSQL(sql)
 	if err != nil {
@@ -286,7 +297,7 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var b strings.Builder
-	if err := db.renderAnalyzeStmt(&b, stmt, an, 0); err != nil {
+	if err := db.renderStmt(&b, stmt, an, 0); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&b, "Execution: rows=%d time=%s\n", rowsOut, fmtAnDur(total))
@@ -294,214 +305,18 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) {
 	return strings.TrimRight(b.String(), "\n"), nil
 }
 
-// dispatchExplain routes `EXPLAIN ...`, `EXPLAIN ANALYZE ...`, and
-// `ANALYZE ...` statements arriving through the SQL query path. handled is
-// false for everything else, and Query proceeds normally.
-func (db *DB) dispatchExplain(sql string) (rows *Rows, handled bool, err error) {
-	if rest, ok := cutKeyword(sql, "EXPLAIN"); ok {
-		if rest2, ok2 := cutKeyword(rest, "ANALYZE"); ok2 {
-			text, err := db.ExplainAnalyze(rest2)
-			return planRows(text), true, err
-		}
-		text, err := db.Explain(rest)
-		return planRows(text), true, err
-	}
-	if rest, ok := cutKeyword(sql, "ANALYZE"); ok {
-		text, err := db.ExplainAnalyze(rest)
-		return planRows(text), true, err
-	}
-	return nil, false, nil
-}
-
-// cutKeyword strips one leading (case-insensitive) keyword followed by
-// whitespace, reporting whether it matched.
-func cutKeyword(s, kw string) (string, bool) {
-	t := strings.TrimLeft(s, " \t\r\n")
-	if len(t) <= len(kw) || !strings.EqualFold(t[:len(kw)], kw) {
-		return "", false
-	}
-	switch t[len(kw)] {
-	case ' ', '\t', '\r', '\n':
-		return strings.TrimLeft(t[len(kw)+1:], " \t\r\n"), true
-	}
-	return "", false
-}
-
-// planRows shapes a rendered plan as a one-column result set.
-func planRows(text string) *Rows {
-	rows := &Rows{Cols: []string{"plan"}}
-	if text == "" {
-		return rows
-	}
-	for _, line := range strings.Split(text, "\n") {
-		rows.Data = append(rows.Data, []Value{Text(line)})
-	}
-	return rows
-}
-
-// renderAnalyzeStmt mirrors explainStmt, reading actuals off the run.
-func (db *DB) renderAnalyzeStmt(b *strings.Builder, stmt Stmt, an *analyzeRun, depth int) error {
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		return db.renderAnalyzeSelect(b, s, an, depth)
-	case *DeleteStmt:
-		t := db.tables[strings.ToLower(s.Table)]
-		if t == nil {
-			return fmt.Errorf("relational: no table %q", s.Table)
-		}
-		indentLine(b, depth, fmt.Sprintf("Delete %s", t.Name))
-		db.renderAnalyzeMatch(b, s.Table, t, s.Where, &s.plan, an, depth+1)
-		return nil
-	case *UpdateStmt:
-		t := db.tables[strings.ToLower(s.Table)]
-		if t == nil {
-			return fmt.Errorf("relational: no table %q", s.Table)
-		}
-		sets := make([]string, len(s.Set))
-		for i, sc := range s.Set {
-			sets[i] = fmt.Sprintf("%s = %s", sc.Col, exprString(sc.Val))
-		}
-		indentLine(b, depth, fmt.Sprintf("Update %s [%s]", t.Name, strings.Join(sets, ", ")))
-		db.renderAnalyzeMatch(b, s.Table, t, s.Where, &s.plan, an, depth+1)
-		return nil
-	case *InsertStmt:
-		if s.Select != nil {
-			indentLine(b, depth, fmt.Sprintf("Insert %s", s.Table))
-			return db.renderAnalyzeSelect(b, s.Select, an, depth+1)
-		}
-		indentLine(b, depth, fmt.Sprintf("Insert %s (%d rows of values)", s.Table, len(s.Rows)))
-		return nil
-	default:
-		indentLine(b, depth, fmt.Sprintf("%T", stmt))
-		return nil
-	}
-}
-
-// renderAnalyzeMatch renders the DML row-match access line with its
-// actuals. The plan comes from the statement's compiled slot — the same
-// matchPlanFor the execution used — so the rendered access path is the one
-// that ran.
-func (db *DB) renderAnalyzeMatch(b *strings.Builder, name string, t *Table, where Expr, slot **levelPlan, an *analyzeRun, depth int) {
-	lp := db.matchPlanFor(slot, name, t, where)
-	src := &source{name: name, table: t}
-	ap := chooseAccessPlan(lp, src, 0, nil, true)
-	indentLine(b, depth, levelLine(lp, src, ap)+an.find(slot, anMatch).suffix())
-}
-
-// renderAnalyzeSelect mirrors renderSelectTree over the compiled forms the
-// execution recorded (an.selects), annotating each operator line. A
-// sub-statement the execution never reached falls back to the predicted
-// plan, unannotated.
-func (db *DB) renderAnalyzeSelect(b *strings.Builder, s *SelectStmt, an *analyzeRun, depth int) error {
-	cs := an.selectFor(s)
-	if cs == nil {
-		return db.explainSelect(b, s, newEnv(nil), depth, nil)
-	}
-	if cs.explicit {
-		keys := make([]string, len(s.OrderBy))
-		for i, k := range s.OrderBy {
-			keys[i] = exprString(k.Expr)
-			if k.Desc {
-				keys[i] += " DESC"
-			}
-		}
-		switch {
-		case cs.elide && len(cs.bodies) > 1:
-			indentLine(b, depth, fmt.Sprintf("MergeAll [%s]%s", strings.Join(keys, ", "), an.find(cs, anMerge).suffix()))
-			depth++
-		case cs.elide:
-			// Single ordered branch: the sort disappears entirely.
-		default:
-			indentLine(b, depth, fmt.Sprintf("Sort [%s]%s", strings.Join(keys, ", "), an.find(cs, anSort).suffix()))
-			depth++
-		}
-	}
-	if len(s.Body) > 1 && !(cs.explicit && cs.elide) {
-		indentLine(b, depth, "UnionAll"+an.find(cs, anUnion).suffix())
-		depth++
-	}
-	for _, bc := range cs.bodies {
-		db.renderAnalyzeBody(b, bc, an, depth)
-	}
-	for _, cte := range s.With {
-		indentLine(b, depth, fmt.Sprintf("CTE %s", cte.Name))
-		if err := db.renderAnalyzeSelect(b, cte.Select, an, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// renderAnalyzeBody mirrors explainBody.
-func (db *DB) renderAnalyzeBody(b *strings.Builder, bc *bodyCompiled, an *analyzeRun, depth int) {
-	s := bc.sel
-	if s.Distinct {
-		indentLine(b, depth, "Distinct"+an.find(bc, anDistinct).suffix())
-		depth++
-	}
-	var exprs []string
-	if s.Star {
-		exprs = []string{"*"}
-	} else {
-		for _, se := range s.Exprs {
-			exprs = append(exprs, exprString(se.Expr))
-		}
-	}
-	head := "Project"
-	if bc.aggregate {
-		head = "Aggregate"
-	}
-	indentLine(b, depth, fmt.Sprintf("%s [%s]%s", head, strings.Join(exprs, ", "), an.find(bc, anProject).suffix()))
-	depth++
-	if len(bc.srcs) == 0 {
-		indentLine(b, depth, "Values")
-		return
-	}
-	for pos := len(bc.plan.levels) - 1; pos >= 0; pos-- {
-		lp := bc.plan.levels[pos]
-		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos])+an.find(bc, pos).suffix())
-		depth++
-	}
-}
-
 // writeStatsDelta appends the non-zero engine counter movements of the
-// analyzed execution. Deltas are computed against the global Stats
+// analyzed execution, named after the Stats fields (first letter lower-cased)
+// in declaration order. Deltas are computed against the global Stats
 // snapshot, so concurrent statements can leak into them; for the debugging
 // workflow ANALYZE serves, that imprecision is acceptable.
 func writeStatsDelta(b *strings.Builder, d Stats) {
-	fields := []struct {
-		name string
-		v    int64
-	}{
-		{"statements", d.Statements},
-		{"triggerFirings", d.TriggerFirings},
-		{"rowsScanned", d.RowsScanned},
-		{"rowsInserted", d.RowsInserted},
-		{"rowsDeleted", d.RowsDeleted},
-		{"rowsUpdated", d.RowsUpdated},
-		{"indexProbes", d.IndexProbes},
-		{"fullScans", d.FullScans},
-		{"rangeProbes", d.RangeProbes},
-		{"sortPasses", d.SortPasses},
-		{"rowsSorted", d.RowsSorted},
-		{"hashJoinBuilds", d.HashJoinBuilds},
-		{"planCacheHits", d.PlanCacheHits},
-		{"planCacheMisses", d.PlanCacheMisses},
-		{"snapshotsTaken", d.SnapshotsTaken},
-		{"versionChainHops", d.VersionChainHops},
-		{"writeConflicts", d.WriteConflicts},
-		{"versionsVacuumed", d.VersionsVacuumed},
-		{"pageReads", d.PageReads},
-		{"pageWrites", d.PageWrites},
-		{"poolHits", d.PoolHits},
-		{"poolMisses", d.PoolMisses},
-		{"evictions", d.Evictions},
-		{"dirtyFlushes", d.DirtyFlushes},
-	}
+	v := reflect.ValueOf(d)
 	var parts []string
-	for _, f := range fields {
-		if f.v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", f.name, f.v))
+	for i := 0; i < v.NumField(); i++ {
+		if n := v.Field(i).Int(); n != 0 {
+			name := v.Type().Field(i).Name
+			parts = append(parts, fmt.Sprintf("%s%s=%d", strings.ToLower(name[:1]), name[1:], n))
 		}
 	}
 	if len(parts) > 0 {

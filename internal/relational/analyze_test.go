@@ -2,9 +2,11 @@ package relational
 
 import (
 	"fmt"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -104,44 +106,124 @@ func TestAnalyzeRowsMatchResult(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSQLPath: EXPLAIN ANALYZE and the ANALYZE shorthand round-trip
-// through Query as one-column plan results, and plain EXPLAIN still matches
-// the Explain method.
-func TestAnalyzeSQLPath(t *testing.T) {
+// TestExplainSQLPrefixRejected: plans are reached through DB.Explain and
+// DB.ExplainAnalyze only; the SQL path refuses the EXPLAIN/ANALYZE prefixes
+// with a one-line error naming both methods.
+func TestExplainSQLPrefixRejected(t *testing.T) {
 	db := analyzeDB(t)
-	for _, prefix := range []string{"EXPLAIN ANALYZE ", "explain analyze ", "ANALYZE ", "analyze "} {
-		rows, err := db.Query(prefix + `SELECT id FROM kid WHERE pos >= 5`)
-		if err != nil {
-			t.Fatalf("%q: %v", prefix, err)
+	for _, prefix := range []string{"EXPLAIN ", "EXPLAIN ANALYZE ", "ANALYZE ", "explain analyze "} {
+		_, err := db.Query(prefix + `SELECT id FROM kid WHERE pos >= 5`)
+		if err == nil {
+			t.Errorf("Query(%q...) succeeded, want an error", prefix)
+			continue
 		}
-		if len(rows.Cols) != 1 || rows.Cols[0] != "plan" {
-			t.Fatalf("%q: cols = %v, want [plan]", prefix, rows.Cols)
-		}
-		var b strings.Builder
-		for _, r := range rows.Data {
-			s, _ := r[0].Text()
-			b.WriteString(s)
-			b.WriteByte('\n')
-		}
-		if !strings.Contains(b.String(), "(actual ") {
-			t.Errorf("%q: result carries no actuals:\n%s", prefix, b.String())
+		msg := err.Error()
+		if !strings.Contains(msg, "DB.Explain ") || !strings.Contains(msg, "DB.ExplainAnalyze") || strings.Contains(msg, "\n") {
+			t.Errorf("Query(%q...): err = %q, want one line naming DB.Explain and DB.ExplainAnalyze", prefix, msg)
 		}
 	}
-	want, err := db.Explain(`SELECT id FROM kid WHERE pos >= 5`)
-	if err != nil {
-		t.Fatal(err)
+}
+
+var actualRe = regexp.MustCompile(` \(actual [^)]*\)$`)
+
+// stripActuals reduces an ANALYZE rendering to its plan: the per-operator
+// actuals suffixes and the Execution/Stats footer go.
+func stripActuals(out string) string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "Execution: ") || strings.HasPrefix(line, "Stats: ") {
+			continue
+		}
+		lines = append(lines, actualRe.ReplaceAllString(line, ""))
 	}
-	rows, err := db.Query(`EXPLAIN SELECT id FROM kid WHERE pos >= 5`)
-	if err != nil {
-		t.Fatal(err)
+	return strings.Join(lines, "\n")
+}
+
+// TestExplainMatchesAnalyzeTree: EXPLAIN and EXPLAIN ANALYZE print the same
+// plan tree — ANALYZE only adds actuals and a footer — across every operator
+// and access-path shape, SELECT and DML alike. want pins the shape each case
+// is there to cover.
+func TestExplainMatchesAnalyzeTree(t *testing.T) {
+	cases := []struct {
+		name, sql, want string
+		db              func(testing.TB) *DB
+	}{
+		{"heap scan", `SELECT id FROM kid WHERE pos >= 5`, "Scan kid", analyzeDB},
+		{"hash-index probe", `SELECT k.id FROM par p, kid k WHERE k.parentId = p.id`, "IndexProbe kid AS k", analyzeDB},
+		{"transient hash join", `SELECT k.id FROM par p, kid k WHERE k.grp = p.grp`, "HashJoin kid AS k", analyzeDB},
+		{"distinct", `SELECT DISTINCT grp FROM kid`, "Distinct", analyzeDB},
+		{"aggregate", `SELECT COUNT(id) FROM kid WHERE parentId = 4`, "Aggregate", analyzeDB},
+		{"order by sort", `SELECT k.id FROM par p, kid k WHERE k.parentId = p.id ORDER BY k.id`, "Sort [k.id]", analyzeDB},
+		{"union all", `SELECT id FROM kid WHERE pos = 0 UNION ALL SELECT id FROM par`, "UnionAll", analyzeDB},
+		{"cte join", `WITH c(pid) AS (SELECT parentId FROM kid WHERE pos = 0) SELECT p.name FROM c, par p WHERE p.id = c.pid`, "CTE c", analyzeDB},
+		{"values", `SELECT 1`, "Values", analyzeDB},
+		{"update by probe", `UPDATE kid SET pos = pos + 100 WHERE parentId = 3`, "IndexProbe kid", analyzeDB},
+		{"insert select", `INSERT INTO par SELECT id, grp, 'x' FROM kid WHERE pos = 7`, "Insert par", analyzeDB},
+		{"in probe", `SELECT id FROM t WHERE k IN (5, 2)`, "InProbe t", inProbeIndexed},
+		{"in delete", `DELETE FROM t WHERE k IN (5, 2)`, "InProbe t", inProbeIndexed},
+		{"sou", souStatement, "MergeAll [C1, C3]", paperSchema},
+		{"range update", `UPDATE Orders SET pos = pos + 1 WHERE parentId = 3 AND pos >= 1`, "RangeScan Orders", paperSchema},
+		{"ordered desc", `SELECT id FROM Orders ORDER BY id DESC`, "OrderedScan Orders", paperSchema},
 	}
-	var got []string
-	for _, r := range rows.Data {
-		s, _ := r[0].Text()
-		got = append(got, s)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.db(t)
+			plan, err := db.Explain(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(plan, c.want) {
+				t.Fatalf("plan lacks %q:\n%s", c.want, plan)
+			}
+			out, err := db.ExplainAnalyze(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stripActuals(out); got != plan {
+				t.Errorf("ANALYZE tree differs from EXPLAIN\nEXPLAIN:\n%s\nANALYZE:\n%s", plan, out)
+			}
+			if !strings.Contains(out, "(actual ") {
+				t.Errorf("ANALYZE carries no actuals:\n%s", out)
+			}
+		})
 	}
-	if strings.Join(got, "\n") != want {
-		t.Errorf("EXPLAIN via Query = %q, Explain() = %q", strings.Join(got, "\n"), want)
+}
+
+func inProbeIndexed(tb testing.TB) *DB { return inProbeDB(tb.(*testing.T), true) }
+
+// TestStatsFieldsCovered: Stats, statCounters and the hand-written field
+// lists in Stats(), statsSub and ResetStats name the same counters — a
+// counter added to one list and missed in another fails here.
+func TestStatsFieldsCovered(t *testing.T) {
+	st := reflect.TypeOf(Stats{})
+	ct := reflect.TypeOf(statCounters{})
+	if st.NumField() != ct.NumField() {
+		t.Fatalf("Stats has %d fields, statCounters %d", st.NumField(), ct.NumField())
+	}
+	db := NewDB()
+	live := reflect.ValueOf(&db.stats).Elem()
+	for i := 0; i < ct.NumField(); i++ {
+		if st.Field(i).Name != ct.Field(i).Name {
+			t.Fatalf("field %d: Stats.%s vs statCounters.%s", i, st.Field(i).Name, ct.Field(i).Name)
+		}
+		live.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+	}
+	snap := db.Stats()
+	diff := statsSub(snap, Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		name, want := st.Field(i).Name, int64(i+1)
+		if got := reflect.ValueOf(snap).Field(i).Int(); got != want {
+			t.Errorf("Stats().%s = %d, want %d", name, got, want)
+		}
+		if got := reflect.ValueOf(diff).Field(i).Int(); got != want {
+			t.Errorf("statsSub(...).%s = %d, want %d", name, got, want)
+		}
+	}
+	db.ResetStats()
+	for i := 0; i < ct.NumField(); i++ {
+		if got := live.Field(i).Addr().Interface().(*atomic.Int64).Load(); got != 0 {
+			t.Errorf("ResetStats left %s = %d", ct.Field(i).Name, got)
+		}
 	}
 }
 

@@ -493,9 +493,6 @@ func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value
 // database, even while a write transaction sits open (mvcc.go). To read a
 // transaction's own uncommitted writes, query through its Tx.
 func (db *DB) Query(sql string) (*Rows, error) {
-	if rows, handled, err := db.dispatchExplain(sql); handled {
-		return rows, err
-	}
 	qt := db.traceBegin("query", sql)
 	rows, err := db.queryLocked(sql, qt)
 	n := 0

@@ -54,11 +54,6 @@ type Options struct {
 	// default; negative disables auto-checkpointing (crash tests need the
 	// log to stay put).
 	CheckpointBytes int64
-	// SlowQuery, when positive, arms the slow-query log: statements whose
-	// total latency reaches the threshold are traced and retained in the
-	// recent-statements ring (see DB.SetSlowQuery / DB.TraceLog). Zero
-	// leaves tracing off.
-	SlowQuery time.Duration
 	// Deprecated: every directory is paged; ignored.
 	Storage StorageKind
 	// PoolPages bounds resident pages (default 256). PageSize sets the
@@ -382,11 +377,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.pool.mu.Lock()
 		db.pool.evictPressureLocked()
 		db.pool.mu.Unlock()
-	}
-	// Armed after replay so recovery re-execution does not pollute the
-	// slow-query log.
-	if opts.SlowQuery > 0 {
-		db.SetSlowQuery(opts.SlowQuery)
 	}
 	ok = true
 	return db, nil

@@ -21,7 +21,7 @@ func (db *DB) Explain(sql string) (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var b strings.Builder
-	if err := db.explainStmt(&b, stmt, 0); err != nil {
+	if err := db.renderStmt(&b, stmt, nil, 0); err != nil {
 		return "", err
 	}
 	return strings.TrimRight(b.String(), "\n"), nil
@@ -35,17 +35,20 @@ func indentLine(b *strings.Builder, depth int, line string) {
 	b.WriteByte('\n')
 }
 
-func (db *DB) explainStmt(b *strings.Builder, stmt Stmt, depth int) error {
+// renderStmt renders a statement's plan tree. With a nil run it is plain
+// EXPLAIN; with an ANALYZE run every operator line also carries the actuals
+// the run recorded for it (opMetrics.suffix, nil-safe).
+func (db *DB) renderStmt(b *strings.Builder, stmt Stmt, an *analyzeRun, depth int) error {
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		return db.explainSelect(b, s, newEnv(nil), depth, nil)
+		return db.renderSelect(b, s, an, depth)
 	case *DeleteStmt:
 		t := db.tables[strings.ToLower(s.Table)]
 		if t == nil {
 			return fmt.Errorf("relational: no table %q", s.Table)
 		}
 		indentLine(b, depth, fmt.Sprintf("Delete %s", t.Name))
-		db.explainMatch(b, s.Table, t, s.Where, depth+1)
+		db.renderMatch(b, s.Table, t, s.Where, &s.plan, an, depth+1)
 		return nil
 	case *UpdateStmt:
 		t := db.tables[strings.ToLower(s.Table)]
@@ -57,12 +60,12 @@ func (db *DB) explainStmt(b *strings.Builder, stmt Stmt, depth int) error {
 			sets[i] = fmt.Sprintf("%s = %s", sc.Col, exprString(sc.Val))
 		}
 		indentLine(b, depth, fmt.Sprintf("Update %s [%s]", t.Name, strings.Join(sets, ", ")))
-		db.explainMatch(b, s.Table, t, s.Where, depth+1)
+		db.renderMatch(b, s.Table, t, s.Where, &s.plan, an, depth+1)
 		return nil
 	case *InsertStmt:
 		if s.Select != nil {
 			indentLine(b, depth, fmt.Sprintf("Insert %s", s.Table))
-			return db.explainSelect(b, s.Select, newEnv(nil), depth+1, nil)
+			return db.renderSelect(b, s.Select, an, depth+1)
 		}
 		indentLine(b, depth, fmt.Sprintf("Insert %s (%d rows of values)", s.Table, len(s.Rows)))
 		return nil
@@ -72,12 +75,14 @@ func (db *DB) explainStmt(b *strings.Builder, stmt Stmt, depth int) error {
 	}
 }
 
-// explainMatch renders the DML row-matching access path.
-func (db *DB) explainMatch(b *strings.Builder, name string, t *Table, where Expr, depth int) {
-	lp := planMatch(name, t, where)
+// renderMatch renders the DML row-match access line. The plan comes from
+// the statement's compiled slot — the same matchPlanFor execution uses — so
+// the rendered access path is the one that runs.
+func (db *DB) renderMatch(b *strings.Builder, name string, t *Table, where Expr, slot **levelPlan, an *analyzeRun, depth int) {
+	lp := db.matchPlanFor(slot, name, t, where)
 	src := &source{name: name, table: t}
 	ap := chooseAccessPlan(lp, src, 0, nil, true)
-	indentLine(b, depth, levelLine(lp, src, ap))
+	indentLine(b, depth, levelLine(lp, src, ap)+an.find(slot, anMatch).suffix())
 }
 
 // explainTree is a statement's compiled form plus its CTEs' compiled
@@ -120,16 +125,38 @@ func (db *DB) predictSelect(s *SelectStmt, env *execEnv, extWant []OrderKey) (*e
 	return et, nil
 }
 
-func (db *DB) explainSelect(b *strings.Builder, s *SelectStmt, env *execEnv, depth int, extWant []OrderKey) error {
-	et, err := db.predictSelect(s, newEnvFrom(env), extWant)
+// selectTree returns the compiled tree to render for s: the forms an
+// ANALYZE run recorded when it executed them, otherwise — no run, or a
+// sub-statement the run never reached — the predicted compile.
+func (db *DB) selectTree(s *SelectStmt, an *analyzeRun) (*explainTree, error) {
+	cs := an.selectFor(s)
+	if cs == nil {
+		return db.predictSelect(s, newEnv(nil), nil)
+	}
+	et := &explainTree{stmt: s, cs: cs}
+	if len(s.With) > 0 {
+		et.kids = make(map[string]*explainTree, len(s.With))
+	}
+	for _, cte := range s.With {
+		kid, err := db.selectTree(cte.Select, an)
+		if err != nil {
+			return nil, err
+		}
+		et.kids[strings.ToLower(cte.Name)] = kid
+	}
+	return et, nil
+}
+
+func (db *DB) renderSelect(b *strings.Builder, s *SelectStmt, an *analyzeRun, depth int) error {
+	et, err := db.selectTree(s, an)
 	if err != nil {
 		return err
 	}
-	db.renderSelectTree(b, et, depth)
+	db.renderSelectTree(b, et, an, depth)
 	return nil
 }
 
-func (db *DB) renderSelectTree(b *strings.Builder, et *explainTree, depth int) {
+func (db *DB) renderSelectTree(b *strings.Builder, et *explainTree, an *analyzeRun, depth int) {
 	s, cs := et.stmt, et.cs
 	if cs.explicit {
 		keys := make([]string, len(s.OrderBy))
@@ -143,32 +170,32 @@ func (db *DB) renderSelectTree(b *strings.Builder, et *explainTree, depth int) {
 		case cs.elide && len(cs.bodies) > 1:
 			// The branches already stream in key order; they merge instead
 			// of sorting.
-			indentLine(b, depth, fmt.Sprintf("MergeAll [%s]", strings.Join(keys, ", ")))
+			indentLine(b, depth, fmt.Sprintf("MergeAll [%s]%s", strings.Join(keys, ", "), an.find(cs, anMerge).suffix()))
 			depth++
 		case cs.elide:
 			// Single ordered branch: the sort disappears entirely.
 		default:
-			indentLine(b, depth, fmt.Sprintf("Sort [%s]", strings.Join(keys, ", ")))
+			indentLine(b, depth, fmt.Sprintf("Sort [%s]%s", strings.Join(keys, ", "), an.find(cs, anSort).suffix()))
 			depth++
 		}
 	}
 	if len(s.Body) > 1 && !(cs.explicit && cs.elide) {
-		indentLine(b, depth, "UnionAll")
+		indentLine(b, depth, "UnionAll"+an.find(cs, anUnion).suffix())
 		depth++
 	}
 	for _, bc := range cs.bodies {
-		db.explainBody(b, bc, depth)
+		renderBody(b, bc, an, depth)
 	}
 	for _, cte := range s.With {
 		indentLine(b, depth, fmt.Sprintf("CTE %s", cte.Name))
-		db.renderSelectTree(b, et.kids[strings.ToLower(cte.Name)], depth+1)
+		db.renderSelectTree(b, et.kids[strings.ToLower(cte.Name)], an, depth+1)
 	}
 }
 
-func (db *DB) explainBody(b *strings.Builder, bc *bodyCompiled, depth int) {
+func renderBody(b *strings.Builder, bc *bodyCompiled, an *analyzeRun, depth int) {
 	s := bc.sel
 	if s.Distinct {
-		indentLine(b, depth, "Distinct")
+		indentLine(b, depth, "Distinct"+an.find(bc, anDistinct).suffix())
 		depth++
 	}
 	var exprs []string
@@ -183,7 +210,7 @@ func (db *DB) explainBody(b *strings.Builder, bc *bodyCompiled, depth int) {
 	if bc.aggregate {
 		head = "Aggregate"
 	}
-	indentLine(b, depth, fmt.Sprintf("%s [%s]", head, strings.Join(exprs, ", ")))
+	indentLine(b, depth, fmt.Sprintf("%s [%s]%s", head, strings.Join(exprs, ", "), an.find(bc, anProject).suffix()))
 	depth++
 	if len(bc.srcs) == 0 {
 		indentLine(b, depth, "Values")
@@ -191,7 +218,7 @@ func (db *DB) explainBody(b *strings.Builder, bc *bodyCompiled, depth int) {
 	}
 	for pos := len(bc.plan.levels) - 1; pos >= 0; pos-- {
 		lp := bc.plan.levels[pos]
-		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos]))
+		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos])+an.find(bc, pos).suffix())
 		depth++
 	}
 }

@@ -209,7 +209,6 @@ func (db *DB) claimIntentLocked(t *Table) error {
 	}
 	if t.intentTxn != 0 {
 		db.stats.WriteConflicts.Add(1)
-		db.met.conflicts.Add(1)
 		if w.explicit {
 			return fmt.Errorf("%w: table %s is claimed by a concurrent transaction", ErrWriteConflict, t.Name)
 		}
@@ -217,7 +216,6 @@ func (db *DB) claimIntentLocked(t *Table) error {
 	}
 	if w.explicit && t.lastCommit > w.snapTS {
 		db.stats.WriteConflicts.Add(1)
-		db.met.conflicts.Add(1)
 		return fmt.Errorf("%w: table %s was modified after this transaction began", ErrWriteConflict, t.Name)
 	}
 	t.intentTxn = w.txnID

@@ -218,7 +218,6 @@ func (p *pagePool) faultLocked(pg *pagedTable, pi *pageInfo) error {
 		return err
 	}
 	pg.db.stats.PageReads.Add(1)
-	pg.db.met.pageReads.Add(1)
 	p.admitLocked(pg, pi)
 	return nil
 }
@@ -283,7 +282,6 @@ func (p *pagePool) evictOneLocked() bool {
 			pi.resident = false
 			p.resident--
 			fr.pt.db.stats.Evictions.Add(1)
-			fr.pt.db.met.evictions.Add(1)
 			last := len(p.clock) - 1
 			p.clock[p.hand] = p.clock[last]
 			p.clock = p.clock[:last]
@@ -332,10 +330,8 @@ func (pg *pagedTable) rowRef(rid int) []Value {
 			return nil
 		}
 		pg.db.stats.PoolMisses.Add(1)
-		pg.db.met.poolMisses.Add(1)
 	} else {
 		pg.db.stats.PoolHits.Add(1)
-		pg.db.met.poolHits.Add(1)
 	}
 	pi.ref = true
 	row := pg.t.rows[rid]
@@ -429,10 +425,8 @@ func (c *rowCursor) repin(t *Table, pid int32) bool {
 			return false
 		}
 		pg.db.stats.PoolMisses.Add(1)
-		pg.db.met.poolMisses.Add(1)
 	} else {
 		pg.db.stats.PoolHits.Add(1)
-		pg.db.met.poolHits.Add(1)
 	}
 	pi.ref = true
 	if c.pi != nil {
@@ -917,9 +911,7 @@ func (db *DB) writePagedCheckpoint(lsn uint64, ddl []string, metas []pagedTableM
 			return err
 		}
 		db.stats.PageWrites.Add(1)
-		db.met.pageWrites.Add(1)
 		db.stats.DirtyFlushes.Add(1)
-		db.met.dirtyFlushes.Add(1)
 		files = append(files, f)
 	}
 	seen := map[*pager.File]bool{}
@@ -1049,10 +1041,7 @@ func (db *DB) writeDoublewrite(lsn uint64, payload []byte, images []pagedImage) 
 		return err
 	}
 	syncDirBestEffort(db.pagedDir)
-	for range images {
-		db.stats.PageWrites.Add(1)
-		db.met.pageWrites.Add(1)
-	}
+	db.stats.PageWrites.Add(int64(len(images)))
 	return nil
 }
 
@@ -1265,7 +1254,6 @@ func (db *DB) attachPagedTables(metas []pagedTableMeta) error {
 				return fmt.Errorf("relational: recovering table %s: %w", m.name, err)
 			}
 			db.stats.PageReads.Add(1)
-			db.met.pageReads.Add(1)
 			pi := &pageInfo{id: int32(pid), est: pager.HeaderSize}
 			pg.pages = append(pg.pages, pi)
 			err := pager.DecodePage(buf, uint32(pid), func(rid uint64, payload []byte) error {

@@ -115,6 +115,8 @@ func (p *sqlParser) parseStmt() (Stmt, error) {
 		return p.parseSelect()
 	case p.peekKw("BEGIN"), p.peekKw("COMMIT"), p.peekKw("ROLLBACK"):
 		return nil, fmt.Errorf("SQL transaction control %q is not supported; open a transaction with DB.Begin and finish it with Tx.Commit or Tx.Rollback", p.cur().text)
+	case p.peekKw("EXPLAIN"), p.peekKw("ANALYZE"):
+		return nil, fmt.Errorf("SQL %q is not supported; render plans with DB.Explain or DB.ExplainAnalyze", p.cur().text)
 	default:
 		return nil, fmt.Errorf("unexpected statement start %q", p.cur().text)
 	}

@@ -2,17 +2,17 @@ package relational
 
 import (
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
 )
 
 // Query tracing. Every client-visible statement path (Exec, Query,
-// QueryEach, Prepared.Exec, Tx statements, Tx.Commit) can emit one
-// QueryTrace describing where the statement spent its time: parse+plan or
-// plan-cache hit, lock wait, execution, in-memory commit, fsync wait, and
-// the Stats counters it moved. Tracing is opt-in and off by default — the
+// QueryEach, Prepared.Exec, Tx statements, Tx.Commit, ExplainAnalyze) can
+// emit one QueryTrace describing where the statement spent its time:
+// parse+plan or plan-cache hit, lock wait, execution, in-memory commit,
+// fsync wait, and the Stats counters it moved. OnTrace hooks are the one
+// consumer of these spans. Tracing is opt-in and off by default — the
 // enabled check is a single atomic pointer load and the disabled path
 // allocates nothing, which is what keeps the 0 allocs/row executor pins
 // green while the hooks exist.
@@ -20,9 +20,10 @@ import (
 // Alongside the per-statement traces, the DB always maintains a small set
 // of engine latency histograms (engineMetrics): commit latency by fsync
 // mode, statement-lock wait, intent wait, fsync wait, WAL append/fsync
-// timing and group-commit batch size, MVCC conflicts and vacuum reclaim.
-// These cost a few time.Now calls per statement — never per row — and are
-// exposed through Metrics / WriteMetrics.
+// timing and group-commit batch size, and vacuum reclaim, plus the
+// intent-retry counter. These cost a few time.Now calls per statement —
+// never per row — and are exposed through Metrics / WriteMetrics. Work
+// counts (rows, probes, conflicts, page I/O) live in Stats only.
 
 // QueryTrace is the span record of one executed statement. Durations not
 // applicable to the statement's path (FsyncWait on an in-memory DB,
@@ -60,8 +61,6 @@ type QueryTrace struct {
 	// Rows is the statement's result: rows affected for writes, rows
 	// returned for reads.
 	Rows int
-	// Slow marks traces that crossed the slow-query threshold.
-	Slow bool
 	// Err is the failure message, empty on success.
 	Err string
 	// Stats is the delta of the DB's work counters over this statement.
@@ -80,68 +79,25 @@ type traceHook struct {
 }
 
 // obsState is the immutable published form of the DB's tracing
-// configuration. The hot path loads it once per statement; OnTrace,
-// EnableTraceLog, and SetSlowQuery publish a fresh copy under obsMu.
-// A nil obsState means tracing is fully off.
+// configuration: the registered OnTrace hooks. The hot path loads it once
+// per statement; OnTrace and its cancel functions publish a fresh copy
+// under obsMu. A nil obsState means tracing is fully off.
 type obsState struct {
 	hooks []traceHook
-	ring  *traceRing
-	slow  time.Duration
 }
-
-// traceRing is a fixed-capacity ring of recent traces.
-type traceRing struct {
-	mu   sync.Mutex
-	buf  []*QueryTrace
-	next int
-	full bool
-}
-
-func newTraceRing(n int) *traceRing {
-	return &traceRing{buf: make([]*QueryTrace, n)}
-}
-
-func (r *traceRing) add(qt *QueryTrace) {
-	r.mu.Lock()
-	r.buf[r.next] = qt
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// entries returns the ring's contents, oldest first.
-func (r *traceRing) entries() []*QueryTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []*QueryTrace
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// defaultTraceRing is the ring capacity SetSlowQuery installs when no
-// explicit EnableTraceLog size was chosen.
-const defaultTraceRing = 64
 
 // updateObs copies the current observability state, applies f, and
-// publishes the result — or publishes nil when the result is empty, so
-// the per-statement check degrades back to "one atomic load, off".
+// publishes the result — or publishes nil when no hook remains, so the
+// per-statement check degrades back to "one atomic load, off".
 func (db *DB) updateObs(f func(s *obsState)) {
 	db.obsMu.Lock()
 	defer db.obsMu.Unlock()
 	var s obsState
 	if cur := db.obs.Load(); cur != nil {
 		s.hooks = append([]traceHook(nil), cur.hooks...)
-		s.ring = cur.ring
-		s.slow = cur.slow
 	}
 	f(&s)
-	if len(s.hooks) == 0 && s.ring == nil && s.slow == 0 {
+	if len(s.hooks) == 0 {
 		db.obs.Store(nil)
 		return
 	}
@@ -172,45 +128,6 @@ func (db *DB) OnTrace(fn func(*QueryTrace)) (cancel func()) {
 	}
 }
 
-// EnableTraceLog keeps the last n traces in a ring buffer readable via
-// TraceLog. n <= 0 turns the log off. While a slow-query threshold is set
-// (SetSlowQuery), only traces crossing it enter the log.
-func (db *DB) EnableTraceLog(n int) {
-	db.updateObs(func(s *obsState) {
-		if n <= 0 {
-			s.ring = nil
-			return
-		}
-		s.ring = newTraceRing(n)
-	})
-}
-
-// TraceLog returns the ring-buffered recent traces, oldest first. Empty
-// when no trace log is enabled.
-func (db *DB) TraceLog() []*QueryTrace {
-	if obs := db.obs.Load(); obs != nil && obs.ring != nil {
-		return obs.ring.entries()
-	}
-	return nil
-}
-
-// SetSlowQuery sets the slow-query threshold: statements whose total time
-// reaches d are marked Slow and recorded in the trace log (created at a
-// default capacity if not already enabled). d <= 0 clears the threshold;
-// the log, if any, reverts to recording every statement.
-func (db *DB) SetSlowQuery(d time.Duration) {
-	db.updateObs(func(s *obsState) {
-		if d <= 0 {
-			s.slow = 0
-			return
-		}
-		s.slow = d
-		if s.ring == nil {
-			s.ring = newTraceRing(defaultTraceRing)
-		}
-	})
-}
-
 // traceBegin opens a trace span for one statement, or returns nil when
 // tracing is off — the nil *QueryTrace is threaded through the statement
 // path and every recording site checks it, so the disabled path costs
@@ -222,9 +139,8 @@ func (db *DB) traceBegin(kind, sql string) *QueryTrace {
 	return &QueryTrace{SQL: sql, Kind: kind, Start: time.Now(), statsBase: db.Stats()}
 }
 
-// traceFinish completes the span and dispatches it to hooks and the trace
-// log. Callers invoke it after releasing engine locks: hooks run user
-// code.
+// traceFinish completes the span and dispatches it to the hooks. Callers
+// invoke it after releasing engine locks: hooks run user code.
 func (db *DB) traceFinish(qt *QueryTrace, rows int, err error) {
 	if qt == nil {
 		return
@@ -240,12 +156,8 @@ func (db *DB) traceFinish(qt *QueryTrace, rows int, err error) {
 		// Tracing was turned off mid-statement; drop the span.
 		return
 	}
-	qt.Slow = obs.slow > 0 && qt.Total >= obs.slow
 	for _, h := range obs.hooks {
 		h.fn(qt)
-	}
-	if obs.ring != nil && (obs.slow <= 0 || qt.Slow) {
-		obs.ring.add(qt)
 	}
 }
 
@@ -299,18 +211,10 @@ type engineMetrics struct {
 	// vacuumReclaim observes row versions reclaimed per vacuum pass (only
 	// passes that reclaimed something).
 	vacuumReclaim *metrics.Histogram
-	// conflicts counts first-committer-wins aborts and intent collisions;
-	// intentRetries counts autocommit park-and-retry rounds.
-	conflicts     *metrics.Counter
+	// intentRetries counts autocommit park-and-retry rounds. Every other
+	// engine count (conflicts, page I/O, pool hits and evictions) lives in
+	// Stats alone.
 	intentRetries *metrics.Counter
-	// Buffer-pool counters, mirrored from statCounters for directory DBs
-	// (paged.go); flat zero on an in-memory DB.
-	pageReads    *metrics.Counter
-	pageWrites   *metrics.Counter
-	poolHits     *metrics.Counter
-	poolMisses   *metrics.Counter
-	evictions    *metrics.Counter
-	dirtyFlushes *metrics.Counter
 }
 
 func newEngineMetrics() *engineMetrics {
@@ -322,14 +226,7 @@ func newEngineMetrics() *engineMetrics {
 		fsyncWait:     reg.Histogram("fsync_wait_ns"),
 		intentWait:    reg.Histogram("intent_wait_ns"),
 		vacuumReclaim: reg.Histogram("vacuum_reclaimed_rows"),
-		conflicts:     reg.Counter("write_conflicts"),
 		intentRetries: reg.Counter("intent_retries"),
-		pageReads:     reg.Counter("page_reads"),
-		pageWrites:    reg.Counter("page_writes"),
-		poolHits:      reg.Counter("pool_hits"),
-		poolMisses:    reg.Counter("pool_misses"),
-		evictions:     reg.Counter("pool_evictions"),
-		dirtyFlushes:  reg.Counter("dirty_flushes"),
 	}
 }
 
@@ -339,9 +236,9 @@ func (m *engineMetrics) useSyncMode(mode SyncMode) {
 	m.commit = m.reg.Histogram("commit_ns_" + mode.String())
 }
 
-// Metrics returns a snapshot of the engine's latency histograms and
-// counters (commit latency by fsync mode, WAL append/fsync, group-commit
-// batch size, lock and intent waits, vacuum reclaim).
+// Metrics returns a snapshot of the engine's latency histograms (commit
+// latency by fsync mode, WAL append/fsync, group-commit batch size, lock
+// and intent waits, vacuum reclaim) and the intent-retry counter.
 func (db *DB) Metrics() metrics.Snapshot {
 	return db.met.reg.Snapshot()
 }

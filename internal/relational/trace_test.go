@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestTraceHookPhases: a registered hook sees one span per statement with
@@ -138,52 +137,6 @@ func TestTracePreparedAndTx(t *testing.T) {
 	}
 }
 
-// TestTraceRing: the ring keeps the last n traces, oldest first.
-func TestTraceRing(t *testing.T) {
-	db := NewDB()
-	db.MustExec(`CREATE TABLE item (id INTEGER)`)
-	db.EnableTraceLog(3)
-	for i := 0; i < 5; i++ {
-		db.MustExec(fmt.Sprintf(`INSERT INTO item VALUES (%d)`, i))
-	}
-	log := db.TraceLog()
-	if len(log) != 3 {
-		t.Fatalf("%d entries, want 3", len(log))
-	}
-	for i, qt := range log {
-		want := fmt.Sprintf("(%d)", 2+i)
-		if !strings.Contains(qt.SQL, want) {
-			t.Errorf("entry %d = %q, want suffix %s (oldest-first ordering)", i, qt.SQL, want)
-		}
-	}
-	db.EnableTraceLog(0)
-	if db.TraceLog() != nil {
-		t.Error("trace log still readable after disable")
-	}
-}
-
-// TestSlowQueryThreshold: with a threshold set, only statements crossing it
-// enter the log, marked Slow.
-func TestSlowQueryThreshold(t *testing.T) {
-	db := NewDB()
-	db.MustExec(`CREATE TABLE item (id INTEGER)`)
-
-	db.SetSlowQuery(time.Hour) // nothing is that slow
-	db.MustExec(`INSERT INTO item VALUES (1)`)
-	if log := db.TraceLog(); len(log) != 0 {
-		t.Errorf("%d entries under an unreachable threshold, want 0", len(log))
-	}
-
-	db.SetSlowQuery(time.Nanosecond) // everything is that slow
-	db.MustExec(`INSERT INTO item VALUES (2)`)
-	log := db.TraceLog()
-	if len(log) != 1 || !log[0].Slow {
-		t.Fatalf("log = %+v, want one Slow entry", log)
-	}
-	db.SetSlowQuery(0)
-	db.EnableTraceLog(0)
-}
-
 // TestTraceDurablePhases: against a durable store the commit path records
 // Commit and the trace survives the fsync wait; engine metrics pick up the
 // sync-mode-named commit histogram and WAL timings.
@@ -214,29 +167,6 @@ func TestTraceDurablePhases(t *testing.T) {
 	}
 	if wf, ok := snap.Histograms["wal_fsync_ns"]; !ok || wf.Count == 0 {
 		t.Errorf("wal_fsync_ns = %+v (ok=%v), want count > 0", wf, ok)
-	}
-}
-
-// TestSlowQueryOptionArms: Options.SlowQuery arms the slow-query log at
-// Open, after recovery replay (replayed statements must not pollute it).
-func TestSlowQueryOptionArms(t *testing.T) {
-	dir := t.TempDir()
-	db := mustOpenDB(t, dir, Options{Sync: SyncOff})
-	db.MustExec(`CREATE TABLE item (id INTEGER)`)
-	db.MustExec(`INSERT INTO item VALUES (1)`)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db = mustOpenDB(t, dir, Options{Sync: SyncOff, SlowQuery: time.Nanosecond})
-	defer db.Close()
-	if log := db.TraceLog(); len(log) != 0 {
-		t.Fatalf("recovery replay polluted the slow-query log: %d entries", len(log))
-	}
-	db.MustExec(`INSERT INTO item VALUES (2)`)
-	log := db.TraceLog()
-	if len(log) != 1 || !log[0].Slow {
-		t.Fatalf("log = %+v, want the post-recovery insert", log)
 	}
 }
 
