@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/outerunion"
 	"repro/internal/relational"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -107,7 +106,11 @@ func (s *Store) QuerySubtrees(stmt *xquery.Statement) ([]*xmltree.Element, error
 	}
 	// The condition's bare column names resolve against the outer union's
 	// base query, whose only source is the target table.
-	subs, err := outerunion.Query(s.DB, s.M, target.Elem, target.Where)
+	plan, err := s.plan(target.Elem)
+	if err != nil {
+		return nil, err
+	}
+	subs, err := plan.Query(s.DB, target.Where)
 	if err != nil {
 		return nil, err
 	}

@@ -540,8 +540,9 @@ func runPointShape(t *testing.T, s *Store, sh pointShape) relational.Stats {
 // `WHERE id IN (…)` writes probe the id index, so statements issued and
 // rows scanned are the same at every size. The reads are point reads too:
 // read-conf reads its conference's subtree, which is the same subtree at
-// every size. A warm-up pass creates the derived indexes before the
-// measured pass.
+// every size. Each outer-union branch joins the condition's one row to its
+// parentId chain, so read-pub scans 8 rows and read-conf 516. A warm-up
+// pass creates the derived indexes before the measured pass.
 func TestPointUpdateScaling(t *testing.T) {
 	var first map[string]relational.Stats
 	for _, confs := range []int{4, 60, 600} {

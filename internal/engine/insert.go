@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/outerunion"
 	"repro/internal/relational"
 )
 
@@ -43,7 +42,7 @@ func (s *Store) CopySubtrees(srcElem, where string, dstParentID int64) (int, err
 // Union one tuple at a time, give every source element a new unique id
 // through an in-memory mapping structure, and issue one INSERT per tuple.
 func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, error) {
-	plan, err := outerunion.BuildPlan(s.M, srcElem)
+	plan, err := s.plan(srcElem)
 	if err != nil {
 		return 0, err
 	}
@@ -52,25 +51,26 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 		return 0, err
 	}
 	idMap := make(map[int64]int64)
-	// One prepared INSERT per relation (Store-cached, so repeated copies
+	// One prepared INSERT per branch (Store-cached, so repeated copies
 	// reuse the parse too): the per-tuple loop binds values instead of
 	// re-formatting and re-parsing SQL for every tuple.
-	inserts := make(map[string]*relational.Prepared)
+	inserts := make([]*relational.Prepared, len(plan.Branches))
 	roots := 0
 	for _, row := range rows.Data {
-		elem, oldID, ok := planRowTable(plan, row)
+		bi, oldID, ok := plan.BranchOf(row)
 		if !ok {
 			return roots, fmt.Errorf("engine: malformed outer union row")
 		}
+		b := &plan.Branches[bi]
 		newID := s.AllocateIDs(1) // gapless allocation (§6.2.1)
 		idMap[oldID] = newID
-		tm := s.M.Table(elem)
+		tm := s.M.Table(b.Elem)
 		var parent relational.Value
-		if elem == srcElem {
+		if bi == 0 {
 			parent = relational.Int(dstParentID)
 			roots++
 		} else {
-			oldParent, ok := row[plan.IDCol[plan.ParentOf[elem]]].Int()
+			oldParent, ok := row[plan.Branches[b.Parent].ID].Int()
 			if !ok {
 				return roots, fmt.Errorf("engine: child tuple with NULL parent key")
 			}
@@ -80,7 +80,7 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 			}
 			parent = relational.Int(np)
 		}
-		p := inserts[elem]
+		p := inserts[bi]
 		if p == nil {
 			cols := []string{"id", "parentId"}
 			marks := []string{"?", "?"}
@@ -94,13 +94,10 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 			if err != nil {
 				return roots, err
 			}
-			inserts[elem] = p
+			inserts[bi] = p
 		}
-		args := make([]relational.Value, 0, len(tm.Columns)+2)
-		args = append(args, relational.Int(newID), parent)
-		for i := range tm.Columns {
-			args = append(args, row[plan.DataCols[elem][i]])
-		}
+		args := append(make([]relational.Value, 0, b.NData+2), relational.Int(newID), parent)
+		args = append(args, b.Data(row)...)
 		if _, err := s.sql().ExecPrepared(p, args...); err != nil {
 			return roots, err
 		}
@@ -111,16 +108,6 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 		}
 	}
 	return roots, nil
-}
-
-func planRowTable(p *outerunion.Plan, row []relational.Value) (string, int64, bool) {
-	for i := len(p.Tables) - 1; i >= 0; i-- {
-		elem := p.Tables[i]
-		if v, ok := row[p.IDCol[elem]].Int(); ok {
-			return elem, v, true
-		}
-	}
-	return "", 0, false
 }
 
 // tableInsert implements §6.2.2: stage the source rows in temporary tables

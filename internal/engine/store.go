@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/asr"
+	"repro/internal/outerunion"
 	"repro/internal/relational"
 	"repro/internal/shred"
 	"repro/internal/xmltree"
@@ -127,6 +128,24 @@ type Store struct {
 	// readers translate statements concurrently with the updater and each
 	// key is written once, then only read.
 	indexed sync.Map
+
+	// plans caches each table element's outer-union plan (element →
+	// *outerunion.Plan), built the first time a read or tuple insert
+	// needs it; readers build concurrently with the updater.
+	plans sync.Map
+}
+
+// plan returns the outer-union plan for the subtree rooted at elem.
+func (s *Store) plan(elem string) (*outerunion.Plan, error) {
+	if p, ok := s.plans.Load(elem); ok {
+		return p.(*outerunion.Plan), nil
+	}
+	p, err := outerunion.BuildPlan(s.M, elem)
+	if err != nil {
+		return nil, err
+	}
+	s.plans.Store(elem, p)
+	return p, nil
 }
 
 // sql returns the session statements execute against: the transaction

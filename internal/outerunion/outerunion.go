@@ -18,159 +18,159 @@ import (
 type Plan struct {
 	M      *shred.Mapping
 	Target string
-	// Tables lists the subtree's table elements in pre-order.
-	Tables []string
-	// IDCol maps a table element to the index of its id column in the wide
-	// tuple.
-	IDCol map[string]int
-	// DataCols maps a table element to the wide-tuple indexes of its data
-	// columns (aligned with TableMap.Columns).
-	DataCols map[string][]int
-	// ParentOf maps a table element to its parent within the subtree ("" at
-	// the target level).
-	ParentOf map[string]string
+	// Branches lists the subtree's table elements in pre-order, one union
+	// branch each; Branches[0] is the target.
+	Branches []Branch
 	// Width is the wide tuple's column count.
 	Width int
 	// ColNames are the generated output column names (C1…Cn).
 	ColNames []string
+	// head and tail are the statement before and after its condition.
+	head, tail string
 }
 
-// BuildPlan computes the wide-tuple layout for the subtree rooted at target.
-// It fails when the subtree reaches a table twice.
+// Branch is one table element's region of the wide tuple: its id column,
+// directly followed by its data columns (aligned with TableMap.Columns).
+type Branch struct {
+	Elem  string
+	ID    int
+	NData int
+	// Parent is the parent branch's index, -1 at the target.
+	Parent int
+}
+
+// Data returns the branch's data columns of a wide tuple.
+func (b *Branch) Data(row []relational.Value) []relational.Value {
+	return row[b.ID+1 : b.ID+1+b.NData]
+}
+
+// BuildPlan computes the wide-tuple layout and statement for the subtree
+// rooted at target. It fails when the subtree reaches a table twice.
 func BuildPlan(m *shred.Mapping, target string) (*Plan, error) {
 	if m.Table(target) == nil {
 		return nil, fmt.Errorf("outerunion: element %q has no table", target)
 	}
-	p := &Plan{
-		M:        m,
-		Target:   target,
-		IDCol:    make(map[string]int),
-		DataCols: make(map[string][]int),
-		ParentOf: make(map[string]string),
-	}
-	var walk func(elem, parent string) error
-	walk = func(elem, parent string) error {
-		if _, dup := p.IDCol[elem]; dup {
+	p := &Plan{M: m, Target: target}
+	seen := make(map[string]bool)
+	var walk func(elem string, parent int) error
+	walk = func(elem string, parent int) error {
+		if seen[elem] {
 			// Each table has one branch and one key column, so a table
 			// that is recursive or shared by two parents has no
 			// fixed-depth outer union.
 			return fmt.Errorf("outerunion: table %q occurs twice in the subtree of %q", elem, target)
 		}
-		p.Tables = append(p.Tables, elem)
-		p.ParentOf[elem] = parent
-		p.IDCol[elem] = p.Width
-		p.Width++
 		tm := m.Table(elem)
-		cols := make([]int, len(tm.Columns))
-		for i := range tm.Columns {
-			cols[i] = p.Width
-			p.Width++
-		}
-		p.DataCols[elem] = cols
+		seen[elem] = true
+		bi := len(p.Branches)
+		p.Branches = append(p.Branches, Branch{Elem: elem, ID: p.Width, NData: len(tm.Columns), Parent: parent})
+		p.Width += 1 + len(tm.Columns)
 		for _, c := range tm.ChildTables {
-			if err := walk(c, elem); err != nil {
+			if err := walk(c, bi); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(target, ""); err != nil {
+	if err := walk(target, -1); err != nil {
 		return nil, err
 	}
 	p.ColNames = make([]string, p.Width)
 	for i := range p.ColNames {
 		p.ColNames[i] = fmt.Sprintf("C%d", i+1)
 	}
+	p.buildSQL()
 	return p, nil
 }
 
-// SQL generates the WITH…UNION ALL…ORDER BY statement for the plan. where is
-// an optional SQL condition over the target table (alias T); per §5.2 all
-// value conditions are tested in the first, base subquery, since the other
-// branches of the outer union cannot remove tuples.
-func (p *Plan) SQL(where string) string {
-	var b strings.Builder
-	b.WriteString("WITH ")
-	colList := strings.Join(p.ColNames, ", ")
-	for qi, elem := range p.Tables {
-		tm := p.M.Table(elem)
-		if qi > 0 {
-			b.WriteString(", ")
+// buildSQL renders the statement once, split around its condition. Q1, the
+// only CTE, holds the target rows passing the condition. Every other branch
+// joins Q1 to the tables on its parentId chain, T1 … Tk, and takes its
+// ancestor keys from their ids, so no branch reads another branch's rows.
+// The keys are the id columns in pre-order with each node's child tables
+// visited in reverse schema order: NULLs sort first, so parents precede
+// children, subtrees stay contiguous, and sibling tables arrive in schema
+// order.
+func (p *Plan) buildSQL() {
+	exprs := make([]string, p.Width)
+	for i := range exprs {
+		exprs[i] = "NULL"
+	}
+	// sel projects branch b's data columns from alias over the id columns
+	// already set, then resets exprs to NULLs.
+	sel := func(b *Branch, alias string) string {
+		for i, c := range p.M.Table(b.Elem).Columns {
+			exprs[b.ID+1+i] = alias + "." + c.Name
 		}
-		fmt.Fprintf(&b, "Q%d(%s) AS (SELECT ", qi+1, colList)
-		exprs := make([]string, p.Width)
+		s := strings.Join(exprs, ", ")
 		for i := range exprs {
 			exprs[i] = "NULL"
 		}
-		if qi == 0 {
-			exprs[p.IDCol[elem]] = "T.id"
-			for i, wi := range p.DataCols[elem] {
-				exprs[wi] = "T." + tm.Columns[i].Name
-			}
-			b.WriteString(strings.Join(exprs, ", "))
-			fmt.Fprintf(&b, " FROM %s T", tm.Name)
-			if where != "" {
-				fmt.Fprintf(&b, " WHERE %s", where)
-			}
-		} else {
-			parent := p.ParentOf[elem]
-			parentQ := fmt.Sprintf("Q%d", indexOf(p.Tables, parent)+1)
-			// Key columns of all ancestors are propagated from the parent
-			// branch so the ORDER BY groups children under their parents.
-			for anc := parent; anc != ""; anc = p.ParentOf[anc] {
-				ci := p.IDCol[anc]
-				exprs[ci] = fmt.Sprintf("%s.%s", parentQ, p.ColNames[ci])
-			}
-			exprs[p.IDCol[elem]] = "T.id"
-			for i, wi := range p.DataCols[elem] {
-				exprs[wi] = "T." + tm.Columns[i].Name
-			}
-			b.WriteString(strings.Join(exprs, ", "))
-			fmt.Fprintf(&b, " FROM %s, %s T WHERE T.parentId = %s.%s",
-				parentQ, tm.Name, parentQ, p.ColNames[p.IDCol[parent]])
-		}
-		b.WriteString(")")
+		return s
 	}
-	b.WriteString(" ")
-	for qi := range p.Tables {
-		if qi > 0 {
-			b.WriteString(" UNION ALL ")
+	exprs[0] = "T.id"
+	p.head = fmt.Sprintf("WITH Q1(%s) AS (SELECT %s FROM %s T", strings.Join(p.ColNames, ", "),
+		sel(&p.Branches[0], "T"), p.M.Table(p.Target).Name)
+	var b strings.Builder
+	b.WriteString(") (SELECT * FROM Q1)")
+	for bi := 1; bi < len(p.Branches); bi++ {
+		// chain runs from the branch up to the target's child table.
+		var chain []*Branch
+		for c := &p.Branches[bi]; c.Parent >= 0; c = &p.Branches[c.Parent] {
+			chain = append(chain, c)
 		}
-		fmt.Fprintf(&b, "(SELECT * FROM Q%d)", qi+1)
+		up := "Q1.C1"
+		exprs[0] = up
+		from := []string{"Q1"}
+		var conds []string
+		for k := len(chain) - 1; k >= 0; k-- {
+			t := fmt.Sprintf("T%d", len(chain)-k)
+			from = append(from, p.M.Table(chain[k].Elem).Name+" "+t)
+			conds = append(conds, t+".parentId = "+up)
+			up = t + ".id"
+			exprs[chain[k].ID] = up
+		}
+		fmt.Fprintf(&b, " UNION ALL (SELECT %s FROM %s WHERE %s)", sel(chain[0], fmt.Sprintf("T%d", len(chain))),
+			strings.Join(from, ", "), strings.Join(conds, " AND "))
 	}
-	// Sort by every id column in pre-order; NULLs sort first, so parents
-	// precede their children and subtrees do not interleave.
+	// A branch's children follow it in schema order, so walking the later
+	// branches backwards visits them reversed.
 	var keys []string
-	for _, elem := range p.Tables {
-		keys = append(keys, p.ColNames[p.IDCol[elem]])
+	var order func(bi int)
+	order = func(bi int) {
+		keys = append(keys, p.ColNames[p.Branches[bi].ID])
+		for c := len(p.Branches) - 1; c > bi; c-- {
+			if p.Branches[c].Parent == bi {
+				order(c)
+			}
+		}
 	}
+	order(0)
 	fmt.Fprintf(&b, " ORDER BY %s", strings.Join(keys, ", "))
-	return b.String()
+	p.tail = b.String()
 }
 
-func indexOf(ss []string, s string) int {
-	for i, x := range ss {
-		if x == s {
-			return i
-		}
+// SQL returns the WITH…UNION ALL…ORDER BY statement for the plan. where is
+// an optional SQL condition over the target table (alias T); per §5.2 it is
+// tested once, in Q1, since the other branches of the outer union cannot
+// remove tuples.
+func (p *Plan) SQL(where string) string {
+	if where == "" {
+		return p.head + p.tail
 	}
-	return -1
+	return p.head + " WHERE " + where + p.tail
 }
 
-// tableOfRow identifies which branch produced a wide tuple: the table whose
-// id column is the deepest non-NULL key.
-func (p *Plan) tableOfRow(row []relational.Value) (string, int64, bool) {
-	for i := len(p.Tables) - 1; i >= 0; i-- {
-		elem := p.Tables[i]
-		if v, ok := row[p.IDCol[elem]].Int(); ok {
-			// The deepest table with a set id whose data region may still
-			// be another branch's ancestor propagation — ancestors only
-			// propagate key columns, so the deepest non-NULL id column is
-			// exactly the producing branch.
-			return elem, v, true
+// BranchOf identifies the branch that produced a wide tuple, and its id: a
+// branch sets only its own and its ancestors' id columns, so the producer
+// is the last branch in pre-order with a non-NULL id.
+func (p *Plan) BranchOf(row []relational.Value) (int, int64, bool) {
+	for bi := len(p.Branches) - 1; bi >= 0; bi-- {
+		if v, ok := row[p.Branches[bi].ID].Int(); ok {
+			return bi, v, true
 		}
 	}
-	return "", 0, false
+	return 0, 0, false
 }
 
 // Subtree is one reconstructed result subtree plus the tuple ids it came
@@ -182,75 +182,68 @@ type Subtree struct {
 	IDs map[string][]int64
 	// RootID is the target tuple's id.
 	RootID int64
+	// ids collects IDs per branch while the stream is read.
+	ids [][]int64
 }
 
 // reconstructor consumes the sorted wide-tuple stream one row at a time —
 // fed directly from the streaming query pipeline, so with sort elision the
 // first subtree assembles while the join is still producing later ones and
-// the wide-tuple result is never buffered whole.
+// the wide-tuple result is never buffered whole. Rows arrive parents first
+// and siblings in schema order, so a row's parent is the element its parent
+// branch emitted last and appending it keeps document order.
 type reconstructor struct {
 	p   *Plan
 	out []*Subtree
-	// elems maps tuple ids to materialized elements within the current
-	// target subtree (ids are unique document-wide).
-	elems map[int64]*xmltree.Element
-	rank  map[*xmltree.Element]int
-	cur   *Subtree
+	cur *Subtree
+	// last and lastID hold, per branch, the element and id it emitted last
+	// within the current subtree.
+	last   []*xmltree.Element
+	lastID []int64
 }
 
 func (p *Plan) newReconstructor() *reconstructor {
-	return &reconstructor{
-		p:     p,
-		elems: make(map[int64]*xmltree.Element),
-		rank:  make(map[*xmltree.Element]int),
-	}
+	return &reconstructor{p: p, last: make([]*xmltree.Element, len(p.Branches)), lastID: make([]int64, len(p.Branches))}
 }
 
 // feed consumes one wide tuple of the sorted stream.
 func (r *reconstructor) feed(row []relational.Value) error {
 	p := r.p
-	elem, id, ok := p.tableOfRow(row)
+	bi, id, ok := p.BranchOf(row)
 	if !ok {
 		return fmt.Errorf("outerunion: all-NULL key row")
 	}
-	// A branch's data columns directly follow its id column.
-	first := p.IDCol[elem] + 1
-	e, err := p.M.ElementFromRow(elem, row[first:first+len(p.DataCols[elem])])
+	b := &p.Branches[bi]
+	e, err := p.M.ElementFromRow(b.Elem, b.Data(row))
 	if err != nil {
 		return err
 	}
-	if elem == p.Target {
-		r.cur = &Subtree{Root: e, RootID: id, IDs: make(map[string][]int64)}
-		r.cur.IDs[elem] = append(r.cur.IDs[elem], id)
+	if bi == 0 {
+		clear(r.last)
+		r.cur = &Subtree{Root: e, RootID: id, ids: make([][]int64, len(p.Branches))}
 		r.out = append(r.out, r.cur)
-		r.elems = map[int64]*xmltree.Element{id: e}
-		return nil
+	} else {
+		parentID, ok := row[p.Branches[b.Parent].ID].Int()
+		if !ok || r.last[b.Parent] == nil || parentID != r.lastID[b.Parent] {
+			return fmt.Errorf("outerunion: %s tuple %d does not follow its parent (sort violated)", b.Elem, id)
+		}
+		r.last[b.Parent].AppendChild(e)
 	}
-	if r.cur == nil {
-		return fmt.Errorf("outerunion: child tuple before any target tuple")
-	}
-	parentID, ok := row[p.IDCol[p.ParentOf[elem]]].Int()
-	if !ok {
-		return fmt.Errorf("outerunion: child tuple with NULL parent key")
-	}
-	parent := r.elems[parentID]
-	if parent == nil {
-		return fmt.Errorf("outerunion: child tuple %d arrived before parent %d (sort violated)", id, parentID)
-	}
-	parent.AppendChild(e)
-	r.rank[e] = indexOf(p.Tables, elem)
-	r.elems[id] = e
-	r.cur.IDs[elem] = append(r.cur.IDs[elem], id)
+	r.last[bi], r.lastID[bi] = e, id
+	r.cur.ids[bi] = append(r.cur.ids[bi], id)
 	return nil
 }
 
-// finish reorders children and returns the assembled subtrees.
+// finish fills each subtree's id sets and returns the assembled subtrees.
 func (r *reconstructor) finish() []*Subtree {
-	// NULLs-first sorting emits later sibling branches before earlier ones;
-	// restore schema order among table children (inlined children, with no
-	// rank, stay first).
 	for _, st := range r.out {
-		reorderChildren(st.Root, r.rank)
+		st.IDs = make(map[string][]int64, len(st.ids))
+		for bi, ids := range st.ids {
+			if len(ids) > 0 {
+				st.IDs[r.p.Branches[bi].Elem] = ids
+			}
+		}
+		st.ids = nil
 	}
 	return r.out
 }
@@ -268,46 +261,6 @@ func (p *Plan) Reconstruct(rows *relational.Rows) ([]*Subtree, error) {
 	return r.finish(), nil
 }
 
-// reorderChildren stable-sorts each element's children by producing-table
-// pre-order rank; nodes without a rank (inlined content, text) keep their
-// position at the front.
-func reorderChildren(e *xmltree.Element, rank map[*xmltree.Element]int) {
-	keyOf := func(n xmltree.Node) int {
-		if ke, ok := n.(*xmltree.Element); ok {
-			if r, has := rank[ke]; has {
-				return r
-			}
-		}
-		return -1
-	}
-	kids := e.Children()
-	sorted := 1
-	for sorted < len(kids) && keyOf(kids[sorted]) >= keyOf(kids[sorted-1]) {
-		sorted++
-	}
-	if sorted < len(kids) {
-		// Out of order: sort a copy. Insertion sort keeps the order
-		// stable and the code allocation-free beyond the copied slice.
-		kids = append([]xmltree.Node(nil), kids...)
-		for i := 1; i < len(kids); i++ {
-			for j := i; j > 0 && keyOf(kids[j]) < keyOf(kids[j-1]); j-- {
-				kids[j], kids[j-1] = kids[j-1], kids[j]
-			}
-		}
-		for _, k := range kids {
-			e.RemoveChild(k)
-		}
-		for _, k := range kids {
-			e.AppendChild(k)
-		}
-	}
-	for _, k := range e.Children() {
-		if ke, ok := k.(*xmltree.Element); ok {
-			reorderChildren(ke, rank)
-		}
-	}
-}
-
 // Query runs the outer union for the subtree(s) rooted at target matching
 // where, returning reconstructed subtrees. This is the binding phase shared
 // by the multilevel update algorithm (§6.3) and the insert methods (§6.2).
@@ -319,8 +272,14 @@ func Query(db *relational.DB, m *shred.Mapping, target, where string) ([]*Subtre
 	if err != nil {
 		return nil, err
 	}
-	r := plan.newReconstructor()
-	if _, err := db.QueryEach(plan.SQL(where), r.feed); err != nil {
+	return plan.Query(db, where)
+}
+
+// Query runs the plan's statement with condition where and streams it into
+// reconstruction.
+func (p *Plan) Query(db relational.Session, where string) ([]*Subtree, error) {
+	r := p.newReconstructor()
+	if _, err := db.QueryEach(p.SQL(where), r.feed); err != nil {
 		return nil, err
 	}
 	return r.finish(), nil

@@ -642,7 +642,7 @@ type Rows struct {
 	// is known to be ordered by — set when the producing pipeline ran with
 	// an explicit or propagated ORDER BY it could satisfy. Scans over a CTE
 	// backed by ordered Rows inherit this property, which is how document
-	// order flows through the Sorted Outer Union's WITH chain.
+	// order flows into the Sorted Outer Union's branches from Q1.
 	order []sortSpec
 	// consts records output column positions holding the same value in
 	// every row (NULL-padded outer-union columns, equality-pinned columns).

@@ -556,9 +556,9 @@ func inProbePlan(lp levelPlan, t *Table) (accessPlan, bool) {
 // cteWants derives, for each CTE of a statement, the order its consumers
 // would like it materialized in, as positional ORDER BY keys over the CTE's
 // columns. The Sorted Outer Union is the motivating shape: the top-level
-// ORDER BY over the union branches pulls document order down through the
-// WITH chain, so every Qi materializes pre-sorted and the final sort
-// disappears. The wants are advisory — materialization never adds a sort
+// ORDER BY over the union branches pulls document order down into Q1, so
+// it materializes pre-sorted, every branch probing from it stays ordered,
+// and the final sort disappears. The wants are advisory — materialization never adds a sort
 // for them; they only steer access-path choice.
 func (db *DB) cteWants(s *SelectStmt, env *execEnv, topKeys []OrderKey) map[string][]OrderKey {
 	if len(topKeys) == 0 || len(s.With) == 0 {
