@@ -198,18 +198,15 @@ func (a *ASR) DeleteMarked(db relational.Session, elem string, ids []int64) erro
 	if prefixes == nil {
 		return nil
 	}
-	// One prepared survivor-count probe, bound per ancestor prefix; the
+	// One `?` survivor-count probe, bound per ancestor prefix; the
 	// parent-level column is indexed, so each check is a probe.
-	count, err := db.Prepare(fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = ?", a.Name, a.Col(level-1)))
-	if err != nil {
-		return err
-	}
+	count := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = ?", a.Name, a.Col(level-1))
 	for _, pre := range prefixes.Data {
 		parentID := pre[level-1]
 		if parentID.IsNull() {
 			continue
 		}
-		rows, err := db.QueryPrepared(count, parentID)
+		rows, err := db.Query(count, parentID)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -407,6 +409,55 @@ UPDATE $i { INSERT new_attribute(level, "7") }`); err != nil {
 FOR $i IN document("d.xml")/root/item
 UPDATE $i { INSERT new_attribute(level, "8") }`); err == nil {
 		t.Error("duplicate attribute insert should fail")
+	}
+}
+
+// TestInlinedInsertsShareOnePlan: the simple insertions embed each call's
+// target condition in their text, so only the literal-lifted shape may key
+// the plan cache. After the first call per shape, inserting into further
+// targets must not miss the cache (a text keyed as written would miss once
+// per target and crowd the cache's fixed texts out).
+func TestInlinedInsertsShareOnePlan(t *testing.T) {
+	dtd := xmltree.MustParseDTD(`
+<!ELEMENT root (item*)>
+<!ELEMENT item (note?)>
+<!ELEMENT note (#PCDATA)>
+<!ATTLIST item level CDATA #IMPLIED>
+`)
+	doc, err := xmltree.ParseWith(`<root><item/><item/><item/><item/><item/></root>`, xmltree.ParseOptions{TrimText: true, DTD: dtd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(doc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.DB.Query("SELECT id FROM " + s.M.Table("item").Name + " ORDER BY id")
+	if err != nil || len(rows.Data) != 5 {
+		t.Fatalf("item ids: %v %v", rows, err)
+	}
+	var misses int64
+	for i, r := range rows.Data {
+		where := fmt.Sprintf("id = %d", r[0].MustInt())
+		if _, err := s.InsertAttribute("item", nil, "level", strconv.Itoa(i), where); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.InsertInlined("item", []string{"note"}, "n"+strconv.Itoa(i), where); err != nil {
+			t.Fatal(err)
+		}
+		got := s.DB.Stats().PlanCacheMisses
+		if i > 0 && got != misses {
+			t.Errorf("insert into target %d: plan cache misses %d → %d", i, misses, got)
+		}
+		misses = got
+	}
+	re, _ := s.Reconstruct()
+	for i, it := range re.Root.ChildElementsNamed("item") {
+		lv, _ := it.AttrValue("level")
+		note := it.FirstChildNamed("note")
+		if lv != strconv.Itoa(i) || note == nil || note.TextContent() != "n"+strconv.Itoa(i) {
+			t.Errorf("item %d: level %q note %v", i, lv, note)
+		}
 	}
 }
 

@@ -467,18 +467,12 @@ func (s *Store) planInsert(env *sqlEnv, o xquery.InsertOp, target *pathTarget, t
 		}
 		tm := s.M.Table(target.Elem)
 		ids := append([]int64(nil), targetIDs...)
-		// Prepared once at planning time, probed per target id.
-		sel, err := s.DB.Prepare(fmt.Sprintf("SELECT %s FROM %s WHERE id = ?", col.Name, tm.Name))
-		if err != nil {
-			return nil, err
-		}
-		upd, err := s.DB.Prepare(fmt.Sprintf("UPDATE %s SET %s = ? WHERE id = ?", tm.Name, col.Name))
-		if err != nil {
-			return nil, err
-		}
+		// Formatted once at planning time, probed per target id.
+		sel := fmt.Sprintf("SELECT %s FROM %s WHERE id = ?", col.Name, tm.Name)
+		upd := fmt.Sprintf("UPDATE %s SET %s = ? WHERE id = ?", tm.Name, col.Name)
 		return func() error {
 			for _, id := range ids {
-				rows, err := s.sql().QueryPrepared(sel, relational.Int(id))
+				rows, err := s.sql().Query(sel, relational.Int(id))
 				if err != nil {
 					return err
 				}
@@ -492,7 +486,7 @@ func (s *Store) planInsert(env *sqlEnv, o xquery.InsertOp, target *pathTarget, t
 				if cur != "" {
 					nv = cur + " " + c.ID
 				}
-				if _, err := s.sql().ExecPrepared(upd, relational.Text(nv), relational.Int(id)); err != nil {
+				if _, err := s.sql().Exec(upd, relational.Text(nv), relational.Int(id)); err != nil {
 					return err
 				}
 			}

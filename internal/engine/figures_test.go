@@ -397,7 +397,7 @@ func TestFig7Shape(t *testing.T) {
 			runs[perTuple][i].st.RowsScanned, int(runs[perTuple][0].st.RowsScanned))
 		s := open(t, in, perTuple)
 		for _, e := range s.M.TableOrder {
-			s.DB.Table(s.M.Table(e).Name).DropIndex("parentId")
+			s.DB.MustExec(fmt.Sprintf("DROP INDEX %s (parentId)", s.M.Table(e).Name))
 		}
 		r := measure(t, in, s, randomDelete)
 		logRun(t, "fig7 random delete", in.label+" per-tuple, no parentId index", r)

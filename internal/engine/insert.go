@@ -51,10 +51,10 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 		return 0, err
 	}
 	idMap := make(map[int64]int64)
-	// One prepared INSERT per branch (Store-cached, so repeated copies
-	// reuse the parse too): the per-tuple loop binds values instead of
-	// re-formatting and re-parsing SQL for every tuple.
-	inserts := make([]*relational.Prepared, len(plan.Branches))
+	// One `?` INSERT text per branch: the per-tuple loop binds values
+	// instead of re-formatting SQL for every tuple, and the DB's plan cache
+	// parses each text once.
+	inserts := make([]string, len(plan.Branches))
 	roots := 0
 	for _, row := range rows.Data {
 		bi, oldID, ok := plan.BranchOf(row)
@@ -80,25 +80,19 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 			}
 			parent = relational.Int(np)
 		}
-		p := inserts[bi]
-		if p == nil {
+		if inserts[bi] == "" {
 			cols := []string{"id", "parentId"}
 			marks := []string{"?", "?"}
 			for _, c := range tm.Columns {
 				cols = append(cols, c.Name)
 				marks = append(marks, "?")
 			}
-			var err error
-			p, err = s.prep(fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
-				tm.Name, strings.Join(cols, ", "), strings.Join(marks, ", ")))
-			if err != nil {
-				return roots, err
-			}
-			inserts[bi] = p
+			inserts[bi] = fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
+				tm.Name, strings.Join(cols, ", "), strings.Join(marks, ", "))
 		}
 		args := append(make([]relational.Value, 0, b.NData+2), relational.Int(newID), parent)
 		args = append(args, b.Data(row)...)
-		if _, err := s.sql().ExecPrepared(p, args...); err != nil {
+		if _, err := s.sql().Exec(inserts[bi], args...); err != nil {
 			return roots, err
 		}
 	}
@@ -198,22 +192,15 @@ func (s *Store) tableInsert(srcElem, where string, dstParentID int64) (int, erro
 	s.AllocateIDs(maxID - minID + 1)
 
 	// Remap: one arithmetic UPDATE per temp table, then point the copied
-	// roots at their new parent. The Store-cached prepared statements keep
-	// the remaps on the one-parse path like the tuple-insert loops.
+	// roots at their new parent. The `?` texts keep the remaps on the
+	// one-parse path like the tuple-insert loops.
 	for i, elem := range subtree {
-		remap, err := s.prep(fmt.Sprintf("UPDATE %s SET id = id + ?, parentId = parentId + ?", temp(elem)))
-		if err != nil {
-			return 0, err
-		}
-		if _, err := s.sql().ExecPrepared(remap, relational.Int(offset), relational.Int(offset)); err != nil {
+		remap := fmt.Sprintf("UPDATE %s SET id = id + ?, parentId = parentId + ?", temp(elem))
+		if _, err := s.sql().Exec(remap, relational.Int(offset), relational.Int(offset)); err != nil {
 			return 0, err
 		}
 		if i == 0 {
-			repoint, err := s.prep(fmt.Sprintf("UPDATE %s SET parentId = ?", temp(elem)))
-			if err != nil {
-				return 0, err
-			}
-			if _, err := s.sql().ExecPrepared(repoint, relational.Int(dstParentID)); err != nil {
+			if _, err := s.sql().Exec(fmt.Sprintf("UPDATE %s SET parentId = ?", temp(elem)), relational.Int(dstParentID)); err != nil {
 				return 0, err
 			}
 		}
@@ -330,15 +317,12 @@ func (s *Store) asrInsert(srcElem, where string, dstParentID int64) (int, error)
 			return 0, err
 		}
 	}
-	// Point the copied roots at the destination parent: one prepared UPDATE
+	// Point the copied roots at the destination parent: one `?` UPDATE
 	// probing the id index, instead of minting a fresh IN-list statement
 	// shape per root count.
-	repoint, err := s.prep(fmt.Sprintf("UPDATE %s SET parentId = ? WHERE id = ?", tm.Name))
-	if err != nil {
-		return 0, err
-	}
+	repoint := fmt.Sprintf("UPDATE %s SET parentId = ? WHERE id = ?", tm.Name)
 	for _, id := range srcIDs {
-		if _, err := s.sql().ExecPrepared(repoint, relational.Int(dstParentID), relational.Int(id+offset)); err != nil {
+		if _, err := s.sql().Exec(repoint, relational.Int(dstParentID), relational.Int(id+offset)); err != nil {
 			return 0, err
 		}
 	}
@@ -471,15 +455,13 @@ func (s *Store) InsertInlined(tableElem string, path []string, text string, wher
 	if rows.Data[0][0].MustInt() > 0 {
 		return 0, fmt.Errorf("engine: insert over existing %s content (occurs at most once in the DTD)", strings.Join(path, "/"))
 	}
-	sql := fmt.Sprintf("UPDATE %s SET %s = ?", tm.Name, c.Name)
+	// A literal, not a `?`: where embeds the target ids, so only the lifted
+	// shape is a bounded plan-cache key.
+	sql := fmt.Sprintf("UPDATE %s SET %s = %s", tm.Name, c.Name, relational.FormatValue(relational.Text(text)))
 	if where != "" {
 		sql += " WHERE " + where
 	}
-	upd, err := s.DB.Prepare(sql)
-	if err != nil {
-		return 0, err
-	}
-	return s.sql().ExecPrepared(upd, relational.Text(text))
+	return s.sql().Exec(sql)
 }
 
 // InsertAttribute inserts an attribute value into matching tuples, failing
@@ -501,13 +483,11 @@ func (s *Store) InsertAttribute(tableElem string, path []string, attr, value, wh
 	if rows.Data[0][0].MustInt() > 0 {
 		return 0, fmt.Errorf("engine: attribute %q already present on a target tuple", attr)
 	}
-	sql := fmt.Sprintf("UPDATE %s SET %s = ?", tm.Name, c.Name)
+	// A literal, not a `?`: where embeds the target ids, so only the lifted
+	// shape is a bounded plan-cache key.
+	sql := fmt.Sprintf("UPDATE %s SET %s = %s", tm.Name, c.Name, relational.FormatValue(relational.Text(value)))
 	if where != "" {
 		sql += " WHERE " + where
 	}
-	upd, err := s.DB.Prepare(sql)
-	if err != nil {
-		return 0, err
-	}
-	return s.sql().ExecPrepared(upd, relational.Text(value))
+	return s.sql().Exec(sql)
 }

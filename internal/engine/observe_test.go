@@ -53,3 +53,32 @@ func TestStoreTracing(t *testing.T) {
 		t.Error("commit histogram missing from store metrics dump")
 	}
 }
+
+// TestStoreReconstructTraced: Store.Reconstruct reads every data table of
+// the customer database through its snapshot transaction, and each read is
+// one traced tx-query-each span; together the spans account for every row
+// the call scanned.
+func TestStoreReconstructTraced(t *testing.T) {
+	s := openCust(t, Options{})
+	var spans []*relational.QueryTrace
+	cancel := s.OnTrace(func(qt *relational.QueryTrace) { spans = append(spans, qt) })
+	defer cancel()
+	before := s.DB.Stats()
+	if _, err := s.Reconstruct(); err != nil {
+		t.Fatal(err)
+	}
+	scanned := s.DB.Stats().RowsScanned - before.RowsScanned
+	if len(spans) != 4 {
+		t.Fatalf("Reconstruct emitted %d spans, want 4 (one per table)", len(spans))
+	}
+	var sum int64
+	for _, qt := range spans {
+		if qt.Kind != "tx-query-each" {
+			t.Errorf("span %q has kind %q, want tx-query-each", qt.SQL, qt.Kind)
+		}
+		sum += qt.Stats.RowsScanned
+	}
+	if sum != scanned || scanned == 0 {
+		t.Errorf("spans scanned %d rows, the call's Stats delta %d", sum, scanned)
+	}
+}

@@ -103,14 +103,6 @@ type Store struct {
 	// nextID is the systemwide "next available id" counter of §6.2.2.
 	nextID int64
 
-	// preps caches prepared statements by SQL text. DB.Prepare bypasses the
-	// DB's literal-lifting shape cache, so a per-call Prepare re-parses on
-	// every invocation; the translations' fixed statement texts (tuple
-	// inserts, subtree remaps, root repoints) parse once per Store instead.
-	// Only bounded texts belong here — statements embedding caller-supplied
-	// WHERE fragments would grow the map per distinct literal.
-	preps map[string]*relational.Prepared
-
 	// sess, when non-nil, is the transaction wrapping the current update's
 	// execution phase (see atomically); sql() routes statements through it.
 	// A Store supports one concurrent updater; readers (QuerySubtrees,
@@ -187,37 +179,13 @@ func (s *Store) atomically(fn func() error) error {
 	if s.persistent && s.nextID != savedNext {
 		// Persist the advanced id counter inside the same transaction: the
 		// commit record carries it, so recovery replays allocation exactly,
-		// and a rollback discards it with everything else. Prepared via the
-		// Store cache — this runs on every id-allocating update.
-		p, err := s.prep(fmt.Sprintf("UPDATE %s SET v = ? WHERE k = 'nextid'", metaTable))
-		if err != nil {
-			return err
-		}
-		if _, err := tx.ExecPrepared(p, relational.Text(strconv.FormatInt(s.nextID, 10))); err != nil {
+		// and a rollback discards it with everything else.
+		if _, err := tx.Exec("UPDATE "+metaTable+" SET v = ? WHERE k = 'nextid'", relational.Text(strconv.FormatInt(s.nextID, 10))); err != nil {
 			return err
 		}
 	}
 	committed = true
 	return tx.Commit()
-}
-
-// prep returns the cached prepared statement for sql, parsing at most once
-// per Store. Cached ASTs revalidate their compiled plans against the DB's
-// schema version, so DDL between calls (the temp tables insertSubtree
-// creates and drops) is safe.
-func (s *Store) prep(sql string) (*relational.Prepared, error) {
-	if p, ok := s.preps[sql]; ok {
-		return p, nil
-	}
-	p, err := s.DB.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	if s.preps == nil {
-		s.preps = make(map[string]*relational.Prepared)
-	}
-	s.preps[sql] = p
-	return p, nil
 }
 
 // Open shreds the document into a fresh database under the DTD's Shared

@@ -235,58 +235,13 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) {
 	start := time.Now()
 	qt := db.traceBegin("analyze", sql)
 	var rowsOut int
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		err = func() error {
-			var lockStart time.Time
-			if qt != nil {
-				lockStart = time.Now()
-			}
-			db.mu.RLock()
-			defer db.mu.RUnlock()
-			if qt != nil {
-				qt.LockWait = time.Since(lockStart)
-			}
-			db.stats.Statements.Add(1)
-			env := newEnv(nil)
-			env.an = an
-			var execStart time.Time
-			if qt != nil {
-				execStart = time.Now()
-			}
-			rows, err := db.execSelect(s, env)
-			if qt != nil {
-				qt.Execute = time.Since(execStart)
-			}
-			if err != nil {
-				return err
-			}
-			rowsOut = len(rows.Data)
-			return nil
-		}()
-	default:
-		// DML: a real autocommit execution under the writer lock, with the
-		// analyze run threaded through the environment. Like any autocommit
-		// statement it waits behind (rather than inside) an open
-		// transaction's write intents.
-		var lsn uint64
-		rowsOut, lsn, err = func() (int, uint64, error) {
-			lockStart := time.Now()
-			db.mu.Lock()
-			db.met.lockWait.ObserveSince(lockStart)
-			defer db.mu.Unlock()
-			if qt != nil {
-				qt.LockWait = time.Since(lockStart)
-			}
-			db.stats.Statements.Add(1)
-			return db.runAutocommit(stmt, nil, sql, nil, qt, an)
-		}()
-		if err == nil {
-			err = db.afterCommit(lsn, qt)
-		}
-		if err == nil {
-			db.met.commit.ObserveSince(start)
-		}
+	if sel, ok := stmt.(*SelectStmt); ok {
+		_, rowsOut, err = db.query(nil, sel, nil, qt, an, func([]Value) error { return nil })
+	} else {
+		// DML: a real autocommit execution, with the analyze run threaded
+		// through the environment. Like any autocommit statement it waits
+		// behind (rather than inside) an open transaction's write intents.
+		rowsOut, err = db.autocommit(stmt, nil, sql, nil, qt, an)
 	}
 	total := time.Since(start)
 	db.traceFinish(qt, rowsOut, err)

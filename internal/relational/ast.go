@@ -34,6 +34,15 @@ type CreateIndexStmt struct {
 
 func (*CreateIndexStmt) isStmt() {}
 
+// DropIndexStmt is DROP INDEX table (col): it drops the hash index on col
+// and every ordered index led by it.
+type DropIndexStmt struct {
+	Table  string
+	Column string
+}
+
+func (*DropIndexStmt) isStmt() {}
+
 // CreateTriggerStmt is
 //
 //	CREATE TRIGGER name AFTER DELETE ON table
@@ -217,8 +226,8 @@ type FuncCall struct {
 func (*FuncCall) isExpr() {}
 
 // Param is a positional placeholder (`?`) bound to a value at execution
-// time. The prepared-statement layer replaces literals with params so one
-// parsed AST and one plan serve every statement of the same shape.
+// time: a `?` in the statement text, or a literal the shape cache lifted out
+// so one parsed AST and one plan serve every statement of the same shape.
 type Param struct{ Index int }
 
 func (*Param) isExpr() {}

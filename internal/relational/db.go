@@ -15,7 +15,8 @@ import (
 // Stats counts the work a DB has performed. The paper's performance analysis
 // hinges on statements issued and rows scanned, so both are tracked.
 type Stats struct {
-	// Statements counts client-issued statements (Exec and Query calls).
+	// Statements counts client-issued statements (Exec, Query and
+	// QueryEach on a DB or Tx, and ExplainAnalyze).
 	// Trigger bodies run inside the engine and are not counted, matching
 	// the paper's distinction between application-level cascading deletes
 	// and trigger-based deletes.
@@ -302,23 +303,20 @@ func (db *DB) ResetStats() {
 	db.stats.DirtyFlushes.Store(0)
 }
 
-// Table returns the named table, or nil.
-//
-// It remains exported only for the index ablations (Table.DropIndex in the
-// engine's figure laws and join-strategy tests) and this package's tests.
-// The returned *Table is not synchronized: direct mutations bypass the
-// writer lock and the undo log, and direct reads see uncommitted versions.
-// Production code reads stored rows through snapshot SQL (Begin,
-// Tx.QueryEach), counts them with RowCount, and loads them with BulkLoad.
-func (db *DB) Table(name string) *Table {
+// table returns the named table, or nil. The returned *Table is not
+// synchronized: direct mutations bypass the writer lock and the undo log,
+// and direct reads see uncommitted versions. Only this package's tests use
+// it; everything else reads stored rows through snapshot SQL, counts them
+// with RowCount, loads them with BulkLoad, and changes indexes with CREATE
+// INDEX / DROP INDEX.
+func (db *DB) table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tables[strings.ToLower(name)]
 }
 
 // RowCount returns the number of live rows in the named table (0 when
-// absent) under the shared lock — safe against a concurrent writer, unlike
-// counting through the Table escape hatch.
+// absent) under the shared lock, so it is safe against a concurrent writer.
 func (db *DB) RowCount(name string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -341,9 +339,10 @@ func (db *DB) TableNames() []string {
 }
 
 // Exec executes a statement, returning the number of affected rows
-// (inserted, deleted, or updated). Statements are resolved through the
-// shape-keyed prepared-plan cache: repeated statement templates differing
-// only in literal values parse and plan once.
+// (inserted, deleted, or updated). args bind the text's `?` placeholders.
+// A text without placeholders takes no args; its literals are lifted into
+// the shape-keyed plan cache instead, so repeated statement templates
+// differing only in literal values parse and plan once.
 //
 // Every top-level Exec runs in an implicit per-statement transaction: a
 // mid-statement error (a unique violation on the nth row, a coercion
@@ -351,29 +350,54 @@ func (db *DB) TableNames() []string {
 // instead of leaving earlier row mutations behind. A multi-statement
 // transaction is opened with Begin; the SQL statements BEGIN, COMMIT and
 // ROLLBACK are parse errors.
-func (db *DB) Exec(sql string) (int, error) {
-	start := time.Now()
-	qt := db.traceBegin("exec", sql)
-	n, lsn, err := db.execAutocommitLocked(sql, qt)
-	if err != nil {
-		db.traceFinish(qt, n, err)
-		return n, err
-	}
-	// The fsync wait happens here, outside the lock: readers blocked on the
-	// statement see its effects as soon as the in-memory commit finishes,
-	// and never wait behind the disk.
-	err = db.afterCommit(lsn, qt)
+func (db *DB) Exec(sql string, args ...Value) (int, error) {
+	return db.write(nil, "exec", sql, args)
+}
+
+// write is the write doors' statement span: one trace of kind around
+// resolving the text and running it through the transaction write core
+// (tx non-nil) or the autocommit one.
+func (db *DB) write(tx *Tx, kind, sql string, args []Value) (int, error) {
+	qt := db.traceBegin(kind, sql)
+	stmt, bind, err := db.prepared(sql, args, qt)
+	n := 0
 	if err == nil {
-		db.met.commit.ObserveSince(start)
+		if tx != nil {
+			n, err = tx.exec(stmt, bind, sql, args, qt)
+		} else {
+			n, err = db.autocommit(stmt, bind, sql, args, qt, nil)
+		}
 	}
 	db.traceFinish(qt, n, err)
 	return n, err
 }
 
-// execAutocommitLocked is Exec's writer-lock critical section. The unlock
-// is deferred so a panic inside statement execution cannot strand the
-// exclusive lock.
-func (db *DB) execAutocommitLocked(sql string, qt *QueryTrace) (int, uint64, error) {
+// autocommit is the autocommit write core: it runs one statement under its
+// own implicit transaction and, after releasing the writer lock, waits for
+// its commit record to become durable — readers blocked on the statement
+// see its effects as soon as the in-memory commit finishes, and never wait
+// behind the disk. src and logArgs are the statement's redo form: the text
+// as given and the caller's arguments (nil when it has none). an, when
+// non-nil, collects EXPLAIN ANALYZE actuals.
+func (db *DB) autocommit(stmt Stmt, args []Value, src string, logArgs []Value, qt *QueryTrace, an *analyzeRun) (int, error) {
+	start := time.Now()
+	n, lsn, err := db.runAutocommit(stmt, args, src, logArgs, qt, an)
+	if err != nil {
+		return 0, err
+	}
+	if err := db.afterCommit(lsn, qt); err != nil {
+		return n, err
+	}
+	db.met.commit.ObserveSince(start)
+	return n, nil
+}
+
+// runAutocommit is autocommit's writer-lock critical section. It appends
+// the statement's redo record to the log on success and returns the LSN
+// afterCommit waits on. The unlock is deferred so a panic inside statement
+// execution cannot strand the exclusive lock; the lock may be released and
+// reacquired while waiting behind an explicit transaction's write intent.
+func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value, qt *QueryTrace, an *analyzeRun) (int, uint64, error) {
 	lockStart := time.Now()
 	db.mu.Lock()
 	db.met.lockWait.ObserveSince(lockStart)
@@ -381,29 +405,7 @@ func (db *DB) execAutocommitLocked(sql string, qt *QueryTrace) (int, uint64, err
 	if qt != nil {
 		qt.LockWait = time.Since(lockStart)
 	}
-	prepStart := time.Now()
-	stmt, args, hit, err := db.prepared(sql)
-	if err != nil {
-		return 0, 0, err
-	}
-	if qt != nil {
-		qt.CacheHit = hit
-		if !hit {
-			qt.Parse = time.Since(prepStart)
-		}
-	}
 	db.stats.Statements.Add(1)
-	return db.runAutocommit(stmt, args, sql, nil, qt, nil)
-}
-
-// runAutocommit executes one statement under its own implicit transaction,
-// appending its redo record (src text, or src shape plus logArgs for
-// prepared statements) to the log on success. The returned LSN is what the
-// caller passes to afterCommit once the writer lock is released. Caller
-// holds the writer lock; the lock is held on return, but may have been
-// released and reacquired while waiting behind an explicit transaction's
-// write intent.
-func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value, qt *QueryTrace, an *analyzeRun) (int, uint64, error) {
 	if db.isNoopLocked(stmt) {
 		return 0, 0, nil
 	}
@@ -485,63 +487,15 @@ func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value
 	}
 }
 
-// Query executes a SELECT, returning its result rows. Like Exec, it reuses
-// cached statement templates by shape. Queries take the shared lock: any
+// Query executes a SELECT, returning its result rows; args bind the
+// text's `?` placeholders, as for Exec. Queries take the shared lock: any
 // number of them run concurrently, serialized only against individual
 // writer statements — and since uncommitted writes are marked with their
 // transaction id, a query always observes a committed version of the
 // database, even while a write transaction sits open (mvcc.go). To read a
 // transaction's own uncommitted writes, query through its Tx.
-func (db *DB) Query(sql string) (*Rows, error) {
-	qt := db.traceBegin("query", sql)
-	rows, err := db.queryLocked(sql, qt)
-	n := 0
-	if rows != nil {
-		n = len(rows.Data)
-	}
-	db.traceFinish(qt, n, err)
-	return rows, err
-}
-
-// queryLocked is Query's shared-lock critical section.
-func (db *DB) queryLocked(sql string, qt *QueryTrace) (*Rows, error) {
-	var lockStart time.Time
-	if qt != nil {
-		lockStart = time.Now()
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if qt != nil {
-		qt.LockWait = time.Since(lockStart)
-	}
-	var prepStart time.Time
-	if qt != nil {
-		prepStart = time.Now()
-	}
-	stmt, args, hit, err := db.prepared(sql)
-	if err != nil {
-		return nil, err
-	}
-	if qt != nil {
-		qt.CacheHit = hit
-		if !hit {
-			qt.Parse = time.Since(prepStart)
-		}
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relational: Query requires a SELECT, got %T", stmt)
-	}
-	db.stats.Statements.Add(1)
-	env := newEnv(nil)
-	env.args = args
-	if qt == nil {
-		return db.execSelect(sel, env)
-	}
-	execStart := time.Now()
-	rows, err := db.execSelect(sel, env)
-	qt.Execute = time.Since(execStart)
-	return rows, err
+func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
+	return db.queryRows(nil, "query", sql, args)
 }
 
 // QueryEach executes a SELECT, streaming each result row to fn as the
@@ -553,75 +507,80 @@ func (db *DB) queryLocked(sql string, qt *QueryTrace) (*Rows, error) {
 // copy the slice to retain it, though retaining individual Values is
 // always safe. It returns the output column names. Like Query, it reads
 // committed state.
-func (db *DB) QueryEach(sql string, fn func(row []Value) error) ([]string, error) {
-	qt := db.traceBegin("query-each", sql)
-	rows := 0
-	if qt != nil {
-		// Count streamed rows for the trace without touching the untraced
-		// path's call chain.
-		inner := fn
-		fn = func(row []Value) error {
-			rows++
-			return inner(row)
+func (db *DB) QueryEach(sql string, fn func(row []Value) error, args ...Value) ([]string, error) {
+	return db.read(nil, "query-each", sql, args, fn)
+}
+
+// queryRows is the materialized read: the stream into a collector.
+func (db *DB) queryRows(tx *Tx, kind, sql string, args []Value) (*Rows, error) {
+	out := &Rows{}
+	cols, err := db.read(tx, kind, sql, args, out.appendRow)
+	if err != nil {
+		return nil, err
+	}
+	out.Cols = cols
+	return out, nil
+}
+
+// read is the read doors' statement span: one trace of kind around
+// resolving the text and streaming it through the read core.
+func (db *DB) read(tx *Tx, kind, sql string, args []Value, fn func([]Value) error) ([]string, error) {
+	qt := db.traceBegin(kind, sql)
+	var cols []string
+	n := 0
+	stmt, bind, err := db.prepared(sql, args, qt)
+	if err == nil {
+		if sel, ok := stmt.(*SelectStmt); ok {
+			cols, n, err = db.query(tx, sel, bind, qt, nil, fn)
+		} else {
+			err = fmt.Errorf("relational: a query requires a SELECT, got %T", stmt)
 		}
 	}
-	cols, err := db.queryEachLocked(sql, qt, fn)
-	db.traceFinish(qt, rows, err)
+	db.traceFinish(qt, n, err)
 	return cols, err
 }
 
-// queryEachLocked is QueryEach's shared-lock critical section.
-func (db *DB) queryEachLocked(sql string, qt *QueryTrace, fn func(row []Value) error) ([]string, error) {
+// query is the read core: under the transaction's statement lock (tx
+// non-nil) and the shared data lock it counts the statement and streams
+// sel's rows into fn, reading at the transaction's snapshot or at
+// latest-committed. It returns the output columns and the number of rows
+// fn received. an, when non-nil, collects EXPLAIN ANALYZE actuals.
+func (db *DB) query(tx *Tx, sel *SelectStmt, args []Value, qt *QueryTrace, an *analyzeRun, fn func([]Value) error) ([]string, int, error) {
+	if tx != nil {
+		tx.mu.Lock()
+		defer tx.mu.Unlock()
+		if tx.done {
+			return nil, 0, errTxDone
+		}
+	}
 	var lockStart time.Time
 	if qt != nil {
 		lockStart = time.Now()
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	var execStart time.Time
 	if qt != nil {
-		qt.LockWait = time.Since(lockStart)
-	}
-	var prepStart time.Time
-	if qt != nil {
-		prepStart = time.Now()
-	}
-	stmt, args, hit, err := db.prepared(sql)
-	if err != nil {
-		return nil, err
-	}
-	if qt != nil {
-		qt.CacheHit = hit
-		if !hit {
-			qt.Parse = time.Since(prepStart)
-		}
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relational: QueryEach requires a SELECT, got %T", stmt)
+		execStart = time.Now()
+		qt.LockWait = execStart.Sub(lockStart)
 	}
 	db.stats.Statements.Add(1)
 	env := newEnv(nil)
 	env.args = args
-	if qt == nil {
-		return db.streamSelect(sel, env, fn)
+	env.an = an
+	if tx != nil {
+		env.snap = tx.snap()
 	}
 	// Streaming interleaves execution with fn, so Execute includes the
 	// caller's per-row work.
-	execStart := time.Now()
-	cols, err := db.streamSelect(sel, env, fn)
-	qt.Execute = time.Since(execStart)
-	return cols, err
-}
-
-// ExecPrepared runs a prepared statement in autocommit mode; it is the
-// Session form of Prepared.Exec.
-func (db *DB) ExecPrepared(p *Prepared, args ...Value) (int, error) {
-	return p.Exec(args...)
-}
-
-// QueryPrepared runs a prepared SELECT; the Session form of Prepared.Query.
-func (db *DB) QueryPrepared(p *Prepared, args ...Value) (*Rows, error) {
-	return p.Query(args...)
+	cs, n, err := db.streamSelect(sel, env, nil, fn)
+	if qt != nil {
+		qt.Execute = time.Since(execStart)
+	}
+	if cs == nil {
+		return nil, n, err
+	}
+	return cs.cols, n, err
 }
 
 // MustExec executes a statement and panics on error. For schema setup in
@@ -658,8 +617,16 @@ type Rows struct {
 	orderUnique bool
 }
 
+// appendRow is the materializing collector: the pipeline reuses its row
+// buffer (rowIter contract) and a materialized result owns its rows, so
+// each one is copied out.
+func (r *Rows) appendRow(row []Value) error {
+	r.Data = append(r.Data, append(make([]Value, 0, len(row)), row...))
+	return nil
+}
+
 // execEnv carries named CTE results, the OLD row binding for trigger
-// bodies, the prepared-statement arguments of the enclosing execution, and
+// bodies, the statement arguments of the enclosing execution, and
 // the MVCC snapshot row visibility is evaluated against.
 type execEnv struct {
 	ctes   map[string]*Rows
@@ -757,7 +724,7 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 		if t == nil {
 			return 0, fmt.Errorf("relational: no table %q", s.Table)
 		}
-		// Both statement paths (runAutocommit, Tx.execStmtSpan) skip a
+		// Both write cores (runAutocommit, Tx.exec) skip a
 		// CREATE INDEX of an existing index (isNoopLocked), so this one is
 		// new. New indexes change the preferred join order; bump so plans
 		// reorder on next use.
@@ -785,6 +752,38 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 			})
 		}
 		return 0, err
+	case *DropIndexStmt:
+		t := db.tables[strings.ToLower(s.Table)]
+		if t == nil {
+			return 0, fmt.Errorf("relational: no table %q", s.Table)
+		}
+		_, hash := t.index[strings.ToLower(s.Column)]
+		var ordered [][]string
+		for _, cols := range t.OrderedIndexes() {
+			if strings.EqualFold(cols[0], s.Column) {
+				ordered = append(ordered, cols)
+			}
+		}
+		if !t.DropIndex(s.Column) {
+			return 0, fmt.Errorf("relational: no index on %s (%s)", s.Table, s.Column)
+		}
+		db.schemaVer++
+		if db.undo != nil {
+			db.undo.recordDDL(func() {
+				// Rebuild from the rows as they stand rather than reinstate
+				// the dropped structures: other writers may have changed
+				// the table since. A failed page fault poisons the DB; the
+				// next statement reports it.
+				if hash {
+					_ = t.CreateIndex(s.Column)
+				}
+				for _, cols := range ordered {
+					_ = t.CreateOrderedIndex(cols...)
+				}
+				db.schemaVer++
+			})
+		}
+		return 0, nil
 	case *CreateTriggerStmt:
 		key := strings.ToLower(s.Name)
 		if _, dup := db.triggers[key]; dup {
@@ -886,10 +885,7 @@ func (db *DB) createTable(s *CreateTableStmt) error {
 	if err != nil {
 		return err
 	}
-	t := NewTable(s.Name, schema)
-	// The back-pointer routes the table's mutations into the DB's active
-	// undo log (txn.go); tables created outside a DB stay untracked.
-	t.db = db
+	t := newTable(db, s.Name, schema)
 	// Key/parent-ID columns are what Shared Inlining always joins on; index
 	// them from the start so generated joins probe instead of scan. Temp
 	// work areas (table-based insert, §6.2.2) are written once, offset, and

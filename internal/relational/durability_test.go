@@ -52,14 +52,11 @@ func TestPreparedStatementReplay(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpenDB(t, dir, noAutoCkpt())
 	db.MustExec("CREATE TABLE item (id INTEGER, name VARCHAR(64))")
-	p, err := db.Prepare("INSERT INTO item VALUES (?, ?)")
-	if err != nil {
+	const ins = "INSERT INTO item VALUES (?, ?)"
+	if _, err := db.Exec(ins, Int(1), Text("it's quoted")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Exec(Int(1), Text("it's quoted")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Exec(Int(2), Null); err != nil {
+	if _, err := db.Exec(ins, Int(2), Null); err != nil {
 		t.Fatal(err)
 	}
 	want := dbDump(db)
@@ -160,11 +157,7 @@ func applyOp(t *testing.T, db *DB, op crashOp) {
 	t.Helper()
 	switch {
 	case op.prepared:
-		p, err := db.Prepare(op.stmts[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Exec(op.args...)
+		db.Exec(op.stmts[0], op.args...)
 	case op.tx:
 		tx := db.Begin()
 		for _, s := range op.stmts {
@@ -417,7 +410,7 @@ func TestRepeatedCreateIndexIsFree(t *testing.T) {
 // single-body SELECT.
 func cachedPlan(t *testing.T, db *DB, sql string) *simplePlan {
 	t.Helper()
-	stmt, _, _, err := db.prepared(sql)
+	stmt, _, err := db.prepared(sql, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

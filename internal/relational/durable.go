@@ -12,10 +12,9 @@ import (
 
 // Durability. A DB opened with Open(dir, …) keeps a logical redo log: every
 // committed transaction — the implicit one wrapping a top-level Exec, or an
-// explicit Begin…Commit — appends one record holding the SQL text (raw for
-// Exec, the `?` shape plus bound arguments for prepared statements) of its
-// successful mutating statements. Every table of such a DB lives on heap
-// pages (paged.go). Recovery loads the latest checkpoint — the schema
+// explicit Begin…Commit — appends one record holding the SQL text and `?`
+// arguments of its successful mutating statements. Every table of such a
+// DB lives on heap pages (paged.go). Recovery loads the latest checkpoint — the schema
 // history plus the page files it names — and re-executes the log tail in
 // commit order. The log stays logical although rows live on pages: no-steal
 // page files hold exactly the last checkpoint's state, so replay has
@@ -91,6 +90,7 @@ const (
 	ddlCreateTable
 	ddlDropTable
 	ddlCreateIndex
+	ddlDropIndex
 	ddlCreateTrigger
 	ddlDropTrigger
 )
@@ -104,8 +104,8 @@ type ddlNote struct {
 }
 
 // redoStmt is one statement captured for the active transaction's commit
-// record. sql is replayable as-is when args is nil; otherwise it is a `?`
-// shape executed with args bound.
+// record: the statement text as given and the caller's `?` arguments (nil
+// when it has none), replayed through Exec.
 type redoStmt struct {
 	sql  string
 	args []Value
@@ -125,6 +125,8 @@ func classifyStmt(stmt Stmt) (bool, ddlNote) {
 		return true, ddlNote{kind: ddlDropTable, name: strings.ToLower(s.Name)}
 	case *CreateIndexStmt:
 		return true, ddlNote{kind: ddlCreateIndex, tbl: strings.ToLower(s.Table)}
+	case *DropIndexStmt:
+		return true, ddlNote{kind: ddlDropIndex, tbl: strings.ToLower(s.Table)}
 	case *CreateTriggerStmt:
 		return true, ddlNote{kind: ddlCreateTrigger, name: strings.ToLower(s.Name), tbl: strings.ToLower(s.Table)}
 	case *DropTriggerStmt:
@@ -150,12 +152,14 @@ type ddlEntry struct {
 // dropped vanishes from the history even though the live DB still remembers
 // it (it would re-arm if a same-named table were created later); the engine
 // never drops a data table, so the trade is history boundedness for an
-// anomaly nothing exercises. Caller holds the writer lock.
+// anomaly nothing exercises. A DROP INDEX is appended as is: the index it
+// drops may be an auto-index no history line created. Caller holds the
+// writer lock.
 func (db *DB) noteDDLLocked(e redoStmt) {
 	switch e.note.kind {
 	case ddlNone:
 		return
-	case ddlCreateTable, ddlCreateIndex, ddlCreateTrigger:
+	case ddlCreateTable, ddlCreateIndex, ddlDropIndex, ddlCreateTrigger:
 		db.ddlHist = append(db.ddlHist, ddlEntry{sql: e.sql, note: e.note})
 	case ddlDropTable:
 		found := false
@@ -173,8 +177,8 @@ func (db *DB) noteDDLLocked(e redoStmt) {
 		for _, h := range db.ddlHist {
 			switch {
 			case h.note.kind == ddlCreateTable && h.note.name == e.note.name:
-			case h.note.kind == ddlCreateIndex && h.note.tbl == e.note.name:
-			case h.note.kind == ddlCreateTrigger && h.note.tbl == e.note.name:
+			case h.note.tbl == e.note.name:
+				// The table's index and trigger statements go with it.
 			default:
 				keep = append(keep, h)
 			}
@@ -404,24 +408,15 @@ func (db *DB) replayCommit(stamp uint64, stmts []wal.Stmt) error {
 		db.commitTS = stamp
 	}
 	for _, s := range stmts {
-		if len(s.Args) == 0 {
-			if _, err := db.Exec(s.SQL); err != nil {
+		var args []Value
+		for _, a := range s.Args {
+			v, err := fromWalVal(a)
+			if err != nil {
 				return err
 			}
-			continue
+			args = append(args, v)
 		}
-		p, err := db.Prepare(s.SQL)
-		if err != nil {
-			return err
-		}
-		args := make([]Value, len(s.Args))
-		for i, a := range s.Args {
-			var err error
-			if args[i], err = fromWalVal(a); err != nil {
-				return err
-			}
-		}
-		if _, err := p.Exec(args...); err != nil {
+		if _, err := db.Exec(s.SQL, args...); err != nil {
 			return err
 		}
 	}

@@ -377,75 +377,56 @@ func (db *DB) materializeCTE(cte CTE, env *execEnv, want []OrderKey) (*Rows, err
 }
 
 // execSelectWant materializes a SELECT with an advisory desired order (the
-// want an enclosing statement propagated into this CTE). The want steers
-// access paths; it never adds a sort.
+// want an enclosing statement propagated into this CTE): the stream into a
+// collector that also records the order metadata CTE scans rely on. The
+// want steers access paths; it never adds a sort.
 func (db *DB) execSelectWant(s *SelectStmt, env *execEnv, extWant []OrderKey) (*Rows, error) {
-	if err := db.pagedErr(); err != nil {
+	out := &Rows{}
+	cs, _, err := db.streamSelect(s, env, extWant, out.appendRow)
+	if err != nil {
 		return nil, err
+	}
+	out.Cols = cs.cols
+	out.order, out.consts, out.orderUnique = cs.achievedOrder()
+	out.single = len(out.Data) <= 1
+	return out, nil
+}
+
+// streamSelect is the one SELECT driver: CTEs materialize into the
+// environment, then the statement's pipeline runs row by row into fn. It
+// returns the compiled statement top (nil when compilation failed) and the
+// number of rows fn received. fn must not issue further statements on the
+// same DB.
+func (db *DB) streamSelect(s *SelectStmt, env *execEnv, extWant []OrderKey, fn func([]Value) error) (*selectCompiled, int, error) {
+	if err := db.pagedErr(); err != nil {
+		return nil, 0, err
 	}
 	env = newEnvFrom(env)
 	if err := db.materializeCTEs(s, env, extWant); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	it, cs, err := db.buildSelectIter(s, env, extWant)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := it.Open(); err != nil {
 		// Close even though Open failed: a compound iterator (merge, sort)
 		// may have opened some children before erroring, and their batched
 		// counters must still flush.
 		it.Close()
-		return nil, err
+		return cs, 0, err
 	}
 	defer it.Close()
-	out := &Rows{Cols: cs.cols}
-	out.order, out.consts, out.orderUnique = cs.achievedOrder()
-	for {
+	for n := 0; ; n++ {
 		row, ok, err := it.Next()
 		if err != nil {
-			return nil, err
+			return cs, n, err
 		}
 		if !ok {
-			out.single = len(out.Data) <= 1
-			return out, nil
-		}
-		// The pipeline reuses its row buffer (rowIter contract); a
-		// materialized result owns its rows, so copy each one out.
-		out.Data = append(out.Data, append(make([]Value, 0, len(row)), row...))
-	}
-}
-
-// streamSelect drives a SELECT's pipeline row by row into fn without
-// materializing the top-level result (CTEs still materialize). fn must not
-// issue further statements on the same DB.
-func (db *DB) streamSelect(s *SelectStmt, env *execEnv, fn func([]Value) error) ([]string, error) {
-	if err := db.pagedErr(); err != nil {
-		return nil, err
-	}
-	env = newEnvFrom(env)
-	if err := db.materializeCTEs(s, env, nil); err != nil {
-		return nil, err
-	}
-	it, cs, err := db.buildSelectIter(s, env, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Open(); err != nil {
-		it.Close() // flush whatever opened before the error
-		return nil, err
-	}
-	defer it.Close()
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return cs.cols, nil
+			return cs, n, nil
 		}
 		if err := fn(row); err != nil {
-			return cs.cols, err
+			return cs, n + 1, err
 		}
 	}
 }
@@ -663,7 +644,7 @@ type refSlot struct {
 }
 
 // newEval builds an evaluator for one statement execution, binding the
-// environment's prepared-statement arguments.
+// environment's statement arguments.
 func newEval(db *DB, env *execEnv) *exprEval {
 	return &exprEval{db: db, env: env, args: env.lookupArgs()}
 }

@@ -105,7 +105,7 @@ func TestTriggerChainsAcrossTables(t *testing.T) {
 	db.MustExec(`CREATE TRIGGER c AFTER DELETE ON Customer FOR EACH ROW DELETE FROM Orders WHERE parentId = OLD.id`)
 	db.MustExec(`CREATE TRIGGER o AFTER DELETE ON Orders FOR EACH STATEMENT DELETE FROM OrderLine WHERE parentId NOT IN (SELECT id FROM Orders)`)
 	db.MustExec(`DELETE FROM Customer`)
-	if db.Table("OrderLine").RowCount() != 0 {
+	if db.table("OrderLine").RowCount() != 0 {
 		t.Error("mixed-granularity cascade incomplete")
 	}
 }
@@ -216,7 +216,7 @@ func TestTableNamesListing(t *testing.T) {
 func TestDropIndexFallsBackToScan(t *testing.T) {
 	db := custSchema(t)
 	loadCustData(t, db)
-	tab := db.Table("OrderLine")
+	tab := db.table("OrderLine")
 	if !tab.DropIndex("parentId") {
 		t.Fatal("DropIndex failed")
 	}

@@ -124,7 +124,7 @@ func (t *Table) versionAt(rid int, sn snapshot) (old []Value, cur bool) {
 			break
 		}
 	}
-	if hops > 0 && t.db != nil {
+	if hops > 0 {
 		t.db.stats.VersionChainHops.Add(hops)
 	}
 	return old, false

@@ -340,7 +340,7 @@ func TestSingleVersionStatsAndVacuum(t *testing.T) {
 	if st.VersionsVacuumed == 0 {
 		t.Error("commit with no live snapshots vacuumed nothing")
 	}
-	if tab := db.Table("acct"); tab.vers != 0 {
+	if tab := db.table("acct"); tab.vers != 0 {
 		t.Errorf("table still versioned after vacuum: vers = %d", tab.vers)
 	}
 	// And the fast path is back: fresh reads still walk no chains.

@@ -168,7 +168,7 @@ func TestDropIndexAblation(t *testing.T) {
 	if st.RangeProbes == 0 {
 		t.Errorf("expected a range probe before ablation, stats %+v", st)
 	}
-	kid := db.Table("Kid")
+	kid := db.table("Kid")
 	if !kid.DropIndex("parentId") {
 		t.Fatal("DropIndex(parentId) dropped nothing")
 	}
@@ -186,6 +186,71 @@ func TestDropIndexAblation(t *testing.T) {
 	st = db.Stats()
 	if st.SortPasses == 0 {
 		t.Errorf("ablated run should sort, stats %+v", st)
+	}
+}
+
+// probeStats runs a parentId point query and returns the Stats it moved
+// and the number of rows it found.
+func probeStats(t *testing.T, s Session, db *DB, table string) (Stats, int) {
+	t.Helper()
+	before := db.Stats()
+	rows, err := s.Query("SELECT id FROM "+table+" WHERE parentId = ?", Int(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return statsSub(db.Stats(), before), len(rows.Data)
+}
+
+// TestDropIndexRolledBack: DROP INDEX takes effect inside its transaction,
+// and a rollback puts the index back — rebuilt from the rows as they stand,
+// so a row another writer inserted while it was dropped is found by the
+// probe too.
+func TestDropIndexRolledBack(t *testing.T) {
+	db := custSchema(t)
+	loadCustData(t, db)
+	if st, n := probeStats(t, db, db, "OrderLine"); st.IndexProbes != 1 || st.FullScans != 0 || n != 2 {
+		t.Fatalf("before the drop: stats %+v and %d rows, want one probe finding 2", st, n)
+	}
+	tx := db.Begin()
+	if _, err := tx.Exec("DROP INDEX OrderLine (parentId)"); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := probeStats(t, tx, db, "OrderLine"); st.IndexProbes != 0 || st.FullScans != 1 {
+		t.Errorf("inside the dropping transaction: stats %+v, want a full scan", st)
+	}
+	db.MustExec("INSERT INTO OrderLine VALUES (104, 10, 'bolt', 9)")
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if st, n := probeStats(t, db, db, "OrderLine"); st.IndexProbes != 1 || st.FullScans != 0 || n != 3 {
+		t.Errorf("after the rollback: stats %+v and %d rows, want one probe finding 3", st, n)
+	}
+	if _, err := db.Exec("DROP INDEX OrderLine (Qty)"); err == nil {
+		t.Error("dropping an index that does not exist should fail")
+	}
+}
+
+// TestDropIndexSurvivesReopen: a committed DROP INDEX is logged like CREATE
+// INDEX, so the index stays dropped across a log replay and across a
+// checkpoint's schema history.
+func TestDropIndexSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpenDB(t, dir, noAutoCkpt())
+	db.MustExec("CREATE TABLE item (id INTEGER, parentId INTEGER)")
+	db.MustExec("INSERT INTO item VALUES (1, 10), (2, 10), (3, 20)")
+	db.MustExec("DROP INDEX item (parentId)")
+	db.Close()
+	for _, ckpt := range []bool{false, true} {
+		db = mustOpenDB(t, dir, noAutoCkpt())
+		if st, _ := probeStats(t, db, db, "item"); st.IndexProbes != 0 || st.FullScans != 1 {
+			t.Errorf("reopened (checkpointed=%v): stats %+v, want a full scan", ckpt, st)
+		}
+		if !ckpt {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Close()
 	}
 }
 
@@ -295,7 +360,7 @@ func TestMatchRowsRangePathAscendingRowids(t *testing.T) {
 		t.Fatal(err)
 	}
 	del := stmt.(*DeleteStmt)
-	rids, err := db.matchRows(&del.plan, db.Table("T"), "T", del.Where, newEnv(nil))
+	rids, err := db.matchRows(&del.plan, db.table("T"), "T", del.Where, newEnv(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +384,7 @@ func TestUniqueEnforcedAfterDropIndex(t *testing.T) {
 	db.MustExec(`CREATE TABLE T (id INTEGER, parentId INTEGER)`)
 	db.MustExec(`CREATE ORDERED INDEX oid ON T (id)`)
 	db.MustExec(`INSERT INTO T VALUES (1, NULL), (2, 1)`)
-	tab := db.Table("T")
+	tab := db.table("T")
 	if !tab.DropIndex("id") {
 		t.Fatal("DropIndex(id) dropped the hash index only; ordered (id) should go too")
 	}

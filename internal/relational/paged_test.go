@@ -65,7 +65,7 @@ func TestPagedMemoryEquivalenceRandom(t *testing.T) {
 			if _, err := txs[k].Exec("UPDATE item SET pos = pos + 100, name = 'held' WHERE parentId = 2"); err != nil {
 				t.Fatalf("iter %d: held update: %v", i, err)
 			}
-			if d.Table("item").vers == 0 {
+			if d.table("item").vers == 0 {
 				t.Fatalf("iter %d: held update left the table single-version", i)
 			}
 		}

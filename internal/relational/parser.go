@@ -299,8 +299,24 @@ func (p *sqlParser) parseDrop() (Stmt, error) {
 			return nil, err
 		}
 		return &DropTriggerStmt{Name: name}, nil
+	case p.kw("INDEX"):
+		table, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectSym("("); err != nil {
+			return nil, err
+		}
+		col, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectSym(")"); err != nil {
+			return nil, err
+		}
+		return &DropIndexStmt{Table: table, Column: col}, nil
 	default:
-		return nil, fmt.Errorf("expected TABLE or TRIGGER after DROP")
+		return nil, fmt.Errorf("expected TABLE, INDEX or TRIGGER after DROP")
 	}
 }
 

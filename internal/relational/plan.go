@@ -99,7 +99,7 @@ type simplePlan struct {
 // planFor returns the plan compiled into a SimpleSelect, building it on
 // first use and rebuilding it when DDL has changed the schema since. The
 // plan lives on the AST node, so it shares the lifetime of whatever holds
-// the statement — the shape cache, a Prepared, a trigger body — and
+// the statement — the shape cache or a trigger body — and
 // disappears with it. The cache slot is guarded by planMu: shape-cached
 // ASTs are shared between concurrent shared-lock readers. Plans record
 // only column names and expression references, so they stay valid across

@@ -80,12 +80,12 @@ func TestExplainHashJoin(t *testing.T) {
 func TestAutoIndexOnKeyColumns(t *testing.T) {
 	db := NewDB()
 	db.MustExec(`CREATE TABLE n (id INTEGER, parentId INTEGER, v VARCHAR)`)
-	cols := db.Table("n").IndexedColumns()
+	cols := db.table("n").IndexedColumns()
 	if len(cols) != 2 || cols[0] != "id" || cols[1] != "parentId" {
 		t.Errorf("auto-indexed columns = %v, want [id parentId]", cols)
 	}
 	db.MustExec(`CREATE TABLE plain (a INTEGER, b VARCHAR)`)
-	if cols := db.Table("plain").IndexedColumns(); len(cols) != 0 {
+	if cols := db.table("plain").IndexedColumns(); len(cols) != 0 {
 		t.Errorf("plain table should have no auto-indexes, got %v", cols)
 	}
 }
@@ -115,35 +115,31 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestPreparedStatements: the explicit Prepare/Exec/Query API with `?`
-// parameters.
+// TestPreparedStatements: statement texts with `?` parameters, bound by
+// the args of Exec and Query.
 func TestPreparedStatements(t *testing.T) {
 	db := NewDB()
 	db.MustExec(`CREATE TABLE t (k INTEGER, v VARCHAR)`)
-	ins, err := db.Prepare(`INSERT INTO t VALUES (?, ?)`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const ins, sel = `INSERT INTO t VALUES (?, ?)`, `SELECT v FROM t WHERE k = ?`
 	for i := 1; i <= 3; i++ {
-		if _, err := ins.Exec(Int(int64(i)), Text("v")); err != nil {
+		if _, err := db.Exec(ins, Int(int64(i)), Text("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sel, err := db.Prepare(`SELECT v FROM t WHERE k = ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := sel.Query(Int(int64(2)))
+	rows, err := db.Query(sel, Int(int64(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows.Data) != 1 || rows.Data[0][0] != Text("v") {
 		t.Errorf("prepared query = %v", rows.Data)
 	}
-	if _, err := sel.Query(); err == nil {
+	if _, err := db.Query(sel); err == nil {
 		t.Error("arg count mismatch should fail")
 	}
-	if _, err := ins.Query(Int(int64(1)), Text("x")); err == nil {
+	if _, err := db.Query(`SELECT v FROM t WHERE k = 1`, Int(1)); err == nil {
+		t.Error("args for a text without placeholders should fail")
+	}
+	if _, err := db.Query(ins, Int(int64(1)), Text("x")); err == nil {
 		t.Error("Query on a non-SELECT should fail")
 	}
 }
@@ -171,8 +167,8 @@ func TestHashJoinMatchesIndexJoin(t *testing.T) {
 		t.Error("indexed join should use index probes")
 	}
 
-	db.Table("P").DropIndex("id")
-	db.Table("C").DropIndex("parentId")
+	db.table("P").DropIndex("id")
+	db.table("C").DropIndex("parentId")
 	db.ResetStats()
 	hashed, err := db.Query(q)
 	if err != nil {
@@ -236,7 +232,7 @@ func TestIndexMaintenance(t *testing.T) {
 	if got := probeIDs(2); got != "" {
 		t.Errorf("after cascade, probe(2) = %s", got)
 	}
-	if n := db.Table("child").RowCount(); n != 1 {
+	if n := db.table("child").RowCount(); n != 1 {
 		t.Errorf("children left = %d, want 1", n)
 	}
 }

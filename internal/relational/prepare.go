@@ -6,96 +6,14 @@ import (
 	"time"
 )
 
-// Prepared statements and the shape-keyed plan cache. Every Exec/Query is
-// routed through the cache: the statement's literals are lifted out into
-// positional parameters, the remaining token sequence (its "shape") keys a
-// cached AST, and the literal values are bound as arguments at execution.
-// The XML update translator emits thousands of statements per document that
-// differ only in id literals, so one parse and one plan serve them all.
-
-// Prepared is a parsed statement bound to a DB, executable many times with
-// different `?` arguments.
-type Prepared struct {
-	db      *DB
-	stmt    Stmt
-	nparams int
-	// src is the statement text as given (with its `?` placeholders); it is
-	// what the redo log records for a prepared execution, together with the
-	// bound arguments.
-	src string
-}
-
-// Prepare parses a statement once for repeated execution. `?` placeholders
-// become positional parameters bound by Exec/Query arguments; literals are
-// kept as written.
-func (db *DB) Prepare(sql string) (*Prepared, error) {
-	toks, err := lexSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	stmt, np, err := parseTokens(toks, sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{db: db, stmt: stmt, nparams: np, src: sql}, nil
-}
-
-// Exec runs the prepared statement with the given parameter values,
-// returning the number of affected rows. Like DB.Exec it runs in an
-// implicit per-statement transaction; Tx.ExecPrepared runs it inside an
-// open one.
-func (p *Prepared) Exec(args ...Value) (int, error) {
-	if len(args) != p.nparams {
-		return 0, fmt.Errorf("relational: prepared statement takes %d args, got %d", p.nparams, len(args))
-	}
-	start := time.Now()
-	qt := p.db.traceBegin("prepared-exec", p.src)
-	if qt != nil {
-		qt.CacheHit = true // prepared statements are pre-parsed by definition
-	}
-	// The closure scopes the deferred unlock to the in-memory commit, so a
-	// panic cannot strand the writer lock while the fsync wait below still
-	// runs outside it.
-	n, lsn, err := func() (int, uint64, error) {
-		lockStart := time.Now()
-		p.db.mu.Lock()
-		p.db.met.lockWait.ObserveSince(lockStart)
-		defer p.db.mu.Unlock()
-		if qt != nil {
-			qt.LockWait = time.Since(lockStart)
-		}
-		p.db.stats.Statements.Add(1)
-		return p.db.runAutocommit(p.stmt, args, p.src, args, qt, nil)
-	}()
-	if err != nil {
-		p.db.traceFinish(qt, 0, err)
-		return 0, err
-	}
-	err = p.db.afterCommit(lsn, qt)
-	if err == nil {
-		p.db.met.commit.ObserveSince(start)
-	}
-	p.db.traceFinish(qt, n, err)
-	return n, err
-}
-
-// Query runs a prepared SELECT with the given parameter values, under the
-// shared lock like DB.Query; it likewise reads committed state.
-func (p *Prepared) Query(args ...Value) (*Rows, error) {
-	sel, ok := p.stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relational: Query requires a SELECT, got %T", p.stmt)
-	}
-	if len(args) != p.nparams {
-		return nil, fmt.Errorf("relational: prepared statement takes %d args, got %d", p.nparams, len(args))
-	}
-	p.db.mu.RLock()
-	defer p.db.mu.RUnlock()
-	p.db.stats.Statements.Add(1)
-	env := newEnv(nil)
-	env.args = args
-	return p.db.execSelect(sel, env)
-}
+// The shape-keyed plan cache. Every statement door (Exec, Query, QueryEach
+// on DB and Tx) resolves its text here once. A text with `?` placeholders is
+// cached under its exact text and bound to the caller's arguments; any
+// other text has its literals lifted out into positional parameters, the
+// remaining token sequence (its "shape") keys a cached AST, and the literal
+// values are bound as arguments at execution. The XML update translator
+// emits thousands of statements per document that differ only in id
+// literals, so one parse and one plan serve them all.
 
 // cachedStmt is one shape-cache entry.
 type cachedStmt struct {
@@ -110,45 +28,59 @@ type cachedStmt struct {
 const stmtCacheLimit = 512
 
 // prepared resolves sql through the shape cache, parsing at most once per
-// statement shape. It returns the (shared, read-only) AST, the literal
-// values to bind, and whether the template came from the cache. The cache
-// has its own lock (stmtMu) and the plan-cache counters are atomic, so
-// callers may hold db.mu in either mode or not at all (Tx.Exec, Tx.Query
-// and Tx.QueryEach call it before taking any lock).
-func (db *DB) prepared(sql string) (Stmt, []Value, bool, error) {
-	toks, err := lexSQL(sql)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	_, shape, args, ok := liftLiterals(toks, len(sql), false)
-	if !ok {
-		// Not parameterizable (DDL, explicit `?`): cache by raw text and
-		// parse the original tokens.
-		shape, args = sql, nil
+// statement shape, and returns the (shared, read-only) AST with the values
+// to bind: args for a text with `?` placeholders, the lifted literals
+// otherwise. The exact text is looked up first — that is how `?` texts and
+// DDL are keyed, so a repeated one costs a map lookup — and only a miss
+// lexes and lifts. qt, when non-nil, records the cache hit or the parse
+// time. The cache has its own lock (stmtMu) and the plan-cache counters are
+// atomic, so every door calls it before taking any data lock.
+func (db *DB) prepared(sql string, args []Value, qt *QueryTrace) (Stmt, []Value, error) {
+	var start time.Time
+	if qt != nil {
+		start = time.Now()
 	}
 	db.stmtMu.Lock()
-	c, hit := db.stmts[shape]
+	c := db.stmts[sql]
 	db.stmtMu.Unlock()
-	if hit && c.nparams == len(args) {
+	shape, bind := sql, args
+	var toks []token
+	lifted := false
+	if c == nil {
+		var err error
+		if toks, err = lexSQL(sql); err != nil {
+			return nil, nil, err
+		}
+		if len(args) == 0 {
+			if _, s, lits, ok := liftLiterals(toks, len(sql), false); ok {
+				shape, bind, lifted = s, lits, true
+				db.stmtMu.Lock()
+				c = db.stmts[shape]
+				db.stmtMu.Unlock()
+			}
+		}
+	}
+	if c != nil {
+		if c.nparams != len(bind) {
+			return nil, nil, fmt.Errorf("relational: statement takes %d args, got %d", c.nparams, len(bind))
+		}
 		db.stats.PlanCacheHits.Add(1)
-		return c.stmt, args, true, nil
+		if qt != nil {
+			qt.CacheHit = true
+		}
+		return c.stmt, bind, nil
 	}
 	db.stats.PlanCacheMisses.Add(1)
-	ptoks := toks
-	if ok {
-		// Cache miss: re-run the lift, now emitting the parameterized
-		// token stream for parsing.
-		ptoks, _, _, _ = liftLiterals(toks, len(sql), true)
+	if lifted {
+		// Re-run the lift, now emitting the parameterized token stream.
+		toks, _, _, _ = liftLiterals(toks, len(sql), true)
 	}
-	stmt, np, err := parseTokens(ptoks, sql)
+	stmt, np, err := parseTokens(toks, sql)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	if np != len(args) {
-		if len(args) == 0 && np > 0 {
-			return nil, nil, false, fmt.Errorf("relational: statement contains ? placeholders; use Prepare")
-		}
-		return nil, nil, false, fmt.Errorf("relational: internal: %d params for %d lifted literals", np, len(args))
+	if np != len(bind) {
+		return nil, nil, fmt.Errorf("relational: statement takes %d args, got %d", np, len(bind))
 	}
 	db.stmtMu.Lock()
 	if len(db.stmts) >= stmtCacheLimit {
@@ -161,7 +93,10 @@ func (db *DB) prepared(sql string) (Stmt, []Value, bool, error) {
 	}
 	db.stmts[shape] = &cachedStmt{stmt: stmt, nparams: np}
 	db.stmtMu.Unlock()
-	return stmt, args, false, nil
+	if qt != nil {
+		qt.Parse = time.Since(start)
+	}
+	return stmt, bind, nil
 }
 
 // liftLiterals walks a token stream lifting literal tokens into `?`

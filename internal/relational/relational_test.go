@@ -113,8 +113,8 @@ func TestDeleteWithWhere(t *testing.T) {
 	if n != 2 {
 		t.Errorf("deleted %d, want 2", n)
 	}
-	if db.Table("Customer").RowCount() != 1 {
-		t.Errorf("rows left = %d", db.Table("Customer").RowCount())
+	if db.table("Customer").RowCount() != 1 {
+		t.Errorf("rows left = %d", db.table("Customer").RowCount())
 	}
 }
 
@@ -284,10 +284,10 @@ func TestPerRowTriggerCascade(t *testing.T) {
 	if n != 2 {
 		t.Errorf("deleted %d customers", n)
 	}
-	if got := db.Table("Orders").RowCount(); got != 1 {
+	if got := db.table("Orders").RowCount(); got != 1 {
 		t.Errorf("orders left = %d, want 1", got)
 	}
-	if got := db.Table("OrderLine").RowCount(); got != 1 {
+	if got := db.table("OrderLine").RowCount(); got != 1 {
 		t.Errorf("lines left = %d, want 1", got)
 	}
 	st := db.Stats()
@@ -315,10 +315,10 @@ func TestPerStatementTriggerCascade(t *testing.T) {
 	if n != 2 {
 		t.Errorf("deleted %d customers", n)
 	}
-	if got := db.Table("Orders").RowCount(); got != 1 {
+	if got := db.table("Orders").RowCount(); got != 1 {
 		t.Errorf("orders left = %d, want 1", got)
 	}
-	if got := db.Table("OrderLine").RowCount(); got != 1 {
+	if got := db.table("OrderLine").RowCount(); got != 1 {
 		t.Errorf("lines left = %d, want 1", got)
 	}
 }
@@ -348,8 +348,8 @@ func TestRecursiveSchemaTriggerTerminates(t *testing.T) {
 	if n != 1 {
 		t.Errorf("client delete = %d", n)
 	}
-	if db.Table("Node").RowCount() != 0 {
-		t.Errorf("recursive cascade left %d rows", db.Table("Node").RowCount())
+	if db.table("Node").RowCount() != 0 {
+		t.Errorf("recursive cascade left %d rows", db.table("Node").RowCount())
 	}
 }
 
@@ -359,7 +359,7 @@ func TestDropTrigger(t *testing.T) {
 	db.MustExec(`CREATE TRIGGER cust_del AFTER DELETE ON Customer FOR EACH ROW DELETE FROM Orders WHERE parentId = OLD.id`)
 	db.MustExec(`DROP TRIGGER cust_del`)
 	db.MustExec(`DELETE FROM Customer WHERE Name = 'John'`)
-	if got := db.Table("Orders").RowCount(); got != 3 {
+	if got := db.table("Orders").RowCount(); got != 3 {
 		t.Errorf("orders = %d; dropped trigger still fired", got)
 	}
 	if _, err := db.Exec(`DROP TRIGGER cust_del`); err == nil {
@@ -425,7 +425,7 @@ func TestDropTable(t *testing.T) {
 	db := NewDB()
 	db.MustExec(`CREATE TABLE t (a INTEGER)`)
 	db.MustExec(`DROP TABLE t`)
-	if db.Table("t") != nil {
+	if db.table("t") != nil {
 		t.Error("table still present")
 	}
 	if _, err := db.Exec(`DROP TABLE t`); err == nil {
@@ -521,14 +521,14 @@ func TestPropertyInsertDeleteCount(t *testing.T) {
 				return false
 			}
 		}
-		if db.Table("t").RowCount() != len(keys) {
+		if db.table("t").RowCount() != len(keys) {
 			return false
 		}
 		n, err := db.Exec(`DELETE FROM t`)
 		if err != nil || n != len(keys) {
 			return false
 		}
-		return db.Table("t").RowCount() == 0
+		return db.table("t").RowCount() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

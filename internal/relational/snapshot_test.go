@@ -13,12 +13,12 @@ func TestSnapshotRestore(t *testing.T) {
 	db.MustExec(`DELETE FROM t WHERE k = 2`)
 	db.MustExec(`INSERT INTO t VALUES (9, 'z')`)
 	db.MustExec(`UPDATE t SET v = 'changed' WHERE k = 1`)
-	if db.Table("t").RowCount() != 3 {
-		t.Fatalf("precondition: rows = %d", db.Table("t").RowCount())
+	if db.table("t").RowCount() != 3 {
+		t.Fatalf("precondition: rows = %d", db.table("t").RowCount())
 	}
 
 	db.Restore(snap)
-	if got := db.Table("t").RowCount(); got != 3 {
+	if got := db.table("t").RowCount(); got != 3 {
 		t.Errorf("restored rows = %d, want 3", got)
 	}
 	rows, _ := db.Query(`SELECT v FROM t WHERE k = 1`)
@@ -66,10 +66,10 @@ func TestSnapshotDropsLaterTables(t *testing.T) {
 	snap := db.Snapshot()
 	db.MustExec(`CREATE TABLE later (k INTEGER)`)
 	db.Restore(snap)
-	if db.Table("later") != nil {
+	if db.table("later") != nil {
 		t.Error("table created after snapshot survived restore")
 	}
-	if db.Table("t") == nil {
+	if db.table("t") == nil {
 		t.Error("snapshotted table lost")
 	}
 }

@@ -58,9 +58,7 @@ type Table struct {
 	Schema *Schema
 
 	// db points back at the owning database so mutations record undo
-	// entries into its active transaction log (txn.go). Tables built
-	// directly via NewTable (outside any DB) have no owner and are not
-	// transaction-tracked.
+	// entries into its active transaction log (txn.go).
 	db *DB
 
 	rows  [][]Value // nil entry = deleted
@@ -107,9 +105,6 @@ type Table struct {
 // transaction statement, and for autocommit statements only while explicit
 // snapshots are registered.
 func (t *Table) writerCtx() *writeCtx {
-	if t.db == nil {
-		return nil
-	}
 	return t.db.writer
 }
 
@@ -122,9 +117,10 @@ func (t *Table) writeSnap() snapshot {
 	return snapshot{ts: allTS}
 }
 
-// NewTable creates an empty table.
-func NewTable(name string, schema *Schema) *Table {
+// newTable creates an empty table owned by db.
+func newTable(db *DB, name string, schema *Schema) *Table {
 	return &Table{
+		db:      db,
 		Name:    name,
 		Schema:  schema,
 		index:   make(map[string]*hashIndex),
@@ -180,7 +176,7 @@ func (t *Table) Insert(vals []Value) (int, error) {
 		if t.db.undo != nil {
 			t.db.undo.recordInsertV(t, rid)
 		}
-	} else if t.db != nil && t.db.undo != nil {
+	} else if t.db.undo != nil {
 		t.db.undo.recordInsert(t, rid)
 	}
 	for _, idx := range t.index {
@@ -223,7 +219,7 @@ func (t *Table) Delete(rid int) ([]Value, error) {
 	// Dirty the page before touching the slot (paged mode): a dirty page
 	// cannot evict, so the nil written below stays the slot's value.
 	t.pgMark(rid)
-	if t.db != nil && t.db.undo != nil {
+	if t.db.undo != nil {
 		t.db.undo.recordDelete(t, rid, row)
 	}
 	for _, idx := range t.index {
@@ -258,7 +254,7 @@ func (t *Table) Update(rid int, cols []int, vals []Value) error {
 	// fault other pages in, and the eviction pressure they apply must not
 	// take the page under this row (dirty pages never evict).
 	t.pgMark(rid)
-	if t.db != nil && t.db.undo != nil {
+	if t.db.undo != nil {
 		// The pre-image restores every assigned column on rollback — a
 		// coercion error partway through the SET list leaves earlier
 		// assignments applied here, and the statement-level rollback is
@@ -483,9 +479,6 @@ func (t *Table) Scan(fn func(rid int, row []Value) bool) (int, error) {
 		if !fn(rid, row) {
 			break
 		}
-	}
-	if t.db == nil {
-		return visited, nil
 	}
 	return visited, t.db.pagedErr()
 }

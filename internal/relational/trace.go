@@ -7,9 +7,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// Query tracing. Every client-visible statement path (Exec, Query,
-// QueryEach, Prepared.Exec, Tx statements, Tx.Commit, ExplainAnalyze) can
-// emit one QueryTrace describing where the statement spent its time:
+// Query tracing. Every statement door (Exec, Query and QueryEach on a DB
+// or Tx), Tx.Commit and ExplainAnalyze emits one QueryTrace describing
+// where the statement spent its time:
 // parse+plan or plan-cache hit, lock wait, execution, in-memory commit,
 // fsync wait, and the Stats counters it moved. OnTrace hooks are the one
 // consumer of these spans. Tracing is opt-in and off by default — the
@@ -29,11 +29,11 @@ import (
 // applicable to the statement's path (FsyncWait on an in-memory DB,
 // Commit on a read) stay zero.
 type QueryTrace struct {
-	// SQL is the statement text (the `?` shape for prepared statements).
+	// SQL is the statement text as given (with its `?` placeholders).
 	SQL string
-	// Kind names the path that ran the statement: "exec", "query",
-	// "query-each", "prepared-exec", "prepared-query", "tx-exec",
-	// "tx-commit", or "analyze".
+	// Kind names the door that ran the statement: "exec", "query",
+	// "query-each", "tx-exec", "tx-query", "tx-query-each", "tx-commit",
+	// or "analyze".
 	Kind string
 	// Start is when the statement entered the engine; Total the wall time
 	// until its result (including durability) was ready.

@@ -108,19 +108,66 @@ func TestTraceReadExecutePhase(t *testing.T) {
 	}
 }
 
-// TestTracePreparedAndTx: prepared executions and transaction paths carry
-// their own span kinds.
+// TestTraceEveryDoor: each statement door — Exec, Query and QueryEach on a
+// DB and on a Tx, with and without `?` args — plus Commit and
+// ExplainAnalyze emits exactly one span of its documented kind, and the
+// non-commit spans count exactly the statements Stats counts.
+func TestTraceEveryDoor(t *testing.T) {
+	db := NewDB()
+	db.MustExec(`CREATE TABLE item (id INTEGER, name VARCHAR(20))`)
+	db.MustExec(`INSERT INTO item VALUES (1, 'a')`)
+	var spans []*QueryTrace
+	defer db.OnTrace(func(qt *QueryTrace) { spans = append(spans, qt) })()
+	each := func([]Value) error { return nil }
+	var tx *Tx
+	doors := []struct {
+		kind string
+		run  func() error
+	}{
+		{"exec", func() error { _, err := db.Exec(`INSERT INTO item VALUES (2, 'b')`); return err }},
+		{"exec", func() error { _, err := db.Exec(`INSERT INTO item VALUES (?, ?)`, Int(3), Text("c")); return err }},
+		{"query", func() error { _, err := db.Query(`SELECT id FROM item`); return err }},
+		{"query", func() error { _, err := db.Query(`SELECT id FROM item WHERE id = ?`, Int(2)); return err }},
+		{"query-each", func() error { _, err := db.QueryEach(`SELECT id FROM item`, each); return err }},
+		{"query-each", func() error { _, err := db.QueryEach(`SELECT id FROM item WHERE id = ?`, each, Int(2)); return err }},
+		{"analyze", func() error { _, err := db.ExplainAnalyze(`SELECT id FROM item WHERE id = 1`); return err }},
+		{"analyze", func() error { _, err := db.ExplainAnalyze(`UPDATE item SET name = 'z' WHERE id = 1`); return err }},
+		{"tx-exec", func() error { tx = db.Begin(); _, err := tx.Exec(`INSERT INTO item VALUES (4, 'd')`); return err }},
+		{"tx-exec", func() error { _, err := tx.Exec(`INSERT INTO item VALUES (?, ?)`, Int(5), Text("e")); return err }},
+		{"tx-query", func() error { _, err := tx.Query(`SELECT id FROM item`); return err }},
+		{"tx-query", func() error { _, err := tx.Query(`SELECT id FROM item WHERE id = ?`, Int(5)); return err }},
+		{"tx-query-each", func() error { _, err := tx.QueryEach(`SELECT id FROM item`, each); return err }},
+		{"tx-query-each", func() error { _, err := tx.QueryEach(`SELECT id FROM item WHERE id = ?`, each, Int(5)); return err }},
+		{"tx-commit", func() error { return tx.Commit() }},
+	}
+	before := db.Stats().Statements
+	stmts := 0
+	for i, d := range doors {
+		n := len(spans)
+		if err := d.run(); err != nil {
+			t.Fatalf("door %d (%s): %v", i, d.kind, err)
+		}
+		if len(spans) != n+1 || spans[n].Kind != d.kind || spans[n].Err != "" {
+			t.Errorf("door %d: spans %+v, want one %s span", i, spans[n:], d.kind)
+		}
+		if d.kind != "tx-commit" {
+			stmts++
+		}
+	}
+	if got := db.Stats().Statements - before; got != int64(stmts) {
+		t.Errorf("Stats.Statements moved by %d over %d non-commit spans", got, stmts)
+	}
+}
+
+// TestTracePreparedAndTx: a `?` execution traces like any Exec, and the
+// transaction paths carry their own span kinds.
 func TestTracePreparedAndTx(t *testing.T) {
 	db := NewDB()
 	db.MustExec(`CREATE TABLE item (id INTEGER)`)
 	var kinds []string
 	defer db.OnTrace(func(qt *QueryTrace) { kinds = append(kinds, qt.Kind) })()
 
-	p, err := db.Prepare(`INSERT INTO item VALUES (?)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Exec(Int(1)); err != nil {
+	if _, err := db.Exec(`INSERT INTO item VALUES (?)`, Int(1)); err != nil {
 		t.Fatal(err)
 	}
 	tx := db.Begin()
@@ -131,7 +178,7 @@ func TestTracePreparedAndTx(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := []string{"prepared-exec", "tx-exec", "tx-commit"}
+	want := []string{"exec", "tx-exec", "tx-commit"}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Errorf("span kinds = %v, want %v", kinds, want)
 	}

@@ -32,16 +32,14 @@ import (
 var errTxDone = fmt.Errorf("relational: transaction has already been committed or rolled back")
 
 // Session is the statement-execution surface shared by a DB in autocommit
-// mode and an open Tx. Code that must run inside a caller-supplied
-// transaction — the engine's §6.3 execution phase — takes a Session, so the
-// same helpers serve both transactional and autocommit callers.
+// mode and an open Tx: the three statement doors, each taking the text's
+// `?` arguments. Code that must run inside a caller-supplied transaction —
+// the engine's §6.3 execution phase — takes a Session, so the same helpers
+// serve both transactional and autocommit callers.
 type Session interface {
-	Exec(sql string) (int, error)
-	Query(sql string) (*Rows, error)
-	QueryEach(sql string, fn func(row []Value) error) ([]string, error)
-	Prepare(sql string) (*Prepared, error)
-	ExecPrepared(p *Prepared, args ...Value) (int, error)
-	QueryPrepared(p *Prepared, args ...Value) (*Rows, error)
+	Exec(sql string, args ...Value) (int, error)
+	Query(sql string, args ...Value) (*Rows, error)
+	QueryEach(sql string, fn func(row []Value) error, args ...Value) ([]string, error)
 }
 
 var (
@@ -359,30 +357,35 @@ func (db *DB) Begin() *Tx {
 	return tx
 }
 
-// Exec executes a statement inside the transaction. A statement that fails
-// rolls back to its own start (statement atomicity); the transaction stays
-// open until Commit or Rollback.
-func (tx *Tx) Exec(sql string) (int, error) {
-	stmt, args, _, err := tx.db.prepared(sql)
-	if err != nil {
-		return 0, err
-	}
-	return tx.execStmt(stmt, args, sql, nil)
+// Exec executes a statement inside the transaction; args bind the text's
+// `?` placeholders, as for DB.Exec. A statement that fails rolls back to its
+// own start (statement atomicity); the transaction stays open until Commit
+// or Rollback.
+func (tx *Tx) Exec(sql string, args ...Value) (int, error) {
+	return tx.db.write(tx, "tx-exec", sql, args)
 }
 
-// execStmt runs one parsed statement with statement-level atomicity inside
-// the open transaction. src and logArgs are the statement's redo form: the
-// raw text (logArgs nil) or the `?` shape plus its bound arguments.
-func (tx *Tx) execStmt(stmt Stmt, args []Value, src string, logArgs []Value) (int, error) {
-	qt := tx.db.traceBegin("tx-exec", src)
-	n, err := tx.execStmtSpan(stmt, args, src, logArgs, qt)
-	tx.db.traceFinish(qt, n, err)
-	return n, err
+// Query executes a SELECT inside the transaction, observing its uncommitted
+// writes.
+func (tx *Tx) Query(sql string, args ...Value) (*Rows, error) {
+	return tx.db.queryRows(tx, "tx-query", sql, args)
 }
 
-// execStmtSpan is execStmt's lock-holding body; the trace dispatch stays
-// outside it so hooks never run under tx.mu or the writer lock.
-func (tx *Tx) execStmtSpan(stmt Stmt, args []Value, src string, logArgs []Value, qt *QueryTrace) (int, error) {
+// QueryEach streams a SELECT's rows inside the transaction. Like
+// DB.QueryEach, the row slice is reused between fn calls; copy to retain.
+func (tx *Tx) QueryEach(sql string, fn func(row []Value) error, args ...Value) ([]string, error) {
+	return tx.db.read(tx, "tx-query-each", sql, args, fn)
+}
+
+// snap is the transaction's read view: its snapshot plus its own writes.
+func (tx *Tx) snap() snapshot { return snapshot{ts: tx.snapTS, self: tx.id} }
+
+// exec is the transaction write core: it runs one statement with
+// statement-level atomicity inside the open transaction. src and logArgs
+// are the statement's redo form: the text as given and the caller's
+// arguments (nil when it has none). The trace dispatch stays with the door
+// so hooks never run under tx.mu or the writer lock.
+func (tx *Tx) exec(stmt Stmt, args []Value, src string, logArgs []Value, qt *QueryTrace) (int, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.done {
@@ -413,7 +416,7 @@ func (tx *Tx) execStmtSpan(stmt Stmt, args []Value, src string, logArgs []Value,
 	db.writer = &tx.wctx
 	env := newEnv(nil)
 	env.args = args
-	env.snap = snapshot{ts: tx.snapTS, self: tx.id}
+	env.snap = tx.snap()
 	n, err := db.execStmt(stmt, env)
 	db.undo = nil
 	db.writer = nil
@@ -424,11 +427,11 @@ func (tx *Tx) execStmtSpan(stmt Stmt, args []Value, src string, logArgs []Value,
 		tx.log.rollbackTo(mark)
 		return 0, err
 	}
-	if tx.db.durable() {
+	if db.durable() {
 		if logged, note := classifyStmt(stmt); logged {
 			// Copy the argument slice: the commit record is only encoded at
-			// Commit, and a caller reusing its args buffer between
-			// ExecPrepared and Commit must not rewrite logged history.
+			// Commit, and a caller reusing its args buffer between Exec and
+			// Commit must not rewrite logged history.
 			var cp []Value
 			if len(logArgs) > 0 {
 				cp = append(cp, logArgs...)
@@ -437,98 +440,6 @@ func (tx *Tx) execStmtSpan(stmt Stmt, args []Value, src string, logArgs []Value,
 		}
 	}
 	return n, nil
-}
-
-// Query executes a SELECT inside the transaction, observing its uncommitted
-// writes.
-func (tx *Tx) Query(sql string) (*Rows, error) {
-	stmt, args, _, err := tx.db.prepared(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relational: Query requires a SELECT, got %T", stmt)
-	}
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return nil, errTxDone
-	}
-	tx.db.stats.Statements.Add(1)
-	tx.db.mu.RLock()
-	defer tx.db.mu.RUnlock()
-	env := newEnv(nil)
-	env.args = args
-	env.snap = snapshot{ts: tx.snapTS, self: tx.id}
-	return tx.db.execSelect(sel, env)
-}
-
-// QueryEach streams a SELECT's rows inside the transaction. Like
-// DB.QueryEach, the row slice is reused between fn calls; copy to retain.
-func (tx *Tx) QueryEach(sql string, fn func(row []Value) error) ([]string, error) {
-	stmt, args, _, err := tx.db.prepared(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relational: QueryEach requires a SELECT, got %T", stmt)
-	}
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return nil, errTxDone
-	}
-	tx.db.stats.Statements.Add(1)
-	tx.db.mu.RLock()
-	defer tx.db.mu.RUnlock()
-	env := newEnv(nil)
-	env.args = args
-	env.snap = snapshot{ts: tx.snapTS, self: tx.id}
-	return tx.db.streamSelect(sel, env, fn)
-}
-
-// Prepare parses a statement for repeated execution. Parsing takes no data
-// locks, so it is safe inside the transaction; execute the result through
-// ExecPrepared/QueryPrepared to stay inside it.
-func (tx *Tx) Prepare(sql string) (*Prepared, error) { return tx.db.Prepare(sql) }
-
-// ExecPrepared runs a prepared statement inside the transaction.
-func (tx *Tx) ExecPrepared(p *Prepared, args ...Value) (int, error) {
-	if p.db != tx.db {
-		return 0, fmt.Errorf("relational: prepared statement belongs to a different DB")
-	}
-	if len(args) != p.nparams {
-		return 0, fmt.Errorf("relational: prepared statement takes %d args, got %d", p.nparams, len(args))
-	}
-	return tx.execStmt(p.stmt, args, p.src, args)
-}
-
-// QueryPrepared runs a prepared SELECT inside the transaction.
-func (tx *Tx) QueryPrepared(p *Prepared, args ...Value) (*Rows, error) {
-	if p.db != tx.db {
-		return nil, fmt.Errorf("relational: prepared statement belongs to a different DB")
-	}
-	sel, ok := p.stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("relational: Query requires a SELECT, got %T", p.stmt)
-	}
-	if len(args) != p.nparams {
-		return nil, fmt.Errorf("relational: prepared statement takes %d args, got %d", p.nparams, len(args))
-	}
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return nil, errTxDone
-	}
-	tx.db.stats.Statements.Add(1)
-	tx.db.mu.RLock()
-	defer tx.db.mu.RUnlock()
-	env := newEnv(nil)
-	env.args = args
-	env.snap = snapshot{ts: tx.snapTS, self: tx.id}
-	return tx.db.execSelect(sel, env)
 }
 
 // Commit makes the transaction's effects permanent. Under the writer lock

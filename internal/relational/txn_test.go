@@ -63,7 +63,7 @@ func tableDump(t *Table) string {
 func dbDump(db *DB) string {
 	var b strings.Builder
 	for _, name := range db.TableNames() {
-		fmt.Fprintf(&b, "== %s ==\n%s", name, tableDump(db.Table(name)))
+		fmt.Fprintf(&b, "== %s ==\n%s", name, tableDump(db.table(name)))
 	}
 	return b.String()
 }
@@ -197,7 +197,7 @@ func TestSQLTxnControlRejected(t *testing.T) {
 	entries := map[string]func(sql string) error{
 		"DB.Exec":           func(sql string) error { _, err := db.Exec(sql); return err },
 		"Tx.Exec":           func(sql string) error { _, err := tx.Exec(sql); return err },
-		"DB.Prepare":        func(sql string) error { _, err := db.Prepare(sql); return err },
+		"DB.Query":          func(sql string) error { _, err := db.Query(sql); return err },
 		"DB.ExplainAnalyze": func(sql string) error { _, err := db.ExplainAnalyze(sql); return err },
 	}
 	for _, sql := range []string{"BEGIN", "BEGIN TRANSACTION", "COMMIT", "ROLLBACK WORK"} {
@@ -245,14 +245,6 @@ func TestFinishedTxRefuses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ins, err := db.Prepare("INSERT INTO item VALUES (?, 0, 0, 'p')")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel, err := db.Prepare("SELECT id FROM item WHERE id = ?")
-			if err != nil {
-				t.Fatal(err)
-			}
 			before := dbDump(db)
 			ops := map[string]func() error{
 				"Exec":  func() error { _, err := tx.Exec("INSERT INTO item VALUES (101, 0, 51, 'late')"); return err },
@@ -261,10 +253,13 @@ func TestFinishedTxRefuses(t *testing.T) {
 					_, err := tx.QueryEach("SELECT id FROM item", func([]Value) error { return nil })
 					return err
 				},
-				"ExecPrepared":  func() error { _, err := tx.ExecPrepared(ins, Int(102)); return err },
-				"QueryPrepared": func() error { _, err := tx.QueryPrepared(sel, Int(100)); return err },
-				"Commit":        tx.Commit,
-				"Rollback":      tx.Rollback,
+				"Exec args": func() error {
+					_, err := tx.Exec("INSERT INTO item VALUES (?, 0, 0, 'p')", Int(102))
+					return err
+				},
+				"Query args": func() error { _, err := tx.Query("SELECT id FROM item WHERE id = ?", Int(100)); return err },
+				"Commit":     tx.Commit,
+				"Rollback":   tx.Rollback,
 			}
 			for name, op := range ops {
 				if err := op(); err == nil {
@@ -384,7 +379,7 @@ func TestCommitCompactsOrderedIndexes(t *testing.T) {
 		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i%10))
 	}
 	db.MustExec("DELETE FROM t WHERE id >= 40") // 60 stale > 40 live
-	tab := db.Table("t")
+	tab := db.table("t")
 	oidx := tab.orderedList[0]
 	if oidx.stale != 0 || oidx.tree.size != 40 {
 		t.Fatalf("commit did not compact: stale=%d size=%d", oidx.stale, oidx.tree.size)
@@ -423,10 +418,10 @@ func TestDDLRollback(t *testing.T) {
 	if got := dbDump(db); got != before {
 		t.Errorf("DDL rollback wrong:\n--- before ---\n%s--- after ---\n%s", before, got)
 	}
-	if db.Table("tmp") != nil {
+	if db.table("tmp") != nil {
 		t.Errorf("created table survived rollback")
 	}
-	if got := db.Table("item").OrderedIndexes(); len(got) != 1 {
+	if got := db.table("item").OrderedIndexes(); len(got) != 1 {
 		t.Errorf("created index survived rollback: %v", got)
 	}
 	// The restored trigger still fires; tr2 must be gone (its firing would

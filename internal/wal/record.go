@@ -1,9 +1,9 @@
 // Package wal implements the durability substrate: a segmented, CRC-checked
 // redo log of committed statements, plus checkpoint files and crash
 // recovery. The log is logical — each commit record carries the SQL text
-// (or prepared shape) and bound arguments of the statements the transaction
-// committed — so replay re-executes statements through the normal engine
-// rather than patching pages. The relational layer (internal/relational)
+// and `?` arguments of the statements the transaction committed — so
+// replay re-executes statements through the normal engine rather than
+// patching pages. The relational layer (internal/relational)
 // owns what goes into a record; this package owns framing, fsync policy,
 // segment rotation, checkpoint retention, and torn-tail truncation.
 package wal
