@@ -234,15 +234,6 @@ func (a *ASR) Unmark(db relational.Session) error {
 	return err
 }
 
-// MarkedPaths returns the full marked path tuples (level columns only).
-func (a *ASR) MarkedPaths(db relational.Session) (*relational.Rows, error) {
-	var cols []string
-	for i := 0; i < a.Depth; i++ {
-		cols = append(cols, a.Col(i))
-	}
-	return db.Query(fmt.Sprintf("SELECT %s FROM %s WHERE mark = 1", strings.Join(cols, ", "), a.Name))
-}
-
 // InsertPaths adds new paths for an inserted subtree. Each path is a slice
 // of ids from the root level down; shorter paths are NULL-padded.
 func (a *ASR) InsertPaths(db relational.Session, paths [][]relational.Value) error {

@@ -463,7 +463,7 @@ func (db *DB) BulkLoad(rows map[string][][]Value) error {
 		undo := newUndoLog()
 		for t, n := range before {
 			for rid := n; rid < len(t.rows); rid++ {
-				undo.recordInsert(t, rid)
+				undo.record(undoEntry{kind: undoInsert, t: t, rid: rid})
 			}
 		}
 		undo.rollbackTo(0)

@@ -351,27 +351,14 @@ func (t *Table) vacuumRow(rid int, horizon uint64, db *DB) bool {
 	}
 	if m.end != 0 && m.end <= horizon {
 		// Committed delete behind the horizon: physically remove the row
-		// and its whole chain, exactly as a physical-mode delete would have.
-		// Paged: fault the row in, dirty its page (so the nil slot written
-		// below cannot be undone by an eviction/refault cycle), then kill
-		// the directory entry — the page file drops the record at the next
-		// checkpoint.
+		// and its whole chain, exactly as a physical-mode delete would have
+		// (paged: the page file drops the record at the next checkpoint).
 		if row := t.Row(rid); row != nil {
-			t.pgMark(rid)
-			for _, idx := range t.index {
-				if v := row[idx.col]; !v.IsNull() {
-					idx.remove(v, rid)
-				}
-			}
-			for _, oidx := range t.orderedList {
-				oidx.tree.remove(oidx.keyFor(rid, row))
-			}
-			t.rows[rid] = nil
-			t.pgDrop(rid)
+			t.dropRow(rid, row, false)
 		}
 		n := int64(1)
 		for v := m.older; v != nil; v = v.older {
-			t.dropVersionKeys(rid, v.row, nil)
+			t.unindex(rid, v.row, nil, false)
 			n++
 		}
 		*m = rowMeta{}
@@ -392,13 +379,10 @@ func (t *Table) vacuumRow(rid int, horizon uint64, db *DB) bool {
 		}
 	}
 	if cut != nil {
-		survivors := [][]Value{t.Row(rid)}
-		for v := m.older; v != nil; v = v.older {
-			survivors = append(survivors, v.row)
-		}
+		survivors := versionRows(t.Row(rid), m.older)
 		n := int64(0)
 		for v := cut; v != nil; v = v.older {
-			t.dropVersionKeys(rid, v.row, survivors)
+			t.unindex(rid, v.row, survivors, false)
 			n++
 		}
 		db.stats.VersionsVacuumed.Add(n)
@@ -412,49 +396,11 @@ func (t *Table) vacuumRow(rid int, horizon uint64, db *DB) bool {
 	return m.begin == 0 && m.end == 0 && m.older == nil
 }
 
-// dropVersionKeys removes the index entries that belong only to a pruned
-// version: keys no surviving version of the row still carries (survivors
-// nil = the row is gone entirely). Removals tolerate already-absent
-// entries, so values shared across pruned versions come out exactly once.
-func (t *Table) dropVersionKeys(rid int, old []Value, survivors [][]Value) {
-	if old == nil {
-		return
+// versionRows lists a row's versions: head, then the chain from v on.
+func versionRows(head []Value, v *rowVersion) [][]Value {
+	rows := [][]Value{head}
+	for ; v != nil; v = v.older {
+		rows = append(rows, v.row)
 	}
-	for _, idx := range t.index {
-		v := old[idx.col]
-		if v.IsNull() {
-			continue
-		}
-		carried := false
-		for _, s := range survivors {
-			if s != nil && compareValues(v, s[idx.col]) == 0 {
-				carried = true
-				break
-			}
-		}
-		if !carried {
-			idx.remove(v, rid)
-		}
-	}
-	for _, oidx := range t.orderedList {
-		k := oidx.keyFor(rid, old)
-		carried := false
-		for _, s := range survivors {
-			if s != nil && compareBKeys(k, oidx.keyFor(rid, s)) == 0 {
-				carried = true
-				break
-			}
-		}
-		if !carried {
-			oidx.tree.remove(k)
-		}
-	}
-}
-
-// Vacuum forces a full vacuum pass outside the commit path — test and
-// maintenance surface; commits piggyback the same pass automatically.
-func (db *DB) Vacuum() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.vacuumPendingLocked()
+	return rows
 }

@@ -30,8 +30,10 @@ import (
 //
 // This file is the only code that tests t.pg. Readers go through
 // rowCursor (every per-row scan and probe loop) or Row (unpinned rid→row
-// fetches); mutations call the nil-guarded pg* hooks, which do nothing
-// for a memory table.
+// fetches). Row writes call the nil-guarded row hooks (pgPlace, pgMark,
+// pgDrop, pgTruncate, pgRowFits), which do nothing for a memory table,
+// and only the row-writer methods in table.go call them; pgGone and
+// pgRebuild are table lifecycle.
 //
 // Locking: the directory, page list, and page metadata are mutated only
 // under the DB writer lock (mutations) or the pool mutex (residency
@@ -556,9 +558,12 @@ func (t *Table) pgMark(rid int) {
 	p.mu.Unlock()
 }
 
-// pgDrop marks rid's row physically deleted: the directory entry dies
-// and the page (which still holds the stale record until the next flush
-// rewrites it) goes dirty.
+// pgDrop marks rid's row physically deleted: the directory entry dies,
+// the rid leaves its page's list, and the page (which still holds the stale
+// record until the next flush rewrites it) goes dirty. Unlisting keeps a
+// later pgPlace of the same rid — a rolled-back delete, or an insert
+// reusing a truncated rid — from listing it twice on the fill page, which
+// the flush would write as two records and reopen would attach twice.
 func (t *Table) pgDrop(rid int) {
 	pg := t.pg
 	if pg == nil {
@@ -571,6 +576,12 @@ func (t *Table) pgDrop(rid int) {
 	p := pg.db.pool
 	p.mu.Lock()
 	pg.dir[rid] = pgDead
+	for i := len(pi.rids) - 1; i >= 0; i-- {
+		if pi.rids[i] == int32(rid) {
+			pi.rids = append(pi.rids[:i], pi.rids[i+1:]...)
+			break
+		}
+	}
 	if !pi.dirty {
 		pi.dirty = true
 		p.dirty++
@@ -1270,14 +1281,7 @@ func (db *DB) attachPagedTables(metas []pagedTableMeta) error {
 				pg.dir[r] = pi.id
 				pi.rids = append(pi.rids, int32(r))
 				pi.est += pager.RecordSize(rid, len(payload))
-				for _, idx := range t.index {
-					if v := row[idx.col]; !v.IsNull() {
-						idx.add(v, r)
-					}
-				}
-				for _, oidx := range t.orderedList {
-					oidx.tree.insert(oidx.keyFor(r, row))
-				}
+				t.indexRow(r, row)
 				return nil
 			})
 			if err != nil {

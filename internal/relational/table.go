@@ -95,26 +95,9 @@ type Table struct {
 	// live on buffer-pool-managed heap pages, a nil t.rows slot means
 	// "evicted, refault on demand" rather than "deleted", and pg.dir is the
 	// liveness authority. Only paged.go reads it: row reads go through
-	// rowCursor, Row or liveAt, and mutations call its pg* hooks.
+	// rowCursor, Row or liveAt, and the row-writer methods below are the
+	// only callers of its pg* row hooks.
 	pg *pagedTable
-}
-
-// writerCtx returns the active write context when this table's mutations
-// must take the versioned form (an open snapshot could observe intermediate
-// state), nil for plain physical writes. db.writer is set for every explicit
-// transaction statement, and for autocommit statements only while explicit
-// snapshots are registered.
-func (t *Table) writerCtx() *writeCtx {
-	return t.db.writer
-}
-
-// writeSnap is the snapshot the executing writer statement reads at — its
-// write context's view when one is active, latest-committed otherwise.
-func (t *Table) writeSnap() snapshot {
-	if w := t.writerCtx(); w != nil {
-		return w.snap()
-	}
-	return snapshot{ts: allTS}
 }
 
 // newTable creates an empty table owned by db.
@@ -131,17 +114,22 @@ func newTable(db *DB, name string, schema *Schema) *Table {
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int { return t.live }
 
+// ---- the row writer ----
+// Every row write goes through the methods from here to uniqueViolated:
+// Insert, Delete and Update, the undo log (revert), commit-time vacuum
+// (mvcc.go) and paged reopen (paged.go, through indexRow). They are the only
+// code that writes a row slot, a live count, a page-directory entry (the pg*
+// hooks in paged.go) or an index entry; residency (faults and evictions)
+// and whole-table lifecycle (DDL, Restore) stay with their owners.
+
 // Insert appends a row, coercing values to column types, and returns its
 // rowid.
 func (t *Table) Insert(vals []Value) (int, error) {
 	if len(vals) != len(t.Schema.Columns) {
 		return 0, fmt.Errorf("relational: table %s expects %d values, got %d", t.Name, len(t.Schema.Columns), len(vals))
 	}
-	w := t.writerCtx()
-	if w != nil {
-		if err := t.db.claimIntentLocked(t); err != nil {
-			return 0, err
-		}
+	if err := t.db.claimIntentLocked(t); err != nil {
+		return 0, err
 	}
 	row := make([]Value, len(vals))
 	for i, v := range vals {
@@ -167,39 +155,32 @@ func (t *Table) Insert(vals []Value) (int, error) {
 	t.rows = append(t.rows, row)
 	t.live++
 	t.pgPlace(rid, row)
-	if w != nil {
+	e := undoEntry{kind: undoInsert, t: t, rid: rid}
+	if w := t.db.writer; w != nil {
 		// Versioned insert: the row is physically present but marked, so
 		// only its own transaction sees it until commit.
 		t.ensureMeta()
 		t.meta[rid].begin = markBit | w.txnID
 		t.vers++
-		if t.db.undo != nil {
-			t.db.undo.recordInsertV(t, rid)
-		}
-	} else if t.db.undo != nil {
-		t.db.undo.recordInsert(t, rid)
+		e.v = &vUndo{}
 	}
-	for _, idx := range t.index {
-		if v := row[idx.col]; !v.IsNull() {
-			idx.add(v, rid)
-		}
+	if t.db.undo != nil {
+		t.db.undo.record(e)
 	}
-	for _, oidx := range t.orderedList {
-		oidx.tree.insert(oidx.keyFor(rid, row))
-	}
+	t.indexRow(rid, row)
 	return rid, nil
 }
 
-// Delete tombstones a row and unindexes it. It returns the deleted row's
-// values for trigger OLD bindings. In versioned mode the row and its index
-// entries stay physically in place — only the version metadata records the
-// deletion, and vacuum removes the row once no snapshot can see it.
+// Delete removes a row and returns its values for trigger OLD bindings. In
+// versioned mode the row and its index entries stay physically in place —
+// only the version metadata records the deletion, and commit-time vacuum
+// removes the row once no snapshot can see it (mvcc.go).
 func (t *Table) Delete(rid int) ([]Value, error) {
 	row := t.Row(rid)
 	if row == nil {
 		return nil, fmt.Errorf("relational: table %s has no row %d", t.Name, rid)
 	}
-	if w := t.writerCtx(); w != nil {
+	if w := t.db.writer; w != nil {
 		if err := t.db.claimIntentLocked(t); err != nil {
 			return nil, err
 		}
@@ -212,183 +193,273 @@ func (t *Table) Delete(rid int) ([]Value, error) {
 		}
 		t.live--
 		if t.db.undo != nil {
-			t.db.undo.recordDeleteV(t, rid, wasVers)
+			t.db.undo.record(undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{wasVers: wasVers}})
 		}
 		return row, nil
 	}
-	// Dirty the page before touching the slot (paged mode): a dirty page
-	// cannot evict, so the nil written below stays the slot's value.
-	t.pgMark(rid)
 	if t.db.undo != nil {
-		t.db.undo.recordDelete(t, rid, row)
+		t.db.undo.record(undoEntry{kind: undoDelete, t: t, rid: rid, row: row})
 	}
-	for _, idx := range t.index {
-		if v := row[idx.col]; !v.IsNull() {
-			idx.remove(v, rid)
-		}
-	}
-	t.rows[rid] = nil
-	t.pgDrop(rid)
+	t.dropRow(rid, row, true)
 	t.live--
-	// Ordered indexes tombstone lazily: readers skip entries whose row is
-	// gone, and the next ordered read compacts the tree once stale entries
-	// outnumber live ones (index.go) — bulk deletes never pay a descent.
-	for _, oidx := range t.orderedList {
-		oidx.stale++
-	}
 	return row, nil
 }
 
-// Update overwrites the given columns of a row, maintaining indexes.
-// Ordered-index keys are unlinked before the row mutates and re-inserted
-// after, so a multi-column assignment moves each B+tree entry exactly once.
+// Update overwrites the given columns of a row. Physically, the row mutates
+// in place and each index entry whose key changed moves once. In versioned
+// mode the pre-image goes onto the row's version chain and the current row
+// is marked with the writer's transaction id; the pre-image keeps its index
+// entries for snapshot readers until vacuum reclaims them.
 func (t *Table) Update(rid int, cols []int, vals []Value) error {
-	if t.Row(rid) == nil {
+	row := t.Row(rid)
+	if row == nil {
 		return fmt.Errorf("relational: table %s has no row %d", t.Name, rid)
 	}
-	if w := t.writerCtx(); w != nil {
-		return t.updateVersioned(rid, cols, vals, w)
+	if err := t.db.claimIntentLocked(t); err != nil {
+		return err
 	}
-	row := t.rows[rid]
 	// Dirty the page before mutating in place: unique probes below can
 	// fault other pages in, and the eviction pressure they apply must not
 	// take the page under this row (dirty pages never evict).
 	t.pgMark(rid)
-	if t.db.undo != nil {
-		// The pre-image restores every assigned column on rollback — a
-		// coercion error partway through the SET list leaves earlier
-		// assignments applied here, and the statement-level rollback is
-		// what reverses them.
-		t.db.undo.recordUpdate(t, rid, row)
+	// The pre-image restores every assigned column on rollback — a
+	// coercion error partway through the SET list leaves earlier
+	// assignments applied here, and the statement-level rollback is what
+	// reverses them.
+	pre := make([]Value, len(row))
+	copy(pre, row)
+	e := undoEntry{kind: undoUpdate, t: t, rid: rid, row: pre}
+	w := t.db.writer
+	if w != nil {
+		t.ensureMeta()
+		m := &t.meta[rid]
+		wasVers := m.begin != 0 || m.end != 0 || m.older != nil
+		mark := markBit | w.txnID
+		node := &rowVersion{begin: m.begin, end: mark, row: pre, older: m.older}
+		m.begin, m.older = mark, node
+		if !wasVers {
+			t.vers++
+		}
+		e = undoEntry{kind: undoUpdateV, t: t, rid: rid, v: &vUndo{node: node, wasVers: wasVers}}
 	}
-	var touched []*orderedIndex
+	if t.db.undo != nil {
+		t.db.undo.record(e)
+	}
+	err := t.assign(rid, row, cols, vals)
+	// Re-key under whatever state the row ends up in: the index must track
+	// the row until the rollback an error triggers.
+	t.rekey(rid, pre, row, w != nil)
+	if err != nil {
+		return err
+	}
+	// Paged: a row that grew past page capacity can never be flushed; the
+	// undo entry recorded above reverses the update on rollback.
+	return t.pgRowFits(rid, row)
+}
+
+// assign coerces vals into the given columns of row rid in place, rejecting
+// a duplicate on a unique column. A failure leaves earlier assignments
+// applied.
+func (t *Table) assign(rid int, row []Value, cols []int, vals []Value) error {
+	for i, ci := range cols {
+		cv, err := coerce(vals[i], t.Schema.Columns[ci].Type)
+		if err != nil {
+			return fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[ci].Name, err)
+		}
+		if t.uniqueCols[ci] && !cv.IsNull() && t.uniqueViolated(ci, cv, rid) {
+			return fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
+				valueString(cv), t.Name, t.Schema.Columns[ci].Name)
+		}
+		row[ci] = cv
+	}
+	return nil
+}
+
+// revert reverses the row write undo entry e recorded (undoLog.rollbackTo).
+func (t *Table) revert(e *undoEntry) {
+	switch e.kind {
+	case undoInsert:
+		t.dropRow(e.rid, t.rows[e.rid], false)
+		t.live--
+		if e.v != nil {
+			t.meta[e.rid] = rowMeta{}
+			t.vers--
+		}
+		// Inserts append, and reverse application reaches them in reverse
+		// rid order, so truncating restores the exact rowid sequence
+		// (future inserts reuse the same rids as if the statement never
+		// ran).
+		if e.rid == len(t.rows)-1 {
+			t.rows = t.rows[:e.rid]
+			t.pgTruncate(e.rid)
+			t.meta = t.meta[:min(len(t.meta), e.rid)]
+		}
+	case undoDelete:
+		t.restoreRow(e.rid, e.row)
+	case undoUpdate:
+		cur := t.rows[e.rid]
+		t.rekey(e.rid, cur, e.row, false)
+		// Copy the pre-image back in place, preserving row identity.
+		copy(cur, e.row)
+	case undoDeleteV:
+		// A versioned delete only marked the row's end; clearing the mark
+		// resurrects it (row and index entries never moved).
+		t.meta[e.rid].end = 0
+		t.live++
+		if !e.v.wasVers {
+			t.vers--
+		}
+	case undoUpdateV:
+		// Restore the pre-update metadata from the chain node the update
+		// pushed, drop the index entries only the undone newest version
+		// added, and copy the pre-image back in place.
+		cur, node := t.rows[e.rid], e.v.node
+		t.unindex(e.rid, cur, versionRows(node.row, node.older), false)
+		copy(cur, node.row)
+		t.meta[e.rid] = rowMeta{begin: node.begin, older: node.older}
+		if !e.v.wasVers {
+			t.vers--
+		}
+	}
+}
+
+// indexRow adds row rid's entries to every index.
+func (t *Table) indexRow(rid int, row []Value) {
+	for _, idx := range t.index {
+		if v := row[idx.col]; !v.IsNull() {
+			idx.add(v, rid)
+		}
+	}
 	for _, oidx := range t.orderedList {
-		for _, ci := range cols {
-			if oidx.covers(ci) {
-				oidx.tree.remove(oidx.keyFor(rid, row))
-				touched = append(touched, oidx)
+		oidx.tree.insert(oidx.keyFor(rid, row))
+	}
+}
+
+// unindex removes the index entries of version old of row rid, except those
+// a surviving version still carries — the current row or a chain version
+// kept for snapshot readers (survivors nil: the row is gone). Removals
+// tolerate absent entries, so a key shared by several removed versions
+// comes out once. tombstone leaves the B+tree entries in place, counted in
+// stale: readers skip entries whose row is gone, and the commit compacts a
+// tree once they outnumber its live rows (undoLog.commit), so a physical
+// DELETE never pays a descent.
+func (t *Table) unindex(rid int, old []Value, survivors [][]Value, tombstone bool) {
+	for _, idx := range t.index {
+		v := old[idx.col]
+		if v.IsNull() {
+			continue
+		}
+		carried := false
+		for _, s := range survivors {
+			if s != nil && compareValues(v, s[idx.col]) == 0 {
+				carried = true
 				break
 			}
 		}
-	}
-	// Re-key under whatever state the row ends up in — a coercion error
-	// leaves earlier assignments applied, and the index must track the row.
-	defer func() {
-		for _, oidx := range touched {
-			oidx.tree.insert(oidx.keyFor(rid, row))
+		if !carried {
+			idx.remove(v, rid)
 		}
-	}()
-	for i, ci := range cols {
-		cv, err := coerce(vals[i], t.Schema.Columns[ci].Type)
-		if err != nil {
-			return fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[ci].Name, err)
-		}
-		if t.uniqueCols[ci] && !cv.IsNull() && t.uniqueViolated(ci, cv, rid) {
-			return fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
-				valueString(cv), t.Name, t.Schema.Columns[ci].Name)
-		}
-		for _, idx := range t.index {
-			if idx.col != ci {
-				continue
-			}
-			if old := row[ci]; !old.IsNull() {
-				idx.remove(old, rid)
-			}
-			if !cv.IsNull() {
-				idx.add(cv, rid)
-			}
-		}
-		row[ci] = cv
 	}
-	// Paged: a row that grew past page capacity can never be flushed.
-	// The undo pre-image recorded above restores the row on the
-	// statement-level rollback this error triggers.
-	if err := t.pgRowFits(rid, row); err != nil {
-		return err
-	}
-	return nil
-}
-
-// updateVersioned is Update's MVCC form: instead of overwriting in place
-// behind the reader lock, it pushes the pre-image onto the row's version
-// chain, marks the current row with the writer's transaction id, and adds
-// (never removes) index entries — old-value entries stay live for snapshot
-// readers until vacuum reclaims them.
-func (t *Table) updateVersioned(rid int, cols []int, vals []Value, w *writeCtx) error {
-	if err := t.db.claimIntentLocked(t); err != nil {
-		return err
-	}
-	row := t.Row(rid)
-	t.pgMark(rid)
-	t.ensureMeta()
-	m := &t.meta[rid]
-	wasVers := m.begin != 0 || m.end != 0 || m.older != nil
-	mark := markBit | w.txnID
-	pre := make([]Value, len(row))
-	copy(pre, row)
-	node := &rowVersion{begin: m.begin, end: mark, row: pre, older: m.older}
-	m.begin = mark
-	m.older = node
-	if !wasVers {
-		t.vers++
-	}
-	if t.db.undo != nil {
-		t.db.undo.recordUpdateV(t, rid, node, wasVers)
-	}
-	for i, ci := range cols {
-		cv, err := coerce(vals[i], t.Schema.Columns[ci].Type)
-		if err != nil {
-			return fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[ci].Name, err)
-		}
-		if t.uniqueCols[ci] && !cv.IsNull() && t.uniqueViolated(ci, cv, rid) {
-			return fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
-				valueString(cv), t.Name, t.Schema.Columns[ci].Name)
-		}
-		for _, idx := range t.index {
-			if idx.col != ci {
-				continue
-			}
-			if !cv.IsNull() && compareValues(cv, row[ci]) != 0 {
-				idx.addIfAbsent(cv, rid)
-			}
-		}
-		row[ci] = cv
-	}
-	// The old B+tree keys stay for snapshot readers; insert the row's new
-	// key unless some version already carries it (remove-then-insert keeps
-	// the entry set exact — a key can appear only once).
 	for _, oidx := range t.orderedList {
-		nk := oidx.keyFor(rid, row)
-		if compareBKeys(nk, oidx.keyFor(rid, pre)) != 0 {
-			oidx.tree.remove(nk)
-			oidx.tree.insert(nk)
+		if tombstone {
+			oidx.stale++
+			continue
+		}
+		k := oidx.keyFor(rid, old)
+		carried := false
+		for _, s := range survivors {
+			if s != nil && compareBKeys(k, oidx.keyFor(rid, s)) == 0 {
+				carried = true
+				break
+			}
+		}
+		if !carried {
+			oidx.tree.remove(k)
 		}
 	}
-	// Paged: a row that grew past page capacity can never be flushed; the
-	// undo record above reverses the version push on rollback.
-	if err := t.pgRowFits(rid, row); err != nil {
-		return err
-	}
-	return nil
 }
 
-// uniqueViolated reports whether a live row other than exclude already
-// holds v in column ci. Uniqueness is a data invariant, not an index
-// property — order planning's single-row and pinning elisions keep trusting
-// uniqueCols after DropIndex (explicitly supported for ablation) — so
-// enforcement must survive ablation too: it prefers the hash index, falls
-// back to an ordered index led by the column, and finally scans the heap.
-// Versioned tables route through the visibility-aware form: index entries
-// can belong to superseded versions or to rows another snapshot deleted.
+// dropRow physically removes row rid, whose values are row. The directory
+// entry dies first, which dirties the page, so the nil slot cannot come
+// back through an evict/refault cycle; then the index entries (tombstone:
+// see unindex) and the slot go. The caller owns the live count.
+func (t *Table) dropRow(rid int, row []Value, tombstone bool) {
+	t.pgDrop(rid)
+	t.unindex(rid, row, nil, tombstone)
+	t.rows[rid] = nil
+}
+
+// restoreRow reverses a physical delete: the detached row goes back into
+// its slot, onto a page and into every index. The delete tombstoned its
+// B+tree entries, which usually still sit in the tree — but an index built
+// since holds only the rows live then — so each key goes in by
+// remove-then-insert, exact either way, and a removed tombstone comes off
+// stale.
+func (t *Table) restoreRow(rid int, row []Value) {
+	t.rows[rid] = row
+	t.pgPlace(rid, row)
+	t.live++
+	for _, oidx := range t.orderedList {
+		if oidx.tree.remove(oidx.keyFor(rid, row)) && oidx.stale > 0 {
+			oidx.stale--
+		}
+	}
+	t.indexRow(rid, row)
+}
+
+// rekey moves row rid's index entries from version from to version to,
+// touching only the keys that differ. keep leaves from's entries in place
+// for the snapshots that still see that version (a versioned update); to's
+// keys then go in only where absent, since a value flipped away and back
+// must not index the row twice.
+func (t *Table) rekey(rid int, from, to []Value, keep bool) {
+	for _, idx := range t.index {
+		f, n := from[idx.col], to[idx.col]
+		if compareValues(f, n) == 0 {
+			continue
+		}
+		if keep {
+			if !n.IsNull() {
+				idx.addIfAbsent(n, rid)
+			}
+			continue
+		}
+		if !f.IsNull() {
+			idx.remove(f, rid)
+		}
+		if !n.IsNull() {
+			idx.add(n, rid)
+		}
+	}
+	for _, oidx := range t.orderedList {
+		fk, nk := oidx.keyFor(rid, from), oidx.keyFor(rid, to)
+		if compareBKeys(fk, nk) == 0 {
+			continue
+		}
+		if keep {
+			oidx.tree.remove(nk)
+		} else {
+			oidx.tree.remove(fk)
+		}
+		oidx.tree.insert(nk)
+	}
+}
+
+// uniqueViolated reports whether a row other than exclude, as the writer
+// sees it, already holds v in column ci. Uniqueness is a data invariant,
+// not an index property — order planning's single-row and pinning elisions
+// keep trusting uniqueCols after DropIndex (explicitly supported for
+// ablation) — so enforcement must survive ablation too: it prefers the hash
+// index, falls back to an ordered index led by the column, and finally
+// scans the heap. Each candidate is read at the writer's snapshot: entries
+// can belong to superseded versions, to rows another snapshot deleted, or
+// (in a B+tree) to tombstones. The snapshot is the active write context's
+// view, latest-committed when there is none (a physical-mode statement).
 func (t *Table) uniqueViolated(ci int, v Value, exclude int) bool {
-	if t.vers > 0 {
-		return t.uniqueViolatedVers(ci, v, exclude)
+	sn := snapshot{ts: allTS}
+	if w := t.db.writer; w != nil {
+		sn = w.snap()
 	}
-	return t.uniqueViolatedPhys(ci, v, exclude)
-}
-
-func (t *Table) uniqueViolatedVers(ci int, v Value, exclude int) bool {
-	sn := t.writeSnap()
 	hit := func(rid int) bool {
 		if rid == exclude {
 			return false
@@ -425,41 +496,6 @@ func (t *Table) uniqueViolatedVers(ci int, v Value, exclude int) bool {
 		}
 	}
 	return false
-}
-
-func (t *Table) uniqueViolatedPhys(ci int, v Value, exclude int) bool {
-	for _, idx := range t.index {
-		if idx.col != ci {
-			continue
-		}
-		for _, rid := range idx.probe(v) {
-			if rid != exclude {
-				return true
-			}
-		}
-		return false
-	}
-	for _, oidx := range t.orderedList {
-		if oidx.cols[0] != ci {
-			continue
-		}
-		b := rangeBound{val: v, incl: true, set: true}
-		for _, rid := range oidx.scanRange(nil, b, b, false, nil) {
-			// The tree tombstones lazily; skip entries whose row is gone.
-			if rid != exclude && t.liveAt(rid) {
-				return true
-			}
-		}
-		return false
-	}
-	// A failed page fault poisons the DB and fails the next statement, so
-	// the scan's error needs no handling here.
-	found := false
-	_, _ = t.Scan(func(rid int, row []Value) bool {
-		found = rid != exclude && compareValues(row[ci], v) == 0
-		return !found
-	})
-	return found
 }
 
 // Scan calls fn for every live row in rowid order — the current rows, with

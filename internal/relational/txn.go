@@ -14,7 +14,8 @@ import (
 // (insert, delete, update) with enough of a pre-image to reverse it, and a
 // transaction — explicit via Begin or the implicit one wrapping every
 // top-level Exec — applies the log backwards on rollback, restoring rows,
-// live counts, hash buckets, and B+tree entries.
+// live counts, hash buckets, and B+tree entries through Table.revert, which
+// uses the same row-writer methods as the forward writes (table.go).
 //
 // Undo logging was chosen over copy-on-write table versions: mutations stay
 // in place (no per-statement table copies, so bulk loads and renumber
@@ -52,9 +53,11 @@ var (
 type undoKind uint8
 
 const (
-	// undoInsert reverses a row insertion: unindex and drop the row.
+	// undoInsert reverses a row insertion: unindex and drop the row. A
+	// versioned (marked) insert carries v != nil and also clears its
+	// version metadata.
 	undoInsert undoKind = iota
-	// undoDelete reverses a tombstoning: relink the row and its index
+	// undoDelete reverses a physical delete: relink the row and its index
 	// entries.
 	undoDelete
 	// undoUpdate reverses an in-place overwrite from the recorded pre-image.
@@ -64,16 +67,16 @@ const (
 	// closure allocation stays off the row-mutation hot path.
 	undoDDL
 	// Versioned forms (mvcc.go): the mutation marked row versions instead of
-	// (or in addition to) mutating physically, and undo must clear the marks
-	// and restore the chain. Entries carry v != nil.
-	undoInsertV
+	// mutating physically, and undo must clear the marks and restore the
+	// chain. Entries carry v != nil.
 	undoDeleteV
 	undoUpdateV
 )
 
 // undoEntry is one reversible mutation. For undoDelete, row is the removed
 // row slice itself (detached from the table, never mutated afterwards); for
-// undoUpdate it is a pre-image copy; for undoDDL, fn restores the schema.
+// undoUpdate it is the pre-image copy Update took; for undoDDL, fn restores
+// the schema. Table.revert applies the row kinds.
 type undoEntry struct {
 	kind undoKind
 	t    *Table
@@ -81,7 +84,7 @@ type undoEntry struct {
 	row  []Value
 	fn   func()
 	// v carries the version-chain bookkeeping of a versioned mutation
-	// (non-nil exactly for the *V kinds); commit stamping keys off it.
+	// (non-nil exactly for the versioned ones); commit stamping keys off it.
 	v *vUndo
 }
 
@@ -110,47 +113,17 @@ type undoLog struct {
 
 func newUndoLog() *undoLog { return &undoLog{} }
 
-func (l *undoLog) note(t *Table) {
+// record appends a row mutation's undo entry (the Table writer calls it).
+func (l *undoLog) record(e undoEntry) {
 	if l.touched == nil {
 		l.touched = make(map[*Table]struct{}, 4)
 	}
-	l.touched[t] = struct{}{}
-}
-
-func (l *undoLog) recordInsert(t *Table, rid int) {
-	l.note(t)
-	l.entries = append(l.entries, undoEntry{kind: undoInsert, t: t, rid: rid})
-}
-
-func (l *undoLog) recordDelete(t *Table, rid int, row []Value) {
-	l.note(t)
-	l.entries = append(l.entries, undoEntry{kind: undoDelete, t: t, rid: rid, row: row})
-}
-
-func (l *undoLog) recordUpdate(t *Table, rid int, row []Value) {
-	l.note(t)
-	pre := make([]Value, len(row))
-	copy(pre, row)
-	l.entries = append(l.entries, undoEntry{kind: undoUpdate, t: t, rid: rid, row: pre})
+	l.touched[e.t] = struct{}{}
+	l.entries = append(l.entries, e)
 }
 
 func (l *undoLog) recordDDL(fn func()) {
 	l.entries = append(l.entries, undoEntry{kind: undoDDL, fn: fn})
-}
-
-func (l *undoLog) recordInsertV(t *Table, rid int) {
-	l.note(t)
-	l.entries = append(l.entries, undoEntry{kind: undoInsertV, t: t, rid: rid, v: &vUndo{}})
-}
-
-func (l *undoLog) recordDeleteV(t *Table, rid int, wasVers bool) {
-	l.note(t)
-	l.entries = append(l.entries, undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{wasVers: wasVers}})
-}
-
-func (l *undoLog) recordUpdateV(t *Table, rid int, node *rowVersion, wasVers bool) {
-	l.note(t)
-	l.entries = append(l.entries, undoEntry{kind: undoUpdateV, t: t, rid: rid, v: &vUndo{node: node, wasVers: wasVers}})
 }
 
 // mark returns a position to roll back to — the statement boundary inside a
@@ -161,127 +134,10 @@ func (l *undoLog) mark() int { return len(l.entries) }
 // to their state at the mark. Caller holds the writer lock.
 func (l *undoLog) rollbackTo(mark int) {
 	for i := len(l.entries) - 1; i >= mark; i-- {
-		e := l.entries[i]
-		switch e.kind {
-		case undoInsert:
-			row := e.t.rows[e.rid]
-			for _, idx := range e.t.index {
-				if v := row[idx.col]; !v.IsNull() {
-					idx.remove(v, e.rid)
-				}
-			}
-			for _, oidx := range e.t.orderedList {
-				oidx.tree.remove(oidx.keyFor(e.rid, row))
-			}
-			e.t.rows[e.rid] = nil
-			e.t.pgDrop(e.rid)
-			e.t.live--
-			// Inserts append, and reverse application reaches them in
-			// reverse rid order, so truncating restores the exact rowid
-			// sequence (future inserts reuse the same rids as if the
-			// statement never ran).
-			if e.rid == len(e.t.rows)-1 {
-				e.t.rows = e.t.rows[:e.rid]
-				e.t.pgTruncate(e.rid)
-			}
-		case undoDelete:
-			e.t.rows[e.rid] = e.row
-			// Re-register the resurrected rid with the paged directory (its
-			// delete marked it dead); it lands on the current fill page.
-			e.t.pgPlace(e.rid, e.row)
-			e.t.live++
-			for _, idx := range e.t.index {
-				if v := e.row[idx.col]; !v.IsNull() {
-					idx.add(v, e.rid)
-				}
-			}
-			// Deletion tombstones B+tree entries lazily (the key usually
-			// still sits in the tree). An index created mid-transaction is
-			// the exception — it was built from live rows only — so probe
-			// via remove-then-insert, which is exact either way.
-			for _, oidx := range e.t.orderedList {
-				k := oidx.keyFor(e.rid, e.row)
-				present := oidx.tree.remove(k)
-				oidx.tree.insert(k)
-				if present && oidx.stale > 0 {
-					oidx.stale--
-				}
-			}
-		case undoUpdate:
-			cur := e.t.rows[e.rid]
-			for _, oidx := range e.t.orderedList {
-				ck, pk := oidx.keyFor(e.rid, cur), oidx.keyFor(e.rid, e.row)
-				if compareBKeys(ck, pk) != 0 {
-					oidx.tree.remove(ck)
-					oidx.tree.insert(pk)
-				}
-			}
-			for _, idx := range e.t.index {
-				cv, pv := cur[idx.col], e.row[idx.col]
-				if cv == pv {
-					continue
-				}
-				if !cv.IsNull() {
-					idx.remove(cv, e.rid)
-				}
-				if !pv.IsNull() {
-					idx.add(pv, e.rid)
-				}
-			}
-			// Copy the pre-image back in place, preserving row identity.
-			copy(cur, e.row)
-		case undoInsertV:
-			// A marked insert is physically present but visible only to its
-			// own transaction; undo removes it exactly like undoInsert and
-			// clears the version metadata.
-			row := e.t.rows[e.rid]
-			for _, idx := range e.t.index {
-				if v := row[idx.col]; !v.IsNull() {
-					idx.remove(v, e.rid)
-				}
-			}
-			for _, oidx := range e.t.orderedList {
-				oidx.tree.remove(oidx.keyFor(e.rid, row))
-			}
-			e.t.rows[e.rid] = nil
-			e.t.pgDrop(e.rid)
-			e.t.live--
-			e.t.meta[e.rid] = rowMeta{}
-			e.t.vers--
-			if e.rid == len(e.t.rows)-1 {
-				e.t.rows = e.t.rows[:e.rid]
-				e.t.pgTruncate(e.rid)
-				if len(e.t.meta) > len(e.t.rows) {
-					e.t.meta = e.t.meta[:len(e.t.rows)]
-				}
-			}
-		case undoDeleteV:
-			// A versioned delete only marked the row's end; clearing the mark
-			// resurrects it (row and index entries never moved).
-			e.t.meta[e.rid].end = 0
-			e.t.live++
-			if !e.v.wasVers {
-				e.t.vers--
-			}
-		case undoUpdateV:
-			// Restore the pre-update metadata from the chain node the update
-			// pushed, drop the index entries only the undone newest version
-			// added (entries carried by a surviving version stay), and copy
-			// the pre-image back in place, preserving row identity.
-			cur := e.t.rows[e.rid]
-			node := e.v.node
-			survivors := [][]Value{node.row}
-			for v := node.older; v != nil; v = v.older {
-				survivors = append(survivors, v.row)
-			}
-			e.t.dropVersionKeys(e.rid, cur, survivors)
-			copy(cur, node.row)
-			e.t.meta[e.rid] = rowMeta{begin: node.begin, older: node.older}
-			if !e.v.wasVers {
-				e.t.vers--
-			}
-		case undoDDL:
+		if e := &l.entries[i]; e.kind == undoDDL {
 			e.fn()
+		} else {
+			e.t.revert(e)
 		}
 	}
 	l.entries = l.entries[:mark]
