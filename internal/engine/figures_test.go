@@ -573,6 +573,42 @@ func TestPointUpdateScaling(t *testing.T) {
 	}
 }
 
+// TestLoneWriterTakesNoVersions — with one client, no other session ever
+// looks at an update's transaction, so it writes in place: the seven bulk
+// strategies and every point shape walk no version chain and leave no
+// version for commit to vacuum.
+func TestLoneWriterTakesNoVersions(t *testing.T) {
+	check := func(what string, st relational.Stats) {
+		t.Helper()
+		if st.VersionChainHops != 0 || st.VersionsVacuumed != 0 {
+			t.Errorf("%s: %d version chain hops, %d versions vacuumed; want 0 and 0",
+				what, st.VersionChainHops, st.VersionsVacuumed)
+		}
+	}
+	in := fixedInput("d=3", datagen.FixedParams{ScalingFactor: 20, Depth: 3, Fanout: 4, Seed: 1})
+	for _, w := range []workload{bulkDelete, bulkInsert} {
+		opts := []Options{perTuple, perStm, cascade, asrDel}
+		if w.insert {
+			opts = insertMethods
+		}
+		for _, o := range opts {
+			r := measure(t, in, open(t, in, o), w)
+			if r.changed() == 0 {
+				t.Fatalf("%s %s changed nothing", w.name, w.method(o))
+			}
+			check(w.name+" "+w.method(o), r.st)
+		}
+	}
+	doc := datagen.DBLP(datagen.DBLPParams{Conferences: 4, PubsPerConf: 40, Seed: 7})
+	s, err := Open(doc, Options{OrderColumn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range pointShapes("Conf-000", "law/lone") {
+		check("point "+sh.name, runPointShape(t, s, sh))
+	}
+}
+
 // TestRandomizedDeleteRuns — §7.1.2 repeats the random delete on
 // randomized documents, whose subtrees vary in depth and fanout. The
 // per-tuple trigger still reads only what it deletes, which is less than

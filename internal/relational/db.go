@@ -112,9 +112,12 @@ type statCounters struct {
 // Query/QueryEach/Snapshot/Stats hold it shared. An explicit transaction
 // (Begin) does not hold the writer lock between its statements: it takes
 // an MVCC snapshot at Begin, marks the rows it writes with its transaction
-// id, and readers evaluate row visibility against their snapshot (mvcc.go). Readers therefore only ever observe a committed
-// version of the data — and they keep completing while a write transaction
-// sits open, blocking at most for the duration of one statement. N
+// id once another session could look (alone, it writes in place until a
+// second session arrives and upgrades it), and readers evaluate row
+// visibility against their snapshot (mvcc.go). Readers therefore only ever
+// observe a committed version of the data — and they keep completing while
+// a write transaction sits open, blocking at most for the duration of one
+// statement or one upgrade. N
 // goroutines can run Sorted-Outer-Union reconstruction concurrently,
 // serializing only against individual writer statements, never against each
 // other. Writers conflict first-committer-wins: per-table write intents
@@ -156,15 +159,18 @@ type DB struct {
 	// MVCC state (mvcc.go), all guarded by the writer lock. commitTS is the
 	// last committed transaction stamp; nextTxn numbers transactions for row
 	// marks. snaps maps open explicit transactions to their snapshot stamps
-	// (its minimum is the vacuum horizon). writer is the write context of
-	// the statement currently executing under the exclusive lock; row
-	// mutations route through it to decide physical vs versioned form.
+	// (its minimum is the vacuum horizon). lone is the open transaction
+	// writing in place because no other session has looked since it began
+	// (nil: none). writer is the write context of the statement currently
+	// executing under the exclusive lock; row mutations route through it to
+	// claim intents and to decide physical vs versioned form.
 	// intentCh is closed and replaced whenever write intents release, waking
 	// autocommit statements queued behind an explicit transaction's intent.
 	// pendingVac queues committed version chains for the next vacuum pass.
 	commitTS   uint64
 	nextTxn    uint64
 	snaps      map[uint64]uint64
+	lone       *Tx
 	writer     *writeCtx
 	intentCh   chan struct{}
 	pendingVac []vacRec
@@ -414,15 +420,18 @@ func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value
 		env := newEnv(nil)
 		env.args = args
 		env.an = an
-		// While explicit transactions hold snapshots, writes go down the
-		// versioned path so those snapshots keep their view; with none open
-		// the statement mutates physically, exactly as before MVCC. The
-		// implicit transaction reads latest-committed (allTS): it runs under
-		// the exclusive lock, so that is a consistent snapshot.
+		// An autocommit writer is a second session, so a lone transaction's
+		// in-place writes become versions first. While explicit
+		// transactions hold snapshots, writes go down the versioned path so
+		// those snapshots keep their view; with none open the statement
+		// mutates physically, exactly as before MVCC. The implicit
+		// transaction reads latest-committed (allTS): it runs under the
+		// exclusive lock, so that is a consistent snapshot.
+		db.upgradeLoneLocked()
 		var w *writeCtx
 		if len(db.snaps) > 0 {
 			db.nextTxn++
-			w = &writeCtx{txnID: db.nextTxn, snapTS: allTS}
+			w = &writeCtx{txnID: db.nextTxn, snapTS: allTS, versioned: true}
 			db.writer = w
 			env.snap = snapshot{ts: allTS, self: w.txnID}
 		}
@@ -491,9 +500,11 @@ func (db *DB) runAutocommit(stmt Stmt, args []Value, src string, logArgs []Value
 // text's `?` placeholders, as for Exec. Queries take the shared lock: any
 // number of them run concurrently, serialized only against individual
 // writer statements — and since uncommitted writes are marked with their
-// transaction id, a query always observes a committed version of the
-// database, even while a write transaction sits open (mvcc.go). To read a
-// transaction's own uncommitted writes, query through its Tx.
+// transaction id (a lone transaction's in-place writes are upgraded to
+// marked versions before the query reads), a query always observes a
+// committed version of the database, even while a write transaction sits
+// open (mvcc.go). To read a transaction's own uncommitted writes, query
+// through its Tx.
 func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 	return db.queryRows(nil, "query", sql, args)
 }
@@ -557,7 +568,7 @@ func (db *DB) query(tx *Tx, sel *SelectStmt, args []Value, qt *QueryTrace, an *a
 	if qt != nil {
 		lockStart = time.Now()
 	}
-	db.mu.RLock()
+	db.readLock(tx)
 	defer db.mu.RUnlock()
 	var execStart time.Time
 	if qt != nil {

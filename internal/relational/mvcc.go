@@ -3,6 +3,7 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Multi-version concurrency control. The PR 3 design held the writer lock
@@ -16,14 +17,19 @@ import (
 // timestamp; they never wait for an open transaction, only for the short
 // statement/commit critical sections.
 //
-// Mode rule: version chains exist only while someone could observe an
-// intermediate state — that is, while at least one transaction snapshot is
-// registered (every explicit transaction registers its own at Begin). With
-// no snapshots registered, writes take the original physical path
-// (mutate-in-place + undo pre-images) untouched: serial workloads keep
-// byte-identical behavior and the 0 allocs/row read pins, because every
-// table's version counter stays at zero and readers never call into the
-// visibility slow path.
+// Mode rule: version chains exist only while a second session could
+// observe an intermediate state. An explicit transaction that begins with
+// no other snapshot registered is *lone* (db.lone): it writes in place,
+// exactly like an autocommit statement, with its undo log holding the
+// pre-images and its table intents claimed as usual — nobody else can look,
+// because every other session's entry goes through upgradeLoneLocked
+// first: a DB-level read (readLock), a second Begin, or an autocommit
+// writer. The upgrade turns the transaction's in-place writes into the
+// versions it would have written all along and switches it to versioned
+// writes until it ends. While no snapshot is registered, autocommit
+// statements also write in place; while any is, they write versions. So a
+// single client never versions a row, every table's version counter stays
+// at zero, and readers never call into the visibility slow path.
 //
 // Stamps: begin/end fields hold either a committed stamp (an allocation of
 // db.commitTS under the writer lock) or an uncommitted mark, markBit|txnID.
@@ -178,15 +184,104 @@ var ErrWriteConflict = errors.New("relational: write conflict (first committer w
 // writer lock, waits for the holder to finish, and retries.
 var errIntentBusy = errors.New("relational: table claimed by an open transaction")
 
-// writeCtx is the active statement's writer identity while versioned mode
-// is on (db.writer is nil during physical-mode statements). claimed
-// accumulates the tables this transaction holds write intents on; for an
-// explicit transaction it spans statements until commit/rollback.
+// writeCtx is the active statement's writer identity (db.writer, nil
+// during an autocommit statement with no snapshot registered). versioned
+// selects the row writers' form: marked versions, or in place for a lone
+// transaction. claimed accumulates the tables this transaction holds write
+// intents on; for an explicit transaction it spans statements until
+// commit/rollback.
 type writeCtx struct {
-	txnID    uint64
-	snapTS   uint64
-	explicit bool
-	claimed  []*Table
+	txnID     uint64
+	snapTS    uint64
+	explicit  bool
+	versioned bool
+	claimed   []*Table
+}
+
+// versioning returns the active writer when it writes versions, else nil.
+func (db *DB) versioning() *writeCtx {
+	if w := db.writer; w != nil && w.versioned {
+		return w
+	}
+	return nil
+}
+
+// readLock takes the shared lock for a read by self (nil: a DB-level
+// reader). A read by any session but the lone transaction's own is a
+// second session looking, so the lone transaction is upgraded first, under
+// the exclusive lock; the check repeats once the shared lock is held, since
+// another lone transaction may have begun in between. The reader waits for
+// the upgrade, bounded by the write set, never for the transaction to end.
+func (db *DB) readLock(self *Tx) {
+	db.mu.RLock()
+	for db.lone != nil && db.lone != self {
+		db.mu.RUnlock()
+		db.mu.Lock()
+		db.upgradeLoneLocked()
+		db.mu.Unlock()
+		db.mu.RLock()
+	}
+}
+
+// upgradeLoneLocked turns the lone transaction's in-place writes into the
+// versions it would have written had a second session been there from its
+// Begin, and makes it write versions until it ends. The undo log is the
+// whole record: for each written row, the oldest entry holds the committed
+// image (none for an insert) and the newest says whether the transaction
+// deleted it; Table.upgradeRow does the rest. Each row's versioned entries
+// take the place of its first entry, so a whole-transaction rollback still
+// reverts inserts in reverse rid order and interleaved DDL in its original
+// order. Rows of a table the transaction has dropped stay in place: no
+// session can reach them, and rollback re-creates the table before it
+// reverts them. The transaction is between statements (its statements hold
+// the writer lock), so no statement-level rollback reaches back past the
+// upgrade. Caller holds the writer lock.
+func (db *DB) upgradeLoneLocked() {
+	tx := db.lone
+	if tx == nil {
+		return
+	}
+	db.lone = nil
+	tx.wctx.versioned = true
+	type rowKey struct {
+		t   *Table
+		rid int
+	}
+	entries := tx.log.entries
+	newest := make(map[rowKey]int, len(entries))
+	reachable := make(map[*Table]bool)
+	for i := range entries {
+		if e := &entries[i]; e.kind != undoDDL {
+			newest[rowKey{e.t, e.rid}] = i
+			if _, ok := reachable[e.t]; !ok {
+				reachable[e.t] = db.tables[strings.ToLower(e.t.Name)] == e.t
+			}
+		}
+	}
+	mark := markBit | tx.id
+	out := make([]undoEntry, 0, len(newest))
+	for i := range entries {
+		e := &entries[i]
+		if e.kind == undoDDL || !reachable[e.t] {
+			out = append(out, *e)
+			continue
+		}
+		k := rowKey{e.t, e.rid}
+		last, pending := newest[k]
+		if !pending {
+			continue // converted at the row's first entry
+		}
+		delete(newest, k)
+		var committed, gone []Value
+		if e.kind != undoInsert {
+			committed = e.row
+		}
+		if l := &entries[last]; l.kind == undoDelete {
+			gone = l.row
+		}
+		out = e.t.upgradeRow(e.rid, committed, gone, mark, out)
+	}
+	tx.log.entries = out
 }
 
 // snap returns the snapshot the writer's statements read under.
@@ -198,7 +293,8 @@ func (w *writeCtx) snap() snapshot { return snapshot{ts: w.snapTS, self: w.txnID
 // ErrWriteConflict (no-wait keeps the scheme deadlock-free). Autocommit
 // statements return errIntentBusy on a foreign intent and retry after the
 // holder finishes; they read at allTS, so a prior commit is not a conflict.
-// Caller holds the writer lock; a nil db.writer (physical mode) is a no-op.
+// Caller holds the writer lock; a nil db.writer (an autocommit statement
+// with no snapshot registered) is a no-op.
 func (db *DB) claimIntentLocked(t *Table) error {
 	w := db.writer
 	if w == nil {

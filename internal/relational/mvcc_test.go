@@ -308,8 +308,11 @@ func TestAutocommitWaitsForIntent(t *testing.T) {
 
 // TestSingleVersionStatsAndVacuum pins the fast-path invariants: queries
 // against tables that were never written under a registered snapshot report
-// zero chain hops and zero snapshots; a commit with no live readers
-// vacuums its superseded versions back to single-version state.
+// zero chain hops and zero snapshots; a transaction with no other session
+// looking writes in place, so no statement of it leaves a version behind
+// and its commit has nothing to vacuum; and a transaction that a concurrent
+// reader's snapshot sees through versions vacuums them once that reader
+// has gone, back to single-version state.
 func TestSingleVersionStatsAndVacuum(t *testing.T) {
 	db := mvccSeedDB(t)
 	db.ResetStats()
@@ -327,20 +330,64 @@ func TestSingleVersionStatsAndVacuum(t *testing.T) {
 	if st.SnapshotsTaken != 0 {
 		t.Errorf("autocommit-only workload took %d snapshots, want 0", st.SnapshotsTaken)
 	}
+	tab := db.table("acct")
+	genStmts := func(k int) []string {
+		mid := mvccBaseRows / 2
+		return []string{
+			fmt.Sprintf("UPDATE acct SET val = %d WHERE id <= %d", k, mid),
+			fmt.Sprintf("UPDATE acct SET val = %d WHERE id > %d", k, mid),
+			fmt.Sprintf("INSERT INTO acct VALUES (%d, %d)", mvccMarker+k, k),
+			fmt.Sprintf("DELETE FROM acct WHERE id = %d", mvccMarker+k-1),
+		}
+	}
 
-	// One committed transaction with no concurrent readers: versions are
-	// reclaimed at commit and the table returns to single-version state.
-	if err := mvccCommitGen(db, 1); err != nil {
+	// A lone transaction: every statement writes in place.
+	tx := db.Begin()
+	for _, s := range genStmts(1) {
+		if _, err := tx.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if st := db.Stats(); st.VersionsVacuumed != 0 || tab.vers != 0 {
+			t.Errorf("%s: lone transaction left vers = %d, vacuumed %d; want 0 and 0", s, tab.vers, st.VersionsVacuumed)
+		}
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st = db.Stats()
 	if st.SnapshotsTaken != 1 {
 		t.Errorf("SnapshotsTaken = %d, want 1", st.SnapshotsTaken)
 	}
-	if st.VersionsVacuumed == 0 {
-		t.Error("commit with no live snapshots vacuumed nothing")
+	if st.VersionsVacuumed != 0 || st.VersionChainHops != 0 {
+		t.Errorf("lone transaction: %d versions vacuumed, %d chain hops; want 0", st.VersionsVacuumed, st.VersionChainHops)
 	}
-	if tab := db.table("acct"); tab.vers != 0 {
+
+	// With a reader transaction open, the writer versions its rows, which
+	// the reader's snapshot keeps; they are vacuumed once it commits.
+	reader := db.Begin()
+	if _, err := reader.Query("SELECT COUNT(*) FROM acct"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mvccCommitGen(db, 2); err != nil {
+		t.Fatal(err)
+	}
+	if tab.vers == 0 {
+		t.Error("writer under a concurrent reader left no versions")
+	}
+	rows, err := reader.Query("SELECT id, val FROM acct ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := checkMvccState(rows); err != nil || k != 1 {
+		t.Errorf("reader saw generation %d (err %v), want 1", k, err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Stats().VersionsVacuumed == 0 {
+		t.Error("closing the last reader vacuumed nothing")
+	}
+	if tab.vers != 0 {
 		t.Errorf("table still versioned after vacuum: vers = %d", tab.vers)
 	}
 	// And the fast path is back: fresh reads still walk no chains.

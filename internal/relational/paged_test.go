@@ -26,8 +26,8 @@ func pagedOpts() Options {
 // byte-identical dumps — with a checkpoint dropped in the middle so flushed
 // and still-dirty pages mix, and a reopen at the end so the recovered state
 // is held to the same standard. After every checkpoint, and once more while
-// an explicit transaction holds an uncommitted update (so the table is
-// versioned), equivQueries must give identical results on both DBs: that
+// an explicit transaction holds an uncommitted update (upgraded to versions
+// by a DB-level read), equivQueries must give identical results on both DBs: that
 // drives every row-reading site through the paged, the single-version
 // memory and the versioned memory and paged table states.
 func TestPagedMemoryEquivalenceRandom(t *testing.T) {
@@ -65,8 +65,16 @@ func TestPagedMemoryEquivalenceRandom(t *testing.T) {
 			if _, err := txs[k].Exec("UPDATE item SET pos = pos + 100, name = 'held' WHERE parentId = 2"); err != nil {
 				t.Fatalf("iter %d: held update: %v", i, err)
 			}
+			// Alone, the transaction writes in place; the first DB-level
+			// read upgrades its update to versions.
+			if d.table("item").vers != 0 {
+				t.Fatalf("iter %d: lone held update versioned the table", i)
+			}
+			if _, err := d.Query("SELECT COUNT(*) FROM item"); err != nil {
+				t.Fatalf("iter %d: upgrading read: %v", i, err)
+			}
 			if d.table("item").vers == 0 {
-				t.Fatalf("iter %d: held update left the table single-version", i)
+				t.Fatalf("iter %d: upgraded held update left the table single-version", i)
 			}
 		}
 		runEquivQueries(t, fmt.Sprintf("iter %d held txn", i), len(ops), [2]*DB{db, shadow}, txs, committed)

@@ -24,7 +24,7 @@ type tableSnap struct {
 // (tables, indexes, triggers) are shared, not copied: Restore assumes the
 // schema is unchanged since the snapshot.
 func (db *DB) Snapshot() *DBSnapshot {
-	db.mu.RLock()
+	db.readLock(nil)
 	defer db.mu.RUnlock()
 	s := &DBSnapshot{tables: make(map[string]tableSnap, len(db.tables))}
 	for key, t := range db.tables {

@@ -116,8 +116,9 @@ func (t *Table) RowCount() int { return t.live }
 
 // ---- the row writer ----
 // Every row write goes through the methods from here to uniqueViolated:
-// Insert, Delete and Update, the undo log (revert), commit-time vacuum
-// (mvcc.go) and paged reopen (paged.go, through indexRow). They are the only
+// Insert, Delete and Update, the undo log (revert), a lone transaction's
+// upgrade (upgradeRow), commit-time vacuum (mvcc.go) and paged reopen
+// (paged.go, through indexRow). They are the only
 // code that writes a row slot, a live count, a page-directory entry (the pg*
 // hooks in paged.go) or an index entry; residency (faults and evictions)
 // and whole-table lifecycle (DDL, Restore) stay with their owners.
@@ -156,7 +157,7 @@ func (t *Table) Insert(vals []Value) (int, error) {
 	t.live++
 	t.pgPlace(rid, row)
 	e := undoEntry{kind: undoInsert, t: t, rid: rid}
-	if w := t.db.writer; w != nil {
+	if w := t.db.versioning(); w != nil {
 		// Versioned insert: the row is physically present but marked, so
 		// only its own transaction sees it until commit.
 		t.ensureMeta()
@@ -171,19 +172,22 @@ func (t *Table) Insert(vals []Value) (int, error) {
 	return rid, nil
 }
 
-// Delete removes a row and returns its values for trigger OLD bindings. In
-// versioned mode the row and its index entries stay physically in place —
+// Delete removes a row and returns its values for trigger OLD bindings.
+// With no second session looking (an autocommit statement with no snapshot
+// registered, or a lone transaction; mvcc.go's mode rule) the row leaves
+// its slot at once and its B+tree entries stay behind as tombstones. For a
+// versioned writer the row and its index entries stay physically in place:
 // only the version metadata records the deletion, and commit-time vacuum
-// removes the row once no snapshot can see it (mvcc.go).
+// removes the row once no snapshot can see it.
 func (t *Table) Delete(rid int) ([]Value, error) {
 	row := t.Row(rid)
 	if row == nil {
 		return nil, fmt.Errorf("relational: table %s has no row %d", t.Name, rid)
 	}
-	if w := t.db.writer; w != nil {
-		if err := t.db.claimIntentLocked(t); err != nil {
-			return nil, err
-		}
+	if err := t.db.claimIntentLocked(t); err != nil {
+		return nil, err
+	}
+	if w := t.db.versioning(); w != nil {
 		t.ensureMeta()
 		m := &t.meta[rid]
 		wasVers := m.begin != 0 || m.end != 0 || m.older != nil
@@ -205,11 +209,13 @@ func (t *Table) Delete(rid int) ([]Value, error) {
 	return row, nil
 }
 
-// Update overwrites the given columns of a row. Physically, the row mutates
-// in place and each index entry whose key changed moves once. In versioned
-// mode the pre-image goes onto the row's version chain and the current row
-// is marked with the writer's transaction id; the pre-image keeps its index
-// entries for snapshot readers until vacuum reclaims them.
+// Update overwrites the given columns of a row. With no second session
+// looking (mvcc.go's mode rule) the row mutates in place, each index entry
+// whose key changed moves once, and only the undo log keeps the pre-image.
+// For a versioned writer the pre-image goes onto the row's version chain
+// and the current row is marked with the writer's transaction id; the
+// pre-image keeps its index entries for snapshot readers until vacuum
+// reclaims them.
 func (t *Table) Update(rid int, cols []int, vals []Value) error {
 	row := t.Row(rid)
 	if row == nil {
@@ -229,7 +235,7 @@ func (t *Table) Update(rid int, cols []int, vals []Value) error {
 	pre := make([]Value, len(row))
 	copy(pre, row)
 	e := undoEntry{kind: undoUpdate, t: t, rid: rid, row: pre}
-	w := t.db.writer
+	w := t.db.versioning()
 	if w != nil {
 		t.ensureMeta()
 		m := &t.meta[rid]
@@ -295,7 +301,7 @@ func (t *Table) revert(e *undoEntry) {
 			t.meta = t.meta[:min(len(t.meta), e.rid)]
 		}
 	case undoDelete:
-		t.restoreRow(e.rid, e.row)
+		t.restoreRow(e.rid, e.row, e.row)
 	case undoUpdate:
 		cur := t.rows[e.rid]
 		t.rekey(e.rid, cur, e.row, false)
@@ -389,22 +395,63 @@ func (t *Table) dropRow(rid int, row []Value, tombstone bool) {
 	t.rows[rid] = nil
 }
 
-// restoreRow reverses a physical delete: the detached row goes back into
-// its slot, onto a page and into every index. The delete tombstoned its
+// restoreRow puts row back into the slot of physically deleted row rid,
+// onto a page and into every index. dead is the image the delete removed:
+// row itself when a rollback reverses the delete, but the transaction's
+// last version when an upgrade brings back the committed image of a row
+// its transaction updated and then deleted. The delete tombstoned dead's
 // B+tree entries, which usually still sit in the tree — but an index built
-// since holds only the rows live then — so each key goes in by
-// remove-then-insert, exact either way, and a removed tombstone comes off
-// stale.
-func (t *Table) restoreRow(rid int, row []Value) {
+// since holds only the rows live then — so each comes out by a tolerant
+// remove, coming off stale, before row's keys go in.
+func (t *Table) restoreRow(rid int, row, dead []Value) {
 	t.rows[rid] = row
 	t.pgPlace(rid, row)
 	t.live++
 	for _, oidx := range t.orderedList {
-		if oidx.tree.remove(oidx.keyFor(rid, row)) && oidx.stale > 0 {
+		if oidx.tree.remove(oidx.keyFor(rid, dead)) && oidx.stale > 0 {
 			oidx.stale--
 		}
 	}
 	t.indexRow(rid, row)
+}
+
+// upgradeRow gives row rid, which a lone transaction with mark wrote in
+// place, the versioned form (mvcc.go, upgradeLoneLocked). committed is the
+// row before the transaction (nil: the transaction inserted it), gone the
+// image the transaction's delete removed (nil: the row is live). It
+// appends the versioned undo entries that reverse the new form to out.
+func (t *Table) upgradeRow(rid int, committed, gone []Value, mark uint64, out []undoEntry) []undoEntry {
+	t.ensureMeta()
+	m := &t.meta[rid]
+	t.vers++
+	if gone != nil {
+		// A deleted row comes back as the version snapshots still see, its
+		// end marked: the committed image, or the deleted one for a row
+		// the transaction also inserted (which no snapshot sees at all).
+		back := committed
+		if back == nil {
+			back = gone
+		}
+		t.restoreRow(rid, back, gone)
+		t.live--
+		m.end = mark
+		if committed != nil {
+			return append(out, undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{}})
+		}
+		m.begin = mark
+		return append(out, undoEntry{kind: undoInsert, t: t, rid: rid, v: &vUndo{}},
+			undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{wasVers: true}})
+	}
+	m.begin = mark
+	if committed == nil {
+		return append(out, undoEntry{kind: undoInsert, t: t, rid: rid, v: &vUndo{}})
+	}
+	// An updated row keeps the transaction's version in its slot; the
+	// committed image goes onto the chain and its index keys come back.
+	t.rekey(rid, t.Row(rid), committed, true)
+	node := &rowVersion{end: mark, row: committed}
+	m.older = node
+	return append(out, undoEntry{kind: undoUpdateV, t: t, rid: rid, v: &vUndo{node: node}})
 }
 
 // rekey moves row rid's index entries from version from to version to,

@@ -21,13 +21,17 @@ import (
 // in place (no per-statement table copies, so bulk loads and renumber
 // UPDATEs keep their PR 1/PR 2 cost), and the log's size is proportional to
 // the statement's write set, not the table. Readers must not observe a
-// mutation epoch in progress; autocommit statements get that from the
-// writer lock alone, while explicit transactions — which release the lock
-// between statements — additionally mark their writes with their
-// transaction id so concurrent snapshot readers resolve to the pre-image on
-// the version chain instead (mvcc.go). The undo log doubles as the version
-// chain's spine: rollback unmarks versions rather than replaying pre-images
-// blindly, and commit flips the marks to the allocated commit stamp.
+// mutation epoch in progress. Autocommit statements get that from the
+// writer lock alone. An explicit transaction releases the lock between
+// statements, but while it is the only session (mvcc.go's mode rule) there
+// is nobody to hide its writes from, so it writes in place too. Once a
+// second session arrives, its in-place writes are upgraded from the undo
+// log into versions marked with its transaction id, and from then on it
+// marks every write, so concurrent snapshot readers resolve to the
+// pre-image on the version chain instead. The undo log doubles as the
+// version chain's spine: rollback unmarks versions rather than replaying
+// pre-images blindly, and commit flips the marks to the allocated commit
+// stamp.
 
 // errTxDone is returned by operations on a finished transaction.
 var errTxDone = fmt.Errorf("relational: transaction has already been committed or rolled back")
@@ -201,13 +205,21 @@ type Tx struct {
 // readers and other writers proceed, isolated from this transaction's
 // writes by version visibility (mvcc.go). The transaction allocates its
 // id, snapshots the current commit stamp, and registers the snapshot, which
-// switches writers into versioned mode until it unregisters.
+// switches autocommit writers into versioned mode until it unregisters. A
+// transaction that finds no other snapshot registered starts lone, writing
+// in place; one that finds a lone transaction upgrades it first, since its
+// snapshot must not see that transaction's writes.
 func (db *DB) Begin() *Tx {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.upgradeLoneLocked()
 	db.nextTxn++
 	tx := &Tx{db: db, log: newUndoLog(), id: db.nextTxn, snapTS: db.commitTS}
-	tx.wctx = writeCtx{txnID: tx.id, snapTS: tx.snapTS, explicit: true}
+	lone := len(db.snaps) == 0
+	tx.wctx = writeCtx{txnID: tx.id, snapTS: tx.snapTS, explicit: true, versioned: !lone}
+	if lone {
+		db.lone = tx
+	}
 	db.snaps[tx.id] = tx.snapTS
 	db.stats.SnapshotsTaken.Add(1)
 	return tx
@@ -329,9 +341,7 @@ func (tx *Tx) commitSpan(qt *QueryTrace, start time.Time) error {
 	}
 	commitStart := time.Now()
 	stamp := db.stampCommitLocked(tx.log, &tx.wctx)
-	db.releaseIntentsLocked(&tx.wctx)
-	delete(db.snaps, tx.id)
-	db.vacuumPendingLocked()
+	db.endTxLocked(tx)
 	tx.log.commit()
 	lsn, werr := db.applyRedoLocked(tx.log.redo, stamp)
 	if qt != nil {
@@ -348,10 +358,11 @@ func (tx *Tx) commitSpan(qt *QueryTrace, start time.Time) error {
 	return err
 }
 
-// Rollback reverses every effect of the transaction: marked versions come
-// back out of the chains (restoring pre-images in place), write intents
-// release, and the snapshot unregisters — with the last snapshot gone, a
-// vacuum pass returns every table to single-version form.
+// Rollback reverses every effect of the transaction from its undo log —
+// in-place writes from their pre-images, marked versions back out of the
+// chains — then write intents release and the snapshot unregisters; with
+// the last snapshot gone, a vacuum pass returns every table to
+// single-version form.
 func (tx *Tx) Rollback() error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -362,9 +373,20 @@ func (tx *Tx) Rollback() error {
 	db := tx.db
 	db.mu.Lock()
 	tx.log.rollbackTo(0)
-	db.releaseIntentsLocked(&tx.wctx)
-	delete(db.snaps, tx.id)
-	db.vacuumPendingLocked()
+	db.endTxLocked(tx)
 	db.mu.Unlock()
 	return nil
+}
+
+// endTxLocked is the end shared by Commit and Rollback: the transaction's
+// write intents release, its snapshot unregisters (it stops being lone),
+// and a vacuum pass reclaims what no remaining snapshot can see. Caller
+// holds the writer lock.
+func (db *DB) endTxLocked(tx *Tx) {
+	db.releaseIntentsLocked(&tx.wctx)
+	delete(db.snaps, tx.id)
+	if db.lone == tx {
+		db.lone = nil
+	}
+	db.vacuumPendingLocked()
 }

@@ -12,7 +12,11 @@ import (
 // earlier rows were deleted) — through autocommit, explicit
 // transactions that commit or roll back, and a held-open read transaction
 // that switches writers to versioned mode and lets vacuum run at its
-// close. After every statement, commit and rollback, each index must equal
+// close. Transactions run in three modes: under a reader held since before
+// they began (versioned throughout), alone (in place throughout), and
+// alone until a reader registers at a random statement (in place, then
+// upgraded to versions; the reader must see the pre-transaction rows).
+// After every statement, commit and rollback, each index must equal
 // a rebuild from scratch (checkWritesExact). It runs on a memory DB and on
 // a paged DB with a two-page pool, which it also reopens.
 func TestWritesKeepIndexesExact(t *testing.T) {
@@ -48,7 +52,7 @@ func TestWritesKeepIndexesExact(t *testing.T) {
 				db.MustExec(ddl)
 			}
 			var held *Tx
-			failed, rolledBack := 0, 0
+			failed, rolledBack, upgraded := 0, 0, 0
 			for step := 0; step < 400; step++ {
 				at := fmt.Sprintf("step %d", step)
 				switch {
@@ -63,8 +67,21 @@ func TestWritesKeepIndexesExact(t *testing.T) {
 					}
 					held = nil
 				case r.Intn(5) == 0:
+					arriveAt, pre := -1, ""
+					if held == nil && r.Intn(2) == 0 {
+						arriveAt = 1 + r.Intn(3)
+						pre = dumpRows(t, queryReader(db.Query), "SELECT id, parentId, a, b FROM w")
+					}
 					tx := db.Begin()
 					for i := 0; i < 1+r.Intn(4); i++ {
+						if i == arriveAt {
+							held = db.Begin()
+							if got := dumpRows(t, queryReader(held.Query), "SELECT id, parentId, a, b FROM w"); got != pre {
+								t.Fatalf("%s: reader arriving at statement %d sees\n%s\nwant\n%s", at, i, got, pre)
+							}
+							upgraded++
+							checkWritesExact(t, db, fmt.Sprintf("%s upgraded at statement %d", at, i))
+						}
 						if _, err := tx.Exec(randomWrite(r)); err != nil {
 							failed++
 						}
@@ -96,9 +113,9 @@ func TestWritesKeepIndexesExact(t *testing.T) {
 				}
 				checkWritesExact(t, db, "held closed")
 			}
-			if failed == 0 || rolledBack == 0 || db.Stats().VersionsVacuumed == 0 {
-				t.Fatalf("workload too tame: %d failed statements, %d rollbacks, %d versions vacuumed",
-					failed, rolledBack, db.Stats().VersionsVacuumed)
+			if failed == 0 || rolledBack == 0 || upgraded == 0 || db.Stats().VersionsVacuumed == 0 {
+				t.Fatalf("workload too tame: %d failed statements, %d rollbacks, %d upgrades, %d versions vacuumed",
+					failed, rolledBack, upgraded, db.Stats().VersionsVacuumed)
 			}
 			if paged {
 				if err := db.Close(); err != nil {

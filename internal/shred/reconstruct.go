@@ -11,10 +11,13 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Reconstruct rebuilds the XML document from the stored tuples. Without an
-// order column, children appear in schema order (inlined children in DTD
-// order, then child-table rows by tuple id); with Options.OrderColumn they
-// appear by stored position, interleaving table children faithfully.
+// Reconstruct rebuilds the XML document from the stored tuples. An
+// element's children appear grouped: its inlined children in DTD order,
+// then the rows of each child table, table by table in schema order. Within
+// one table, rows come by tuple id, or by stored position with
+// Options.OrderColumn. Positions are not merged across tables, so siblings
+// stored in different child tables come back grouped by table even where
+// the document interleaved them.
 //
 // Every table is read inside one transaction snapshot, so the document is
 // a committed state even while another transaction has writes in flight,
