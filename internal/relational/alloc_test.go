@@ -200,10 +200,12 @@ func TestAllocPinPointUpdateBytes(t *testing.T) {
 // TestAllocPinPlaceholderExec pins the fixed per-statement cost of `?`
 // texts run through the statement doors with bound args: a repeated text is
 // one exact-text cache lookup (no lexing, no parse), so it costs no more
-// than the handle-based prepared statements it replaced did — 9
+// than the handle-based prepared statements it replaced did — 7
 // allocations for an autocommit insert, 25 for a point query over an
-// unindexed column, 5 for an insert inside a lone transaction (written in
-// place, so no version bookkeeping) — and never misses the plan cache.
+// unindexed column, 4 for an insert inside a lone transaction (written in
+// place, so no version bookkeeping) — and never misses the plan cache. An
+// insert stores the row slice it evaluated its values into, and the undo
+// log lists touched tables in a slice, not a map.
 func TestAllocPinPlaceholderExec(t *testing.T) {
 	const ins, sel = `INSERT INTO t VALUES (?, ?)`, `SELECT v FROM t WHERE k = ?`
 	db := NewDB()
@@ -235,15 +237,60 @@ func TestAllocPinPlaceholderExec(t *testing.T) {
 	}
 	// The autocommit pins run before Begin: an open transaction's snapshot
 	// sends autocommit writes down the versioned path.
-	pin("autocommit insert", 9, func() { insert(db) })
+	pin("autocommit insert", 7, func() { insert(db) })
 	pin("point query", 25, query)
 	tx := db.Begin()
 	insert(tx)
-	pin("insert in a transaction", 5, func() { insert(tx) })
+	pin("insert in a transaction", 4, func() { insert(tx) })
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Stats().PlanCacheMisses; got != misses {
 		t.Errorf("plan cache misses grew from %d to %d over repeated `?` texts", misses, got)
+	}
+}
+
+// TestAllocPinIndexedInsert pins the per-row allocations of an INSERT …
+// SELECT into a table indexed like a shredded relation: a unique id and a
+// parentId hash index (both automatic) and two B+trees. The per-row figure
+// is the allocation difference between a large and a small load, each
+// into a fresh table. With the id column renamed — so it carries neither
+// the hash index nor the uniqueness check — the figure must not move: an
+// id held by one row is stored inline in its hash index, with no per-key
+// allocation.
+func TestAllocPinIndexedInsert(t *testing.T) {
+	const small, large = 1024, 8192
+	load := func(idCol string, n int) uint64 {
+		db := NewDB()
+		db.MustExec(`CREATE TABLE src (k INTEGER, p INTEGER, pos INTEGER, payload VARCHAR(16))`)
+		db.MustExec(fmt.Sprintf(`CREATE TABLE dst (%s INTEGER, parentId INTEGER, pos INTEGER, payload VARCHAR(16))`, idCol))
+		db.MustExec(`CREATE ORDERED INDEX dst_pp ON dst (parentId, pos)`)
+		db.MustExec(fmt.Sprintf(`CREATE ORDERED INDEX dst_pi ON dst (pos, %s)`, idCol))
+		rows := make([][]Value, n)
+		for i := range rows {
+			rows[i] = []Value{Int(int64(i)), Int(int64(i / 4)), Int(int64(i % 4)), Text("payload")}
+		}
+		if err := db.BulkLoad(map[string][][]Value{"src": rows}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := db.Exec(`INSERT INTO dst SELECT k, p, pos, payload FROM src`)
+		runtime.ReadMemStats(&after)
+		if err != nil || got != n {
+			t.Fatalf("INSERT … SELECT: %d rows, %v; want %d", got, err, n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	perRow := func(idCol string) float64 {
+		return float64(load(idCol, large)-load(idCol, small)) / float64(large-small)
+	}
+	indexed, plain := perRow("id"), perRow("k")
+	t.Logf("INSERT … SELECT: %.3f allocs/row with the unique id index, %.3f without", indexed, plain)
+	if indexed > 1.75 {
+		t.Errorf("indexed INSERT … SELECT: %.3f allocs/row, want <= 1.75", indexed)
+	}
+	if d := indexed - plain; d > 0.02 {
+		t.Errorf("the unique id's index entry costs %.3f allocs/row, want 0", d)
 	}
 }

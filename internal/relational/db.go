@@ -321,15 +321,32 @@ func (db *DB) table(name string) *Table {
 	return db.tables[strings.ToLower(name)]
 }
 
-// RowCount returns the number of live rows in the named table (0 when
-// absent) under the shared lock, so it is safe against a concurrent writer.
+// RowCount returns the number of rows in the named table (0 when absent)
+// that a DB-level read sees: what SELECT COUNT(*) on the DB returns, under
+// the shared lock, so it is safe against a concurrent writer. Like every
+// DB-level read it first upgrades a lone transaction, whose in-place
+// writes would otherwise show (mvcc.go). A single-version table answers
+// from its live count; a table holding versions counts the rows visible
+// at latest-committed.
 func (db *DB) RowCount(name string) int {
-	db.mu.RLock()
+	db.readLock(nil)
 	defer db.mu.RUnlock()
-	if t := db.tables[strings.ToLower(name)]; t != nil {
+	t := db.tables[strings.ToLower(name)]
+	if t == nil {
+		return 0
+	}
+	if t.vers == 0 {
 		return t.live
 	}
-	return 0
+	var c rowCursor
+	defer c.release()
+	n := 0
+	for rid := range t.rows {
+		if c.visibleAt(t, rid, snapshot{ts: allTS}) != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TableNames returns all table names, sorted.
@@ -746,8 +763,7 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 			if err == nil && db.undo != nil {
 				db.undo.recordDDL(func() {
 					delete(t.ordered, key)
-					t.refreshOrderedList()
-					t.indexEpoch++
+					t.indexesChanged()
 					db.schemaVer++
 				})
 			}
@@ -758,7 +774,7 @@ func (db *DB) execStmt(stmt Stmt, env *execEnv) (int, error) {
 		if err == nil && db.undo != nil {
 			db.undo.recordDDL(func() {
 				delete(t.index, key)
-				t.indexEpoch++
+				t.indexesChanged()
 				db.schemaVer++
 			})
 		}

@@ -3,6 +3,7 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -492,7 +493,8 @@ func (db *DB) bulkInsertLocked(names []string, rows map[string][][]Value, before
 			before[t] = len(t.rows)
 		}
 		for _, row := range rows[name] {
-			if _, err := t.Insert(row); err != nil {
+			// Insert keeps the slice it is given; the caller's stays its own.
+			if _, err := t.Insert(slices.Clone(row)); err != nil {
 				return err
 			}
 		}

@@ -180,6 +180,7 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 	}
 	ap := chooseAccessPlan(lp, bind.srcs[0], 0, nil, true)
 	var bucket []int
+	var one [1]int
 	switch ap.kind {
 	case accessIndexProbe:
 		ctr.indexProbes++
@@ -187,7 +188,7 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 		if err != nil {
 			return nil, err
 		}
-		bucket = ap.idx.probe(v)
+		bucket = ap.idx.probe(v, &one)
 	case accessInProbe:
 		if bucket, err = inBucketFor(&ctr, ev, &ap, bind, nil); err != nil {
 			return nil, err
@@ -219,6 +220,9 @@ func (db *DB) matchRows(planSlot **levelPlan, t *Table, name string, where Expr,
 		return rids, nil
 	}
 	for _, rid := range bucket {
+		if rid < 0 {
+			continue // a hash bucket's tombstone
+		}
 		row := t.visibleRow(rid, env.snap)
 		if row == nil {
 			continue
@@ -627,7 +631,7 @@ type exprEval struct {
 	env  *execEnv
 	args []Value
 	// inCache memoizes uncorrelated IN-subquery result sets per statement.
-	inCache map[*SelectStmt]map[Value]bool
+	inCache map[*SelectStmt]*keyMap
 	// refs memoizes column-reference resolution per AST node and binding:
 	// the (source, column) indexes are fixed for a binding's lifetime, so
 	// after the first row each reference is two slice indexes instead of
@@ -785,7 +789,7 @@ func (ev *exprEval) eval(e Expr, bind *binding) (Value, error) {
 			if err != nil {
 				return Null, err
 			}
-			found := set[v.joinKey()]
+			_, found := set.get(v)
 			return Bool(found != x.Negate), nil
 		}
 		found := false
@@ -810,29 +814,32 @@ func (ev *exprEval) eval(e Expr, bind *binding) (Value, error) {
 // subquerySet evaluates an uncorrelated IN-subquery once per statement and
 // memoizes the result set. This is what makes `NOT IN (SELECT id FROM
 // parent)` scans linear in the child table rather than quadratic — the cost
-// model behind the per-statement-trigger curves. Sets key on joinKey-
-// normalized Values — membership probes hash the tagged value with no
-// literal formatting per row, and mixed int/text membership agrees with
-// the IN-list path's compareValues semantics.
-func (ev *exprEval) subquerySet(sel *SelectStmt) (map[Value]bool, error) {
-	if ev.inCache == nil {
-		ev.inCache = make(map[*SelectStmt]map[Value]bool)
-	}
+// model behind the per-statement-trigger curves. The subquery's rows
+// stream straight into a keyMap (index.go), a word-keyed entry per
+// distinct integer; the joinKey normalization makes mixed int/text
+// membership agree with the IN-list path's compareValues semantics.
+func (ev *exprEval) subquerySet(sel *SelectStmt) (*keyMap, error) {
 	if set, ok := ev.inCache[sel]; ok {
 		return set, nil
 	}
-	rows, err := ev.db.execSelect(sel, ev.env)
+	set := &keyMap{}
+	cs, _, err := ev.db.streamSelect(sel, ev.env, nil, func(r []Value) error {
+		if len(r) != 1 {
+			return fmt.Errorf("relational: IN subquery must return one column, got %d", len(r))
+		}
+		if !r[0].IsNull() {
+			set.put(r[0], 0)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(rows.Cols) != 1 {
-		return nil, fmt.Errorf("relational: IN subquery must return one column, got %d", len(rows.Cols))
+	if n := len(cs.cols); n != 1 {
+		return nil, fmt.Errorf("relational: IN subquery must return one column, got %d", n)
 	}
-	set := make(map[Value]bool, len(rows.Data))
-	for _, r := range rows.Data {
-		if !r[0].IsNull() {
-			set[r[0].joinKey()] = true
-		}
+	if ev.inCache == nil {
+		ev.inCache = make(map[*SelectStmt]*keyMap)
 	}
 	ev.inCache[sel] = set
 	return set, nil

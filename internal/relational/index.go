@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -9,19 +10,286 @@ import (
 // Secondary hash indexes. Shared Inlining joins every child relation to its
 // parent on (id, parentId), so those key columns are indexed automatically
 // at CREATE TABLE; additional indexes come from CREATE INDEX. Indexes are
-// maintained incrementally by Insert/Delete/Update (see table.go), which is
-// what turns the paper's update translations and ASR lookups into probes
+// maintained incrementally by the row writer (table.go), which is what
+// turns the paper's update translations and ASR lookups into probes
 // instead of scans.
+//
+// Every hash structure of the package — these indexes, the executor's
+// transient hash-join tables and its IN-subquery sets — is a keyMap. Keys
+// follow the joinKey normalization (value.go), under which every key
+// column the shredder and the ASR write holds canonical integers, so a key
+// hashes as one machine word; only text that is not canonical integer text
+// goes to a string side map. A key held by a single row stores its rowid
+// in the map word itself, so indexing a unique id allocates nothing.
 
 // hashIndex maps a column value to the rowids holding it. NULLs are not
-// indexed (SQL equality never matches them). Entries key on the joinKey
-// normalization (value.go) — a VARCHAR holding canonical integer text
-// shares a bucket with that integer — so probe hits coincide with
-// compareValues equality and an indexed query returns the same rows the
-// scan path would.
+// indexed (SQL equality never matches them). Keys follow the joinKey
+// normalization — a VARCHAR holding canonical integer text shares a bucket
+// with that integer — so probe hits coincide with compareValues equality
+// and an indexed query returns the same rows the scan path would. A probe
+// lists rowids in ascending order (see ridMap).
 type hashIndex struct {
-	col     int
-	entries map[Value][]int
+	col  int
+	rids ridMap
+}
+
+// keyMap maps non-NULL Values, under the joinKey normalization, to int64
+// words: canonical integers (INTEGER values, and VARCHAR text that
+// strconv.FormatInt would print) key ints, any other text keys strs. A
+// NULL must never reach it: it would alias the integer 0.
+type keyMap struct {
+	ints map[int64]int64
+	strs map[string]int64
+}
+
+// intKey returns v's integer key, or ok false for non-canonical text.
+func intKey(v Value) (n int64, ok bool) {
+	if v.kind == KindText {
+		return canonInt(v.s)
+	}
+	return v.i, true
+}
+
+func (m *keyMap) get(v Value) (int64, bool) {
+	if n, ok := intKey(v); ok {
+		w, ok := m.ints[n]
+		return w, ok
+	}
+	w, ok := m.strs[v.s]
+	return w, ok
+}
+
+func (m *keyMap) put(v Value, w int64) {
+	if n, ok := intKey(v); ok {
+		if m.ints == nil {
+			m.ints = make(map[int64]int64)
+		}
+		m.ints[n] = w
+		return
+	}
+	if m.strs == nil {
+		m.strs = make(map[string]int64)
+	}
+	m.strs[v.s] = w
+}
+
+func (m *keyMap) del(v Value) {
+	if n, ok := intKey(v); ok {
+		delete(m.ints, n)
+		return
+	}
+	delete(m.strs, v.s)
+}
+
+// len returns the number of keys.
+func (m *keyMap) len() int { return len(m.ints) + len(m.strs) }
+
+// ridMap maps keys to rowid lists: a hash index's entries, or a hash
+// join's build side. A key held by one rowid stores that rowid as its
+// keyMap word; a key held by several stores ^i, naming buckets[i]. Lists
+// are in ascending rowid order — the order rows were inserted, since the
+// heap assigns rowids in increasing order, and the order a heap scan
+// visits them. A rowid that comes back (a rolled-back delete, an update
+// back to an old key) takes its own place again, so after a rollback a
+// probe returns exactly what it returned before the rolled-back writes.
+type ridMap struct {
+	keys    keyMap
+	buckets []ridBucket
+	free    []int // emptied buckets, reused before the slab grows
+}
+
+// ridBucket is the rowid list of a key held by two or more rows. Removal
+// overwrites the entry with ^rid, a tombstone readers skip (every rowid a
+// bucket yields that is negative is one), or truncates it when it is the
+// last; the bucket compacts once tombstones outnumber live entries, and
+// falls back to an inline rowid when one live entry is left. Its last
+// entry is always live.
+type ridBucket struct {
+	rids []int
+	dead int // tombstones in rids
+	// at is where the previous search ended. The next one gallops outward
+	// from it, so a run of writes in rowid order, ascending or descending
+	// — how a DELETE and a rollback apply them — finds each entry in O(1)
+	// amortized, and any other order in O(log n).
+	at int
+}
+
+// ridOf returns the rowid an entry names, live or tombstoned.
+func ridOf(e int) int {
+	if e < 0 {
+		return ^e
+	}
+	return e
+}
+
+// reset empties the map, sizing its integer keys for hint entries.
+func (m *ridMap) reset(hint int) {
+	*m = ridMap{keys: keyMap{ints: make(map[int64]int64, hint)}}
+}
+
+// get returns the rowids under key k (non-NULL): one[0] for an inline
+// rowid, else the bucket itself, tombstones included. The bucket is only
+// valid until the next write to the map.
+func (m *ridMap) get(k Value, one *[1]int) []int {
+	w, ok := m.keys.get(k)
+	switch {
+	case !ok:
+		return nil
+	case w >= 0:
+		one[0] = int(w)
+		return one[:]
+	}
+	return m.buckets[^w].rids
+}
+
+// add lists rid under key k (non-NULL); an entry already there is kept
+// as is, so a row is never listed twice under one key.
+func (m *ridMap) add(k Value, rid int) {
+	w, ok := m.keys.get(k)
+	switch {
+	case !ok:
+		m.keys.put(k, int64(rid))
+	case w >= 0:
+		if int(w) == rid {
+			return
+		}
+		var bi int
+		if n := len(m.free); n > 0 {
+			bi, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			bi = len(m.buckets)
+			m.buckets = append(m.buckets, ridBucket{})
+		}
+		b := &m.buckets[bi]
+		b.rids = append(b.rids[:0], min(int(w), rid), max(int(w), rid))
+		m.keys.put(k, ^int64(bi))
+	default:
+		m.buckets[^w].add(rid)
+	}
+}
+
+// remove unlists rid from key k (non-NULL), tolerating an absent entry.
+func (m *ridMap) remove(k Value, rid int) {
+	w, ok := m.keys.get(k)
+	switch {
+	case !ok:
+		return
+	case w >= 0:
+		if int(w) == rid {
+			m.keys.del(k)
+		}
+		return
+	}
+	bi := int(^w)
+	b := &m.buckets[bi]
+	if !b.remove(rid) {
+		return
+	}
+	if live := len(b.rids) - b.dead; live == 1 {
+		// The last entry is live, so it is the survivor.
+		m.keys.put(k, int64(b.rids[len(b.rids)-1]))
+		*b = ridBucket{rids: b.rids[:0]}
+		m.free = append(m.free, bi)
+	} else if b.dead > live {
+		b.compact()
+	}
+}
+
+// seek returns the first position whose entry's rowid is at least rid,
+// galloping outward from b.at before the binary search.
+func (b *ridBucket) seek(rid int) int {
+	rids := b.rids
+	lo, hi := 0, len(rids)
+	if p := b.at; p < len(rids) {
+		step := 1
+		if ridOf(rids[p]) <= rid {
+			lo = p
+			for lo+step < len(rids) && ridOf(rids[lo+step]) <= rid {
+				lo += step
+				step *= 2
+			}
+			hi = min(lo+step, len(rids))
+		} else {
+			hi = p
+			for hi-step >= 0 && ridOf(rids[hi-step]) > rid {
+				hi -= step
+				step *= 2
+			}
+			lo = max(hi-step, 0)
+		}
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ridOf(rids[m]) < rid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	b.at = lo
+	return lo
+}
+
+// add lists rid in order: appended when it is the largest (the last entry
+// is live, so no tombstone check), a tombstone of it revived, or inserted.
+func (b *ridBucket) add(rid int) {
+	n := len(b.rids)
+	if b.rids[n-1] < rid {
+		b.rids = append(b.rids, rid)
+		return
+	}
+	i := b.seek(rid)
+	switch {
+	case b.rids[i] == rid:
+	case b.rids[i] == ^rid:
+		b.rids[i] = rid
+		b.dead--
+	default:
+		b.rids = slices.Insert(b.rids, i, rid)
+	}
+}
+
+// remove unlists rid and reports whether it was listed.
+func (b *ridBucket) remove(rid int) bool {
+	i := b.seek(rid)
+	if i == len(b.rids) || b.rids[i] != rid {
+		return false
+	}
+	if i < len(b.rids)-1 {
+		b.rids[i] = ^rid
+		b.dead++
+		return true
+	}
+	// The last entry: truncate it and the tombstones before it.
+	for i > 0 && b.rids[i-1] < 0 {
+		i--
+		b.dead--
+	}
+	b.rids = b.rids[:i]
+	return true
+}
+
+// compact squeezes the tombstones out, keeping the order.
+func (b *ridBucket) compact() {
+	j := 0
+	for _, r := range b.rids {
+		if r >= 0 {
+			b.rids[j] = r
+			j++
+		}
+	}
+	b.rids = b.rids[:j]
+	b.dead, b.at = 0, 0
+}
+
+// appendLive appends the live rowids of a probe result to dst.
+func appendLive(dst, rids []int) []int {
+	for _, rid := range rids {
+		if rid >= 0 {
+			dst = append(dst, rid)
+		}
+	}
+	return dst
 }
 
 // autoIndexColumns are the declared key/parent-ID column names that get a
@@ -39,8 +307,8 @@ func (t *Table) CreateIndex(col string) error {
 	if ci < 0 {
 		return fmt.Errorf("relational: no column %q in table %s", col, t.Name)
 	}
-	idx, err := t.scanHashIndex(ci, 0)
-	if err != nil {
+	idx := &hashIndex{col: ci}
+	if err := idx.rebuild(t, 0); err != nil {
 		return err
 	}
 	// Versioned tables: superseded chain versions are still visible to open
@@ -49,27 +317,27 @@ func (t *Table) CreateIndex(col string) error {
 		for rid := range t.meta {
 			for v := t.meta[rid].older; v != nil; v = v.older {
 				if val := v.row[ci]; !val.IsNull() {
-					idx.addIfAbsent(val, rid)
+					idx.rids.add(val, rid)
 				}
 			}
 		}
 	}
 	t.index[key] = idx
-	t.indexEpoch++
+	t.indexesChanged()
 	return nil
 }
 
-// scanHashIndex builds a hash index on column ci from the table's current
-// rows; hint sizes the entry map.
-func (t *Table) scanHashIndex(ci, hint int) (*hashIndex, error) {
-	idx := &hashIndex{col: ci, entries: make(map[Value][]int, hint)}
+// rebuild refills the index from the table's current rows, sizing it for
+// hint keys. CREATE INDEX, Restore and paged reopen all build through it.
+func (idx *hashIndex) rebuild(t *Table, hint int) error {
+	idx.rids.reset(hint)
 	_, err := t.Scan(func(rid int, row []Value) bool {
-		if v := row[ci]; !v.IsNull() {
-			idx.add(v, rid)
+		if v := row[idx.col]; !v.IsNull() {
+			idx.rids.add(v, rid)
 		}
 		return true
 	})
-	return idx, err
+	return err
 }
 
 // DropIndex removes the hash index on the named column and every ordered
@@ -92,8 +360,7 @@ func (t *Table) DropIndex(col string) bool {
 			dropped = true
 		}
 	}
-	t.refreshOrderedList()
-	t.indexEpoch++
+	t.indexesChanged()
 	return dropped
 }
 
@@ -101,10 +368,8 @@ func (t *Table) DropIndex(col string) bool {
 // schema position. Plan introspection and tests use it.
 func (t *Table) IndexedColumns() []string {
 	var cols []string
-	for i, c := range t.Schema.Columns {
-		if idx := t.index[strings.ToLower(c.Name)]; idx != nil && idx.col == i {
-			cols = append(cols, c.Name)
-		}
+	for _, idx := range t.hashList {
+		cols = append(cols, t.Schema.Columns[idx.col].Name)
 	}
 	return cols
 }
@@ -144,59 +409,46 @@ func (t *Table) autoIndex() {
 		}
 	}
 	if ci := t.Schema.ColumnIndex("id"); ci >= 0 {
-		if t.uniqueCols == nil {
-			t.uniqueCols = make(map[int]bool, 1)
-		}
-		t.uniqueCols[ci] = true
+		t.uniqueCols = []int{ci}
 	}
 }
 
-// add indexes rid under v. All maintenance goes through add/remove so the
-// joinKey normalization cannot be skipped on any path (insert, update,
-// undo, rebuild).
-func (idx *hashIndex) add(v Value, rid int) {
-	k := v.joinKey()
-	idx.entries[k] = append(idx.entries[k], rid)
+// isUnique reports whether column ci holds at most one row per value.
+func (t *Table) isUnique(ci int) bool { return slices.Contains(t.uniqueCols, ci) }
+
+// indexesChanged refreshes the index lists the row writer and the planner
+// iterate — hash indexes in column order, ordered indexes in canonical
+// name order, so no per-row or per-plan loop ranges over a map — and bumps
+// indexEpoch, invalidating cached access plans. Every change to the index
+// set, or to an index's identity, goes through it.
+func (t *Table) indexesChanged() {
+	t.hashList = t.hashList[:0]
+	for _, idx := range t.index {
+		t.hashList = append(t.hashList, idx)
+	}
+	slices.SortFunc(t.hashList, func(a, b *hashIndex) int { return a.col - b.col })
+	names := make([]string, 0, len(t.ordered))
+	for name := range t.ordered {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	t.orderedList = t.orderedList[:0]
+	for _, name := range names {
+		t.orderedList = append(t.orderedList, t.ordered[name])
+	}
+	t.indexEpoch++
 }
 
-// addIfAbsent indexes rid under v unless that exact entry already exists.
-// Versioned updates keep old-value entries alive for snapshot readers, so a
-// value flipped away and back again must not double-index the row (mvcc.go).
-func (idx *hashIndex) addIfAbsent(v Value, rid int) {
-	k := v.joinKey()
-	for _, r := range idx.entries[k] {
-		if r == rid {
-			return
-		}
-	}
-	idx.entries[k] = append(idx.entries[k], rid)
-}
-
-func (idx *hashIndex) remove(v Value, rid int) {
-	k := v.joinKey()
-	rids := idx.entries[k]
-	for i, r := range rids {
-		if r == rid {
-			rids[i] = rids[len(rids)-1]
-			rids = rids[:len(rids)-1]
-			break
-		}
-	}
-	if len(rids) == 0 {
-		delete(idx.entries, k)
-	} else {
-		idx.entries[k] = rids
-	}
-}
-
-// probe returns rowids of live rows whose indexed column equals v (in the
+// probe returns rowids of rows whose indexed column equals v (in the
 // compareValues sense — the joinKey normalization on both sides makes the
-// probe exactly as selective as the scan path's equality filter).
-func (idx *hashIndex) probe(v Value) []int {
+// probe exactly as selective as the scan path's equality filter), in
+// ascending order, using one for a single-row key. Negative entries are
+// tombstones the caller skips.
+func (idx *hashIndex) probe(v Value, one *[1]int) []int {
 	if v.IsNull() {
 		return nil
 	}
-	return idx.entries[v.joinKey()]
+	return idx.rids.get(v, one)
 }
 
 // ---- ordered (B+tree) indexes ----
@@ -262,24 +514,8 @@ func (t *Table) CreateOrderedIndex(cols ...string) error {
 		}
 	}
 	t.ordered[key] = idx
-	t.refreshOrderedList()
-	t.indexEpoch++
+	t.indexesChanged()
 	return nil
-}
-
-// refreshOrderedList recomputes the cached canonical-order index slice the
-// hot planning path iterates (allocating and sorting per query would cost
-// more than the probe it plans).
-func (t *Table) refreshOrderedList() {
-	names := make([]string, 0, len(t.ordered))
-	for name := range t.ordered {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	t.orderedList = t.orderedList[:0]
-	for _, name := range names {
-		t.orderedList = append(t.orderedList, t.ordered[name])
-	}
 }
 
 // OrderedIndexes returns the key-column lists of the table's ordered

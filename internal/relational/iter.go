@@ -71,7 +71,7 @@ type levelIter struct {
 	ap    accessPlan
 	input bindIter
 
-	ht map[Value][]int // transient hash table (rowids / row indexes)
+	ht *ridMap // transient hash table (rowids / row indexes)
 
 	// skipCond is the gated conjunct the access path's hash probe already
 	// enforces (the probe candidate's source equality); checkConds skips
@@ -89,6 +89,7 @@ type levelIter struct {
 	scanPos   int
 	bucket    []int
 	bucketPos int
+	one       [1]int // a hash probe's single-rowid bucket
 
 	// rc reads the level's rows from a base table. On a paged table it
 	// pins the page under the current row: reads through it are lock-free
@@ -193,7 +194,7 @@ func (li *levelIter) startInner() error {
 		if err != nil {
 			return err
 		}
-		li.bucket = li.ap.idx.probe(v)
+		li.bucket = li.ap.idx.probe(v, &li.one)
 		li.bucketPos = 0
 	case accessHashJoin:
 		if li.ht == nil {
@@ -208,7 +209,7 @@ func (li *levelIter) startInner() error {
 		if v.IsNull() {
 			li.bucket = nil
 		} else {
-			li.bucket = li.ht[v.joinKey()]
+			li.bucket = li.ht.get(v, &li.one)
 		}
 		li.bucketPos = 0
 	case accessOrderedProbe, accessRangeScan, accessOrderedScan:
@@ -231,7 +232,7 @@ func (li *levelIter) startInner() error {
 		if err != nil {
 			return err
 		}
-		li.bucket = append(li.bucket[:0], li.ap.idx.probe(v)...)
+		li.bucket = appendLive(li.bucket[:0], li.ap.idx.probe(v, &li.one))
 		li.bucketPos = 0
 		// Sort by the snapshot-visible versions' values: on a versioned
 		// table the in-place row may carry a foreign uncommitted write.
@@ -356,19 +357,19 @@ func inBucketFor(ctr *levelCounters, ev *exprEval, ap *accessPlan, bind *binding
 			continue
 		}
 		ctr.indexProbes++
-		buf = append(buf, ap.idx.probe(v)...)
+		var one [1]int
+		buf = appendLive(buf, ap.idx.probe(v, &one))
 	}
 	slices.Sort(buf)
 	return slices.Compact(buf), nil
 }
 
 // buildHash drains the level's source once into a transient hash table on
-// the probe column. Keys are joinKey-normalized Values, so hash equality
-// matches SQL equality across the int/string comparison the engine supports
-// while probes pay a struct hash, not interface hashing or string
-// formatting.
+// the probe column: a ridMap (index.go), keyed like the persistent indexes,
+// so hash equality matches SQL equality across the int/string comparison
+// the engine supports while an integer key hashes as one word.
 func (li *levelIter) buildHash() error {
-	li.ht = make(map[Value][]int)
+	li.ht = &ridMap{}
 	ci := li.src.columnIndex(li.ap.probe.col)
 	if ci < 0 {
 		return fmt.Errorf("relational: source %s has no column %q", li.src.name, li.ap.probe.col)
@@ -384,8 +385,7 @@ func (li *levelIter) buildHash() error {
 				continue
 			}
 			li.ctr.rowsScanned++
-			k := row[ci].joinKey()
-			li.ht[k] = append(li.ht[k], rid)
+			li.ht.add(row[ci], rid)
 		}
 	} else {
 		for i, row := range li.src.rows.Data {
@@ -393,8 +393,7 @@ func (li *levelIter) buildHash() error {
 				continue
 			}
 			li.ctr.rowsScanned++
-			k := row[ci].joinKey()
-			li.ht[k] = append(li.ht[k], i)
+			li.ht.add(row[ci], i)
 		}
 	}
 	li.ctr.hashJoinBuilds++
@@ -414,6 +413,9 @@ func (li *levelIter) advanceInner() (bool, error) {
 			}
 			rid := li.bucket[li.bucketPos]
 			li.bucketPos++
+			if rid < 0 {
+				continue // a hash bucket's tombstone
+			}
 			if t != nil {
 				row = li.rc.visibleAt(t, rid, li.sn)
 			} else {

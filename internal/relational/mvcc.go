@@ -378,7 +378,7 @@ func (db *DB) stampCommitLocked(log *undoLog, w *writeCtx) uint64 {
 			db.pendingVac = append(db.pendingVac, vacRec{t: t, rid: e.rid})
 		}
 	}
-	for t := range log.touched {
+	for _, t := range log.touched {
 		t.lastCommit = stamp
 	}
 	return stamp

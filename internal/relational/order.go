@@ -277,7 +277,7 @@ func levelPinsUnique(src *source, ap accessPlan, consumed int) bool {
 		return false
 	}
 	for _, ot := range ap.innerOrder[:consumed] {
-		if t.uniqueCols[ot.col] {
+		if t.isUnique(ot.col) {
 			return true
 		}
 	}
@@ -299,7 +299,7 @@ func singleRowLevel(lp levelPlan, src *source) bool {
 		if c.correlated {
 			continue
 		}
-		if ci := t.Schema.ColumnIndex(c.col); ci >= 0 && t.uniqueCols[ci] {
+		if ci := t.Schema.ColumnIndex(c.col); ci >= 0 && t.isUnique(ci) {
 			return true
 		}
 	}

@@ -1249,6 +1249,13 @@ func (db *DB) attachPagedTables(metas []pagedTableMeta) error {
 		if m.npages == 0 {
 			continue
 		}
+		// The rows index one by one as their pages decode; an index on a
+		// unique column takes a key per row, so it is sized for all of them.
+		for _, idx := range t.hashList {
+			if t.isUnique(idx.col) {
+				idx.rids.reset(m.nrows)
+			}
+		}
 		f, err := pager.OpenFile(filepath.Join(db.pagedDir, pagedFileName(key)), p.pageSize)
 		if err != nil {
 			return err

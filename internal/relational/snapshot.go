@@ -1,7 +1,5 @@
 package relational
 
-import "strings"
-
 // DBSnapshot is a copy-on-write-free snapshot of a database's table
 // contents. Benchmarks use it to reset state between iterations without
 // re-shredding documents; values are immutable (int64/string), so copying
@@ -18,6 +16,9 @@ type tableSnap struct {
 	// restore bulk-rebuilds the tree from this without re-sorting or
 	// per-key allocation — benchmarks restore between every iteration.
 	ordered map[string][]bkey
+	// hashKeys holds each hash index's key count by column position, so
+	// a restore sizes the rebuilt index up front instead of growing it.
+	hashKeys []int
 }
 
 // Snapshot captures the current contents of every table. Schema objects
@@ -49,7 +50,10 @@ func (db *DB) Snapshot() *DBSnapshot {
 		if !vers {
 			live = t.live
 		}
-		snap := tableSnap{rows: rows, live: live}
+		snap := tableSnap{rows: rows, live: live, hashKeys: make([]int, len(t.Schema.Columns))}
+		for _, idx := range t.hashList {
+			snap.hashKeys[idx.col] = idx.rids.keys.len()
+		}
 		if len(t.ordered) > 0 && !vers {
 			// Single-version fast path only: versioned trees may hold
 			// entries for superseded versions, so Restore rebuilds those
@@ -109,8 +113,8 @@ func (db *DB) Restore(s *DBSnapshot) {
 		t.lastCommit = 0
 		// Every restored row sits on a resident dirty page, so neither
 		// index rebuild below can fail to fault.
-		for col, idx := range t.index {
-			t.index[strings.ToLower(col)], _ = t.scanHashIndex(idx.col, len(idx.entries))
+		for _, idx := range t.hashList {
+			_ = idx.rebuild(t, snap.hashKeys[idx.col])
 		}
 		for name, oidx := range t.ordered {
 			if entries, ok := snap.ordered[name]; ok {
@@ -121,8 +125,8 @@ func (db *DB) Restore(s *DBSnapshot) {
 			// Index created after the snapshot: rebuild from the rows.
 			_ = oidx.rebuild(t)
 		}
-		// Hash index objects were replaced above; invalidate access plans
-		// caching pointers to them.
+		// Access plans cached before the restore are rebuilt against the
+		// restored table.
 		t.indexEpoch++
 	}
 }

@@ -61,19 +61,22 @@ type Table struct {
 	// entries into its active transaction log (txn.go).
 	db *DB
 
-	rows  [][]Value // nil entry = deleted
-	live  int
-	index map[string]*hashIndex // keyed by lower-case column name
-	// ordered holds the B+tree indexes, keyed by their canonical
-	// comma-joined column list; orderedList caches them sorted by that key
-	// for allocation-free iteration on the planning path (index.go).
+	rows [][]Value // nil entry = deleted
+	live int
+	// index holds the hash indexes keyed by lower-case column name, and
+	// hashList the same indexes in column order; ordered holds the B+tree
+	// indexes keyed by their canonical comma-joined column list, and
+	// orderedList the same sorted by that key. The row writer and the
+	// planner iterate the lists, which indexesChanged rebuilds (index.go).
+	index       map[string]*hashIndex
+	hashList    []*hashIndex
 	ordered     map[string]*orderedIndex
 	orderedList []*orderedIndex
-	// uniqueCols marks columns holding at most one row per value — the
+	// uniqueCols lists the columns holding at most one row per value — the
 	// auto-indexed tuple-id column, whose uniqueness the shredder
 	// guarantees. An equality on a unique column pins a join level to a
 	// single row, which order planning exploits (order.go).
-	uniqueCols map[int]bool
+	uniqueCols []int
 	// indexEpoch increments whenever the table's index set (or an index's
 	// identity, as on snapshot restore) changes. Cached physical access
 	// plans validate against the sum of their sources' epochs.
@@ -124,16 +127,16 @@ func (t *Table) RowCount() int { return t.live }
 // and whole-table lifecycle (DDL, Restore) stay with their owners.
 
 // Insert appends a row, coercing values to column types, and returns its
-// rowid.
-func (t *Table) Insert(vals []Value) (int, error) {
-	if len(vals) != len(t.Schema.Columns) {
-		return 0, fmt.Errorf("relational: table %s expects %d values, got %d", t.Name, len(t.Schema.Columns), len(vals))
+// rowid. The table takes row over: it is coerced in place and stored, so
+// the caller passes a slice it will not touch again.
+func (t *Table) Insert(row []Value) (int, error) {
+	if len(row) != len(t.Schema.Columns) {
+		return 0, fmt.Errorf("relational: table %s expects %d values, got %d", t.Name, len(t.Schema.Columns), len(row))
 	}
 	if err := t.db.claimIntentLocked(t); err != nil {
 		return 0, err
 	}
-	row := make([]Value, len(vals))
-	for i, v := range vals {
+	for i, v := range row {
 		cv, err := coerce(v, t.Schema.Columns[i].Type)
 		if err != nil {
 			return 0, fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[i].Name, err)
@@ -143,7 +146,7 @@ func (t *Table) Insert(vals []Value) (int, error) {
 	// Unique key columns are enforced, not assumed: order planning elides
 	// sorts on the premise that an id equality pins one row, so a
 	// duplicate must fail loudly here rather than corrupt orderings later.
-	for ci := range t.uniqueCols {
+	for _, ci := range t.uniqueCols {
 		if v := row[ci]; !v.IsNull() && t.uniqueViolated(ci, v, -1) {
 			return 0, fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
 				valueString(v), t.Name, t.Schema.Columns[ci].Name)
@@ -272,7 +275,7 @@ func (t *Table) assign(rid int, row []Value, cols []int, vals []Value) error {
 		if err != nil {
 			return fmt.Errorf("relational: table %s column %s: %w", t.Name, t.Schema.Columns[ci].Name, err)
 		}
-		if t.uniqueCols[ci] && !cv.IsNull() && t.uniqueViolated(ci, cv, rid) {
+		if !cv.IsNull() && t.isUnique(ci) && t.uniqueViolated(ci, cv, rid) {
 			return fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
 				valueString(cv), t.Name, t.Schema.Columns[ci].Name)
 		}
@@ -331,9 +334,9 @@ func (t *Table) revert(e *undoEntry) {
 
 // indexRow adds row rid's entries to every index.
 func (t *Table) indexRow(rid int, row []Value) {
-	for _, idx := range t.index {
+	for _, idx := range t.hashList {
 		if v := row[idx.col]; !v.IsNull() {
-			idx.add(v, rid)
+			idx.rids.add(v, rid)
 		}
 	}
 	for _, oidx := range t.orderedList {
@@ -350,7 +353,7 @@ func (t *Table) indexRow(rid int, row []Value) {
 // tree once they outnumber its live rows (undoLog.commit), so a physical
 // DELETE never pays a descent.
 func (t *Table) unindex(rid int, old []Value, survivors [][]Value, tombstone bool) {
-	for _, idx := range t.index {
+	for _, idx := range t.hashList {
 		v := old[idx.col]
 		if v.IsNull() {
 			continue
@@ -363,7 +366,7 @@ func (t *Table) unindex(rid int, old []Value, survivors [][]Value, tombstone boo
 			}
 		}
 		if !carried {
-			idx.remove(v, rid)
+			idx.rids.remove(v, rid)
 		}
 	}
 	for _, oidx := range t.orderedList {
@@ -457,25 +460,19 @@ func (t *Table) upgradeRow(rid int, committed, gone []Value, mark uint64, out []
 // rekey moves row rid's index entries from version from to version to,
 // touching only the keys that differ. keep leaves from's entries in place
 // for the snapshots that still see that version (a versioned update); to's
-// keys then go in only where absent, since a value flipped away and back
-// must not index the row twice.
+// keys go in beside them (an add never lists a row twice under one key, so
+// a value flipped away and back is safe).
 func (t *Table) rekey(rid int, from, to []Value, keep bool) {
-	for _, idx := range t.index {
+	for _, idx := range t.hashList {
 		f, n := from[idx.col], to[idx.col]
 		if compareValues(f, n) == 0 {
 			continue
 		}
-		if keep {
-			if !n.IsNull() {
-				idx.addIfAbsent(n, rid)
-			}
-			continue
-		}
-		if !f.IsNull() {
-			idx.remove(f, rid)
+		if !keep && !f.IsNull() {
+			idx.rids.remove(f, rid)
 		}
 		if !n.IsNull() {
-			idx.add(n, rid)
+			idx.rids.add(n, rid)
 		}
 	}
 	for _, oidx := range t.orderedList {
@@ -514,12 +511,13 @@ func (t *Table) uniqueViolated(ci int, v Value, exclude int) bool {
 		row := t.visibleRow(rid, sn)
 		return row != nil && compareValues(row[ci], v) == 0
 	}
-	for _, idx := range t.index {
+	for _, idx := range t.hashList {
 		if idx.col != ci {
 			continue
 		}
-		for _, rid := range idx.probe(v) {
-			if hit(rid) {
+		var one [1]int
+		for _, rid := range idx.probe(v, &one) {
+			if rid >= 0 && hit(rid) {
 				return true
 			}
 		}

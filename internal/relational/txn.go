@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -105,9 +106,12 @@ type vUndo struct {
 // undoLog accumulates a transaction's reversible mutations in order.
 type undoLog struct {
 	entries []undoEntry
-	// touched records mutated tables for commit-time ordered-index
-	// compaction (deletes only tombstone B+tree entries; see commit).
-	touched map[*Table]struct{}
+	// touched lists the mutated tables, each once, for commit-time
+	// ordered-index compaction (deletes only tombstone B+tree entries; see
+	// commit). A transaction writes a handful of tables, one row after
+	// another, so a slice checked from its newest end beats a map write
+	// per row.
+	touched []*Table
 	// redo collects the transaction's successful logged statements for the
 	// commit record (durable.go). A statement's redo entry is appended only
 	// after it succeeds, so statement-level rollback never needs to unwind
@@ -119,10 +123,9 @@ func newUndoLog() *undoLog { return &undoLog{} }
 
 // record appends a row mutation's undo entry (the Table writer calls it).
 func (l *undoLog) record(e undoEntry) {
-	if l.touched == nil {
-		l.touched = make(map[*Table]struct{}, 4)
+	if n := len(l.touched); n == 0 || l.touched[n-1] != e.t && !slices.Contains(l.touched, e.t) {
+		l.touched = append(l.touched, e.t)
 	}
-	l.touched[e.t] = struct{}{}
 	l.entries = append(l.entries, e)
 }
 
@@ -155,7 +158,7 @@ func (l *undoLog) rollbackTo(mark int) {
 // grows through deletes, and every delete touches its table, so the
 // threshold is always observed at some commit. Caller holds the writer lock.
 func (l *undoLog) commit() {
-	for t := range l.touched {
+	for _, t := range l.touched {
 		// Versioned tables defer compaction: rebuild() keeps live rows only,
 		// which would drop chain-version keys open snapshots still probe.
 		// Vacuum removes tree entries eagerly on such tables instead, so

@@ -9,8 +9,8 @@ import (
 
 // tableDump is a canonical rendering of a table's complete observable state:
 // the rows array (length and tombstone pattern included), the live count,
-// every hash index's contents (rowids sorted per value — bucket order is
-// unspecified), and every ordered index's live entries in key order. Two
+// every hash index's contents (each key's rowids in probe order, which is
+// ascending), and every ordered index's live entries in key order. Two
 // equal dumps mean the table is indistinguishable from the compared state.
 func tableDump(t *Table) string {
 	var b strings.Builder
@@ -37,14 +37,16 @@ func tableDump(t *Table) string {
 	for _, name := range hnames {
 		idx := t.index[name]
 		fmt.Fprintf(&b, "hash %s:\n", name)
+		byValue, err := ridMapContents(&idx.rids)
+		if err != nil {
+			fmt.Fprintf(&b, "  %v\n", err)
+		}
 		var keys []string
 		byKey := make(map[string][]int)
-		for v, rids := range idx.entries {
+		for v, rids := range byValue {
 			k := FormatValue(v)
 			keys = append(keys, k)
-			cp := append([]int(nil), rids...)
-			sort.Ints(cp)
-			byKey[k] = cp
+			byKey[k] = rids
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
@@ -58,6 +60,45 @@ func tableDump(t *Table) string {
 		}
 	}
 	return b.String()
+}
+
+// ridMapContents returns a ridMap's live rowids by joinKey, each list in
+// probe order, and checks the map's layout: every list ascends, a key held
+// by one rowid stores it inline, a bucket holds two or more live rowids,
+// its last entry is live, and its tombstone count is exact.
+func ridMapContents(m *ridMap) (map[Value][]int, error) {
+	out := make(map[Value][]int, m.keys.len())
+	var first error
+	add := func(k Value, w int64) {
+		if w >= 0 {
+			out[k] = []int{int(w)}
+			return
+		}
+		b := &m.buckets[^w]
+		var live []int
+		dead := 0
+		for i, e := range b.rids {
+			if i > 0 && ridOf(e) <= ridOf(b.rids[i-1]) && first == nil {
+				first = fmt.Errorf("bucket %v is not ascending: %v", k, b.rids)
+			}
+			if e < 0 {
+				dead++
+				continue
+			}
+			live = append(live, e)
+		}
+		if first == nil && (len(live) < 2 || dead != b.dead || b.rids[len(b.rids)-1] < 0) {
+			first = fmt.Errorf("bucket %v: entries %v, %d tombstones counted", k, b.rids, b.dead)
+		}
+		out[k] = live
+	}
+	for n, w := range m.keys.ints {
+		add(Int(n), w)
+	}
+	for s, w := range m.keys.strs {
+		add(Text(s), w)
+	}
+	return out, first
 }
 
 func dbDump(db *DB) string {

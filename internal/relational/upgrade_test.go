@@ -271,3 +271,55 @@ func sameView(t *testing.T, who string, got, want map[string]string) {
 		}
 	}
 }
+
+// TestRowCountReadsCommitted: DB.RowCount is a DB-level read, so it must
+// agree with SELECT COUNT(*) on the same DB — an open transaction's deletes
+// and inserts show only once it commits — whether the transaction writes
+// in place (alone, upgraded by the count itself) or writes versions (a
+// reader was registered first).
+func TestRowCountReadsCommitted(t *testing.T) {
+	for _, versioned := range []bool{false, true} {
+		db := NewDB()
+		db.MustExec("CREATE TABLE r (id INTEGER, v INTEGER)")
+		db.MustExec("INSERT INTO r VALUES (1, 0), (2, 0), (3, 0)")
+		var reader *Tx
+		if versioned {
+			reader = db.Begin()
+		}
+		count := func(at string, want int) {
+			t.Helper()
+			rows, err := db.Query("SELECT COUNT(*) FROM r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel := int(rows.Data[0][0].MustInt())
+			if got := db.RowCount("r"); got != want || sel != want {
+				t.Fatalf("versioned=%v, %s: RowCount %d, SELECT COUNT(*) %d, want %d", versioned, at, got, sel, want)
+			}
+		}
+		tx := db.Begin()
+		if n, err := tx.Exec("DELETE FROM r WHERE id <= 2"); err != nil || n != 2 {
+			t.Fatalf("delete: %d, %v", n, err)
+		}
+		count("before the delete commits", 3)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		count("after the delete commits", 1)
+		tx = db.Begin()
+		if _, err := tx.Exec("INSERT INTO r VALUES (4, 0)"); err != nil {
+			t.Fatal(err)
+		}
+		count("before the insert commits", 1)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		count("after the insert commits", 2)
+		if reader != nil {
+			if err := reader.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		count("single-version again", 2)
+	}
+}

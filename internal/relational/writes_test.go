@@ -234,10 +234,11 @@ func checkWritesExact(t *testing.T, db *DB, at string) {
 					}
 				}
 			}
-			for k, rids := range idx.entries {
-				if len(rids) == 0 {
-					t.Fatalf("%s: %s index %s keeps an empty bucket %v", at, tb.Name, name, k)
-				}
+			entries, err := ridMapContents(&idx.rids)
+			if err != nil {
+				t.Fatalf("%s: %s index %s: %v", at, tb.Name, name, err)
+			}
+			for k, rids := range entries {
 				for _, rid := range rids {
 					e := hashEntry{k, rid}
 					if !want[e] {
@@ -281,5 +282,98 @@ func checkWritesExact(t *testing.T, db *DB, at string) {
 					at, tb.Name, oidx.name, tombstones, oidx.stale, entries, oidx.tree.size)
 			}
 		}
+	}
+}
+
+// TestHashIndexRemoveKeepsOrder empties one 2,560-row hash bucket — the
+// shape of the ASR's c0 column, whose single value every path of the bulk
+// document shares — by DELETE statements inside transactions: every other
+// row, then the rest, with a rollback in between and at the end. After
+// every step a probe, read from the index and through SQL, must list the
+// surviving rows in insertion order, which is ascending rowid order (the
+// rows are inserted into an empty table); after each rollback it must list
+// exactly the original rows in that order. It runs on a memory DB and on a
+// paged DB with a two-page pool.
+func TestHashIndexRemoveKeepsOrder(t *testing.T) {
+	const n = 2560
+	for _, paged := range []bool{false, true} {
+		name := "memory"
+		if paged {
+			name = "paged"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := NewDB()
+			if paged {
+				opts := pagedOpts()
+				opts.PoolPages = 2
+				db = mustOpenDB(t, t.TempDir(), opts)
+			}
+			defer db.Close()
+			db.MustExec("CREATE TABLE asr (id INTEGER, c0 INTEGER, odd INTEGER)")
+			db.MustExec("CREATE INDEX asr_c0 ON asr (c0)")
+			rows := make([][]Value, n)
+			for i := range rows {
+				rows[i] = []Value{Int(int64(i)), Int(1), Int(int64(i % 2))}
+			}
+			if err := db.BulkLoad(map[string][][]Value{"asr": rows}); err != nil {
+				t.Fatal(err)
+			}
+			ids := func(odd, even bool) []int {
+				var out []int
+				for i := 0; i < n; i++ {
+					if i%2 == 1 && odd || i%2 == 0 && even {
+						out = append(out, i)
+					}
+				}
+				return out
+			}
+			all, odds := ids(true, true), ids(true, false)
+			// check reads the bucket straight from the index (the rowid is
+			// the id) and through an index-probing query in s.
+			check := func(at string, s Session, want []int) {
+				t.Helper()
+				db.mu.RLock()
+				var one [1]int
+				got := appendLive(nil, db.tables["asr"].lookupIndex("c0").probe(Int(1), &one))
+				db.mu.RUnlock()
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: bucket lists %d rids %.60v…, want %d %.60v…", at, len(got), fmt.Sprint(got), len(want), fmt.Sprint(want))
+				}
+				var sql []int
+				if _, err := s.QueryEach("SELECT id FROM asr WHERE c0 = 1", func(r []Value) error {
+					sql = append(sql, int(r[0].MustInt()))
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(sql) != fmt.Sprint(want) {
+					t.Fatalf("%s: probe query returns %d rows %.60v…, want %d", at, len(sql), fmt.Sprint(sql), len(want))
+				}
+				checkWritesExact(t, db, at)
+			}
+			deleteIn := func(tx *Tx, sql string, want int) {
+				t.Helper()
+				if got, err := tx.Exec(sql); err != nil || got != want {
+					t.Fatalf("%s: %d rows, %v; want %d", sql, got, err, want)
+				}
+			}
+			check("loaded", db, all)
+			tx := db.Begin()
+			deleteIn(tx, "DELETE FROM asr WHERE c0 = 1 AND odd = 0", n/2)
+			check("every other row deleted", tx, odds)
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			check("first rollback", db, all)
+			tx = db.Begin()
+			deleteIn(tx, "DELETE FROM asr WHERE c0 = 1 AND odd = 0", n/2)
+			check("every other row deleted again", tx, odds)
+			deleteIn(tx, "DELETE FROM asr WHERE c0 = 1", n/2)
+			check("the rest deleted", tx, nil)
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			check("second rollback", db, all)
+		})
 	}
 }
