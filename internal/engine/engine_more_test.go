@@ -274,7 +274,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, err := s.CopySubtrees("Customer", "Name_v = 'Mary'", 1); err != nil {
 		t.Fatal(err)
 	}
-	s.Restore(snap)
+	if err := s.Restore(snap); err != nil {
+		t.Fatalf("Restore of a memory store: %v", err)
+	}
 	after, err := s.Reconstruct()
 	if err != nil {
 		t.Fatal(err)
@@ -284,9 +286,34 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// NextID restored too: a copy after restore reuses the id range.
 	id1 := s.NextID()
-	s.Restore(snap)
+	if err := s.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
 	if s.NextID() != id1 {
 		t.Error("NextID not restored")
+	}
+	// A transaction open on the store refuses the reset and keeps the id
+	// counter where the store left it.
+	tx := s.DB.Begin()
+	s.AllocateIDs(5)
+	if err := s.Restore(snap); err == nil {
+		t.Error("Restore with a transaction open succeeded")
+	}
+	if s.NextID() != id1+5 {
+		t.Errorf("refused Restore moved NextID to %d, want %d", s.NextID(), id1+5)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	// A store opened on a directory is never reset: its snapshot restores
+	// nothing.
+	ds, err := OpenDir(t.TempDir(), custDoc(t), Options{}, noCkptOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.Restore(ds.Snapshot()); err == nil {
+		t.Error("Restore of a directory store succeeded")
 	}
 }
 

@@ -251,8 +251,8 @@ func (s *Store) setup() error {
 	return nil
 }
 
-// Snapshot captures the store's state for fast reset between benchmark
-// iterations.
+// Snapshot captures the store's state for fast reset of a memory store
+// between benchmark iterations.
 type Snapshot struct {
 	db     *relational.DBSnapshot
 	nextID int64
@@ -263,10 +263,14 @@ func (s *Store) Snapshot() *Snapshot {
 	return &Snapshot{db: s.DB.Snapshot(), nextID: s.nextID}
 }
 
-// Restore resets the store to a snapshot.
-func (s *Store) Restore(snap *Snapshot) {
-	s.DB.Restore(snap.db)
-	s.nextID = snap.nextID
+// Restore resets a memory store to a snapshot. A store opened on a
+// directory, or one with a transaction open, refuses and is left as is.
+func (s *Store) Restore(snap *Snapshot) error {
+	err := s.DB.Restore(snap.db)
+	if err == nil {
+		s.nextID = snap.nextID
+	}
+	return err
 }
 
 // AllocateIDs reserves n consecutive tuple ids and returns the first.

@@ -67,19 +67,6 @@ func comparePrefix(k bkey, prefix []Value) int {
 type bleaf struct {
 	keys       []bkey
 	next, prev *bleaf
-	// shared marks a leaf whose keys slice aliases a snapshot's entry
-	// array (newBTreeFromSorted): the first mutation copies it out, so a
-	// restored tree costs node headers only and snapshots stay pristine.
-	shared bool
-}
-
-// unshare gives the leaf its own backing array before an in-place mutation.
-func (l *bleaf) unshare() {
-	if !l.shared {
-		return
-	}
-	l.keys = append(make([]bkey, 0, len(l.keys)+8), l.keys...)
-	l.shared = false
 }
 
 type binner struct {
@@ -109,18 +96,16 @@ func newBTree() *btree {
 }
 
 // newBTreeFromSorted bulk-builds a tree from already-sorted entries, bottom
-// up: leaves slice one shared backing array (full slices, so a later split
-// reallocates instead of clobbering a sibling), inner levels group their
-// children. Snapshot restore uses this — no per-key allocation, no descent.
+// up, over the entry array itself: leaves slice it with full slices, so an
+// insert into a full leaf reallocates instead of overwriting its neighbour,
+// and inner levels group their children. orderedIndex.rebuild is its one
+// caller, and keeps the array for its next build.
 func newBTreeFromSorted(entries []bkey) *btree {
 	if len(entries) == 0 {
 		return newBTree()
 	}
 	t := &btree{size: len(entries)}
 	// Three-quarters fill leaves: room for later inserts before splitting.
-	// Leaves alias the caller's entry array copy-on-write: the snapshot
-	// array is never mutated (unshare copies a leaf out first), so repeated
-	// restores allocate node headers only.
 	per := btreeMaxKeys * 3 / 4
 	var leaves []*bleaf
 	for i := 0; i < len(entries); i += per {
@@ -128,7 +113,7 @@ func newBTreeFromSorted(entries []bkey) *btree {
 		if j > len(entries) {
 			j = len(entries)
 		}
-		leaf := &bleaf{keys: entries[i:j:j], shared: true}
+		leaf := &bleaf{keys: entries[i:j:j]}
 		if n := len(leaves); n > 0 {
 			leaves[n-1].next = leaf
 			leaf.prev = leaves[n-1]
@@ -170,20 +155,6 @@ func newBTreeFromSorted(entries []bkey) *btree {
 	return t
 }
 
-// collectLive appends the tree's entries, in key order, whose rowid refers
-// to a live row of t.
-func (tr *btree) collectLive(t *Table, out []bkey) []bkey {
-	for c := tr.min(); ; c.advance() {
-		k, ok := c.entry()
-		if !ok {
-			return out
-		}
-		if t.liveAt(k.rid) {
-			out = append(out, k)
-		}
-	}
-}
-
 // insert adds an entry. Duplicate (vals, rid) pairs cannot occur: the rowid
 // uniquifies every key.
 func (t *btree) insert(k bkey) {
@@ -192,7 +163,6 @@ func (t *btree) insert(k bkey) {
 	// leaf without descending. The rightmost leaf has no upper separator, so
 	// the append cannot violate routing invariants.
 	if n := len(t.last.keys); n > 0 && n < btreeMaxKeys && compareBKeys(k, t.last.keys[n-1]) > 0 {
-		t.last.unshare()
 		t.last.keys = append(t.last.keys, k)
 		return
 	}
@@ -208,7 +178,6 @@ func (t *btree) insertInto(n bnode, k bkey) (bkey, bnode) {
 	switch node := n.(type) {
 	case *bleaf:
 		i := sort.Search(len(node.keys), func(i int) bool { return compareBKeys(node.keys[i], k) >= 0 })
-		node.unshare()
 		node.keys = append(node.keys, bkey{})
 		copy(node.keys[i+1:], node.keys[i:])
 		node.keys[i] = k
@@ -274,7 +243,6 @@ func (t *btree) remove(k bkey) bool {
 			if i >= len(node.keys) || compareBKeys(node.keys[i], k) != 0 {
 				return false
 			}
-			node.unshare()
 			copy(node.keys[i:], node.keys[i+1:])
 			node.keys = node.keys[:len(node.keys)-1]
 			t.size--

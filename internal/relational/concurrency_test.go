@@ -133,7 +133,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	// Snapshot/Restore still round-trips after the transaction history.
 	snap := db.Snapshot()
 	db.MustExec("DELETE FROM item WHERE parentId = 0")
-	db.Restore(snap)
+	mustRestore(t, db, snap)
 	if got := dbDump(db); got != before {
 		t.Errorf("Snapshot/Restore after stress run:\n--- before ---\n%s--- after ---\n%s", before, got)
 	}

@@ -221,10 +221,10 @@ type DB struct {
 	pagedDir string
 	pageErr  atomic.Pointer[error]
 	ckptHook func(stage string) error
-	// pagedCkptMu serializes whole paged checkpoints with each other and
-	// with Restore's wholesale rebuild of paged state: the checkpoint's
-	// durable phase runs outside db.mu by design, and a Restore truncating
-	// pg.pages under it would leave finishFlush indexing stale page ids.
+	// pagedCkptMu serializes whole paged checkpoints (Checkpoint's, the
+	// auto-checkpoint's, BulkLoad's) with each other: a checkpoint's
+	// durable phase runs outside db.mu by design, and a second one
+	// capturing under it would race finishFlush over the same pages.
 	// Ordering: pagedCkptMu is always taken before db.mu.
 	pagedCkptMu sync.Mutex
 }

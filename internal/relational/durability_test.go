@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -514,8 +515,9 @@ func TestAutoCheckpoint(t *testing.T) {
 // page-record codec, and a reopen that reads the rows back from the page
 // files reproduces the full observable state — rows, tombstone holes
 // (mid-table and trailing), an empty table, the hash and ordered indexes.
-// Record encoding is deterministic, a snapshot taken from the decoded rows
-// restores that state, and truncated records error instead of panicking.
+// Record encoding is deterministic, truncated records error instead of
+// panicking, and Restore of a snapshot taken from the decoded rows is
+// refused (a directory DB cannot be reset) without touching the rows.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpenDB(t, dir, pagedOpts())
@@ -532,7 +534,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := dbDump(db)
-	orig := db.Snapshot().tables["item"].rows
+	orig := db.Snapshot().tables["item"]
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -552,7 +554,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	// Deterministic: re-encoding a decoded row is byte-identical to the
 	// original row's record, and every proper prefix fails to decode.
 	snap := rec.Snapshot()
-	for i, row := range snap.tables["item"].rows {
+	for i, row := range snap.tables["item"] {
 		if (row == nil) != (orig[i] == nil) {
 			t.Fatalf("row %d tombstone mismatch", i)
 		}
@@ -577,11 +579,14 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Restoring the snapshot of the decoded rows reproduces the state.
+	// A directory DB refuses to restore the snapshot and keeps its rows.
 	rec.MustExec("DELETE FROM item WHERE parentId = 1")
 	rec.MustExec("INSERT INTO item VALUES (99, 0, 'later')")
-	rec.Restore(snap)
-	if got := dbDump(rec); got != want {
-		t.Fatalf("decoded snapshot restore differs:\n got:\n%s\nwant:\n%s", got, want)
+	after := dbDump(rec)
+	if err := rec.Restore(snap); !errors.Is(err, errRestoreDurable) {
+		t.Fatalf("Restore on a directory DB: err = %v, want errRestoreDurable", err)
+	}
+	if got := dbDump(rec); got != after {
+		t.Fatalf("refused restore changed the DB:\n got:\n%s\nwant:\n%s", got, after)
 	}
 }

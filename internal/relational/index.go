@@ -308,7 +308,7 @@ func (t *Table) CreateIndex(col string) error {
 		return fmt.Errorf("relational: no column %q in table %s", col, t.Name)
 	}
 	idx := &hashIndex{col: ci}
-	if err := idx.rebuild(t, 0); err != nil {
+	if err := idx.rebuild(t); err != nil {
 		return err
 	}
 	// Versioned tables: superseded chain versions are still visible to open
@@ -327,9 +327,14 @@ func (t *Table) CreateIndex(col string) error {
 	return nil
 }
 
-// rebuild refills the index from the table's current rows, sizing it for
-// hint keys. CREATE INDEX, Restore and paged reopen all build through it.
-func (idx *hashIndex) rebuild(t *Table, hint int) error {
+// rebuild refills the index from the table's current rows, for CREATE
+// INDEX and Restore (paged reopen indexes rows as their pages decode). A
+// unique column takes a key per row, so its map is sized for all of them.
+func (idx *hashIndex) rebuild(t *Table) error {
+	hint := 0
+	if t.isUnique(idx.col) {
+		hint = t.live
+	}
 	idx.rids.reset(hint)
 	_, err := t.Scan(func(rid int, row []Value) bool {
 		if v := row[idx.col]; !v.IsNull() {
@@ -462,6 +467,9 @@ type orderedIndex struct {
 	name string // canonical lower-case "col1,col2" form
 	cols []int
 	tree *btree
+	// keys is the array tree was built over; its leaves slice it. The next
+	// rebuild refills it in place, as the tree reading it is replaced.
+	keys []bkey
 	// stale counts tombstoned entries left in the tree: deletion unlinks
 	// the heap row but leaves the B+tree entry, and readers skip entries
 	// whose row is gone. Removal-by-descent on every DELETE would double
@@ -536,16 +544,19 @@ func (t *Table) OrderedIndexes() [][]string {
 // name) order, so access-path choice is stable between Explain and runs.
 func (t *Table) orderedIndexList() []*orderedIndex { return t.orderedList }
 
-// rebuild recreates the tree from the table's live rows, dropping
-// tombstoned entries. An error is a failed page fault, which also poisons
-// the DB.
+// rebuild bulk-builds the tree from the table's live rows' sorted keys,
+// dropping tombstoned entries; CREATE INDEX, compaction and Restore build
+// through it. An error is a failed page fault, which also poisons the DB.
 func (idx *orderedIndex) rebuild(t *Table) error {
-	idx.tree = newBTree()
-	idx.stale = 0
+	keys := slices.Grow(idx.keys[:0], t.live)
 	_, err := t.Scan(func(rid int, row []Value) bool {
-		idx.tree.insert(idx.keyFor(rid, row))
+		keys = append(keys, idx.keyFor(rid, row))
 		return true
 	})
+	slices.SortFunc(keys, compareBKeys)
+	idx.keys = keys
+	idx.tree = newBTreeFromSorted(keys)
+	idx.stale = 0
 	return err
 }
 

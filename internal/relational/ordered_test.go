@@ -3,6 +3,7 @@ package relational
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -469,12 +470,33 @@ func TestCTEPartialOrderContinuationHashJoins(t *testing.T) {
 }
 
 // TestBTreeRandomOps drives the B+tree against a reference map through
-// random inserts, removals, and range scans.
+// random inserts, removals, and range scans: once from an empty tree, and
+// once from a tree bulk-built by newBTreeFromSorted over a random sorted
+// prefix, whose leaves slice one array — removals then inserts into one
+// leaf must never write into its neighbour's entries.
 func TestBTreeRandomOps(t *testing.T) {
+	for _, prefix := range []int{0, 700} {
+		t.Run(fmt.Sprintf("prefix=%d", prefix), func(t *testing.T) {
+			testBTreeRandomOps(t, prefix)
+		})
+	}
+}
+
+func testBTreeRandomOps(t *testing.T, prefix int) {
 	rng := rand.New(rand.NewSource(99))
-	tree := newBTree()
 	ref := make(map[int]int64) // rid -> key value
 	rid := 0
+	var sorted []bkey
+	for ; rid < prefix; rid++ {
+		v := int64(rng.Intn(200))
+		sorted = append(sorted, bkey{vals: [btreeMaxCols]Value{Int(v)}, rid: rid})
+		ref[rid] = v
+	}
+	slices.SortFunc(sorted, compareBKeys)
+	tree := newBTree()
+	if prefix > 0 {
+		tree = newBTreeFromSorted(sorted)
+	}
 	for step := 0; step < 5000; step++ {
 		if rng.Intn(3) > 0 || len(ref) == 0 {
 			v := int64(rng.Intn(200))

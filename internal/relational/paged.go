@@ -32,8 +32,8 @@ import (
 // rowCursor (every per-row scan and probe loop) or Row (unpinned rid→row
 // fetches). Row writes call the nil-guarded row hooks (pgPlace, pgMark,
 // pgDrop, pgTruncate, pgRowFits), which do nothing for a memory table,
-// and only the row-writer methods in table.go call them; pgGone and
-// pgRebuild are table lifecycle.
+// and only the row-writer methods in table.go call them; pgGone is table
+// lifecycle. Restore refuses a directory DB: no paged rows swap wholesale.
 //
 // Locking: the directory, page list, and page metadata are mutated only
 // under the DB writer lock (mutations) or the pool mutex (residency
@@ -598,8 +598,8 @@ func (t *Table) pgTruncate(n int) {
 	pg.dir = pg.dir[:n]
 }
 
-// pgGone sets the table's drop marker (pagedTable.gone): true when DDL or
-// Restore takes it out of db.tables, false when a rollback brings it back.
+// pgGone sets the table's drop marker (pagedTable.gone): true when DROP
+// TABLE takes it out of db.tables, false when a rollback brings it back.
 func (t *Table) pgGone(gone bool) {
 	if t.pg != nil {
 		t.pg.gone.Store(gone)
@@ -821,7 +821,7 @@ func (db *DB) Checkpoint() error {
 	if db.wal == nil {
 		return fmt.Errorf("relational: Checkpoint requires a DB opened with Open(dir, …)")
 	}
-	// One checkpoint at a time, and never concurrent with a Restore:
+	// One checkpoint at a time, and never concurrent with a BulkLoad's:
 	// the durable phase below runs outside db.mu, and finishFlush's page
 	// lookups assume pg.pages kept the captured layout.
 	db.pagedCkptMu.Lock()
@@ -1303,54 +1303,6 @@ func (db *DB) attachPagedTables(metas []pagedTableMeta) error {
 		}
 	}
 	return nil
-}
-
-// pgRebuild re-places every row of a freshly Restored table into new
-// dirty pages (Restore replaces t.rows wholesale). Caller holds the DB
-// writer lock and — when checkpoints can be in flight — pagedCkptMu, so
-// no pool sweep (reader faults need the shared DB lock, checkpoint sweeps
-// need pagedCkptMu) observes pg.pages/dir mid-truncation; only the pool's
-// residency/dirty counters need pool.mu here.
-func (t *Table) pgRebuild() {
-	pg := t.pg
-	if pg == nil {
-		return
-	}
-	p := pg.db.pool
-	p.mu.Lock()
-	for _, pi := range pg.pages {
-		if pi.resident {
-			pi.resident = false
-			p.resident--
-		}
-		if pi.dirty {
-			pi.dirty = false
-			p.dirty--
-		}
-		pi.flushing = false
-	}
-	p.mu.Unlock()
-	pg.pages = pg.pages[:0]
-	pg.fill = nil
-	pg.dir = pg.dir[:0]
-	// The old file's pages are now stale; the next checkpoint rewrites
-	// every page from scratch.
-	if pg.file != nil {
-		pg.file.Remove()
-		pg.file = nil
-	}
-	for rid, row := range t.rows {
-		if row == nil {
-			if len(pg.dir) <= rid {
-				pg.dir = append(pg.dir, pgDead)
-			}
-			continue
-		}
-		t.pgPlace(rid, row)
-	}
-	for len(pg.dir) < len(t.rows) {
-		pg.dir = append(pg.dir, pgDead)
-	}
 }
 
 // auditPaged verifies at Close that no page is still pinned (a leaked

@@ -55,8 +55,14 @@ func tableDump(t *Table) string {
 	}
 	for _, oidx := range t.orderedList {
 		fmt.Fprintf(&b, "ordered %s:\n", oidx.name)
-		for _, k := range oidx.tree.collectLive(t, nil) {
-			fmt.Fprintf(&b, "  %v/%v rid=%d\n", FormatValue(k.vals[0]), FormatValue(k.vals[1]), k.rid)
+		for c := oidx.tree.min(); ; c.advance() {
+			k, ok := c.entry()
+			if !ok {
+				break
+			}
+			if t.liveAt(k.rid) {
+				fmt.Fprintf(&b, "  %v/%v rid=%d\n", FormatValue(k.vals[0]), FormatValue(k.vals[1]), k.rid)
+			}
 		}
 	}
 	return b.String()
@@ -396,7 +402,7 @@ func TestSnapshotRestoreAfterTxnHistory(t *testing.T) {
 	tx.Exec("INSERT INTO item VALUES (90, 1, 9, 'w')")
 	tx.Commit()
 
-	db.Restore(snap)
+	mustRestore(t, db, snap)
 	if got := dbDump(db); got != want {
 		t.Errorf("Restore after txn history:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}

@@ -295,7 +295,7 @@ func TestSnapshotValueRoundTrip(t *testing.T) {
 
 	// The record codec alone: each live row decodes to identical values,
 	// and encodedRowSize predicts the record length exactly.
-	for i, row := range snap.tables["t"].rows {
+	for i, row := range snap.tables["t"] {
 		if row == nil {
 			continue
 		}
@@ -332,16 +332,16 @@ func TestSnapshotValueRoundTrip(t *testing.T) {
 		t.Fatalf("reopen replayed %d commits; the rows must come from the pages", n)
 	}
 	got, want := rec.Snapshot().tables["t"], snap.tables["t"]
-	if got.live != want.live || len(got.rows) != len(want.rows) {
-		t.Fatalf("shape mismatch: %d/%d rows live %d/%d", len(got.rows), len(want.rows), got.live, want.live)
+	if len(got) != len(want) {
+		t.Fatalf("shape mismatch: %d/%d rows", len(got), len(want))
 	}
-	for i := range want.rows {
-		if (got.rows[i] == nil) != (want.rows[i] == nil) {
+	for i := range want {
+		if (got[i] == nil) != (want[i] == nil) {
 			t.Fatalf("row %d tombstone mismatch", i)
 		}
-		for c := range want.rows[i] {
-			if got.rows[i][c] != want.rows[i][c] {
-				t.Fatalf("row %d col %d = %#v, want %#v", i, c, got.rows[i][c], want.rows[i][c])
+		for c := range want[i] {
+			if got[i][c] != want[i][c] {
+				t.Fatalf("row %d col %d = %#v, want %#v", i, c, got[i][c], want[i][c])
 			}
 		}
 	}

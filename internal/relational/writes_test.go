@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,9 +17,11 @@ import (
 // they began (versioned throughout), alone (in place throughout), and
 // alone until a reader registers at a random statement (in place, then
 // upgraded to versions; the reader must see the pre-transaction rows).
-// After every statement, commit and rollback, each index must equal
-// a rebuild from scratch (checkWritesExact). It runs on a memory DB and on
-// a paged DB with a two-page pool, which it also reopens.
+// Transactions that create a table and drop w roll back, and on the memory
+// DB a Restore resets w to an earlier snapshot (refused while the reader
+// is held). After every statement, commit, rollback and restore, each
+// index must equal a rebuild from scratch (checkWritesExact). It runs on a
+// memory DB and on a paged DB with a two-page pool, which it also reopens.
 func TestWritesKeepIndexesExact(t *testing.T) {
 	for _, paged := range []bool{false, true} {
 		name := "memory"
@@ -52,10 +55,49 @@ func TestWritesKeepIndexesExact(t *testing.T) {
 				db.MustExec(ddl)
 			}
 			var held *Tx
-			failed, rolledBack, upgraded := 0, 0, 0
+			var snap *DBSnapshot
+			failed, rolledBack, upgraded, restored, ddlUndone := 0, 0, 0, 0, 0
 			for step := 0; step < 400; step++ {
 				at := fmt.Sprintf("step %d", step)
 				switch {
+				case !paged && r.Intn(25) == 0:
+					// Memory only: Restore rebuilds every index from the
+					// snapshot's rows, and refuses while a transaction is
+					// open.
+					switch {
+					case snap == nil:
+						snap = db.Snapshot()
+					case held != nil:
+						if err := db.Restore(snap); !errors.Is(err, errRestoreOpenTxn) {
+							t.Fatalf("%s: Restore beside an open transaction: err = %v", at, err)
+						}
+					default:
+						if err := db.Restore(snap); err != nil {
+							t.Fatalf("%s: Restore: %v", at, err)
+						}
+						snap = nil
+						restored++
+					}
+				case r.Intn(25) == 0:
+					// DDL rolled back: a dropped table comes back with its
+					// rows and indexes, a created one goes away.
+					tx := db.Begin()
+					for _, ddl := range []string{
+						"CREATE TABLE wx (id INTEGER, parentId INTEGER)",
+						"INSERT INTO wx VALUES (1, 0)",
+						"DROP TABLE w",
+					} {
+						if _, err := tx.Exec(ddl); err != nil {
+							t.Fatalf("%s: %s: %v", at, ddl, err)
+						}
+					}
+					if err := tx.Rollback(); err != nil {
+						t.Fatal(err)
+					}
+					if db.table("wx") != nil || db.table("w") == nil {
+						t.Fatalf("%s: rolled-back DDL left wx=%v w=%v", at, db.table("wx") != nil, db.table("w") != nil)
+					}
+					ddlUndone++
 				case held == nil && r.Intn(12) == 0:
 					held = db.Begin()
 					if _, err := held.Query("SELECT COUNT(*) FROM w"); err != nil {
@@ -113,9 +155,9 @@ func TestWritesKeepIndexesExact(t *testing.T) {
 				}
 				checkWritesExact(t, db, "held closed")
 			}
-			if failed == 0 || rolledBack == 0 || upgraded == 0 || db.Stats().VersionsVacuumed == 0 {
-				t.Fatalf("workload too tame: %d failed statements, %d rollbacks, %d upgrades, %d versions vacuumed",
-					failed, rolledBack, upgraded, db.Stats().VersionsVacuumed)
+			if failed == 0 || rolledBack == 0 || upgraded == 0 || db.Stats().VersionsVacuumed == 0 || ddlUndone == 0 || !paged && restored == 0 {
+				t.Fatalf("workload too tame: %d failed statements, %d rollbacks, %d upgrades, %d versions vacuumed, %d DDL rollbacks, %d restores",
+					failed, rolledBack, upgraded, db.Stats().VersionsVacuumed, ddlUndone, restored)
 			}
 			if paged {
 				if err := db.Close(); err != nil {
