@@ -200,6 +200,8 @@ type reconstructor struct {
 	// within the current subtree.
 	last   []*xmltree.Element
 	lastID []int64
+	// slab supplies every element and text node of the stream's subtrees.
+	slab xmltree.Slab
 }
 
 func (p *Plan) newReconstructor() *reconstructor {
@@ -214,7 +216,7 @@ func (r *reconstructor) feed(row []relational.Value) error {
 		return fmt.Errorf("outerunion: all-NULL key row")
 	}
 	b := &p.Branches[bi]
-	e, err := p.M.ElementFromRow(b.Elem, b.Data(row))
+	e, err := p.M.ElementFromRow(&r.slab, b.Elem, b.Data(row))
 	if err != nil {
 		return err
 	}

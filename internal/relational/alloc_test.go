@@ -200,12 +200,13 @@ func TestAllocPinPointUpdateBytes(t *testing.T) {
 // TestAllocPinPlaceholderExec pins the fixed per-statement cost of `?`
 // texts run through the statement doors with bound args: a repeated text is
 // one exact-text cache lookup (no lexing, no parse), so it costs no more
-// than the handle-based prepared statements it replaced did — 7
+// than the handle-based prepared statements it replaced did — 6
 // allocations for an autocommit insert, 25 for a point query over an
 // unindexed column, 4 for an insert inside a lone transaction (written in
 // place, so no version bookkeeping) — and never misses the plan cache. An
-// insert stores the row slice it evaluated its values into, and the undo
-// log lists touched tables in a slice, not a map.
+// insert stores the row slice it evaluated its values into, the undo log
+// lists touched tables in a slice, not a map, and its first entries live
+// inline in the log, so recording one allocates nothing.
 func TestAllocPinPlaceholderExec(t *testing.T) {
 	const ins, sel = `INSERT INTO t VALUES (?, ?)`, `SELECT v FROM t WHERE k = ?`
 	db := NewDB()
@@ -237,7 +238,7 @@ func TestAllocPinPlaceholderExec(t *testing.T) {
 	}
 	// The autocommit pins run before Begin: an open transaction's snapshot
 	// sends autocommit writes down the versioned path.
-	pin("autocommit insert", 7, func() { insert(db) })
+	pin("autocommit insert", 6, func() { insert(db) })
 	pin("point query", 25, query)
 	tx := db.Begin()
 	insert(tx)
@@ -292,5 +293,48 @@ func TestAllocPinIndexedInsert(t *testing.T) {
 	}
 	if d := indexed - plain; d > 0.02 {
 		t.Errorf("the unique id's index entry costs %.3f allocs/row, want 0", d)
+	}
+}
+
+// TestAllocPinUpdatePerRow pins the per-row allocations of a multi-row
+// UPDATE at the pre-image copy the undo log keeps: one binding serves the
+// whole statement and the undo log grows by chunks, never by copying. The
+// per-row figure is the allocation difference between two table sizes, and
+// the fixed part (the statement's own cost, the matched-rowid slice's
+// growth, the undo chunks) must stay the same small constant at both.
+func TestAllocPinUpdatePerRow(t *testing.T) {
+	const small, large = 1024, 8192
+	update := func(n int) uint64 {
+		db := NewDB()
+		db.MustExec(`CREATE TABLE u (id INTEGER, parentId INTEGER, v INTEGER, s VARCHAR(16))`)
+		rows := make([][]Value, n)
+		for i := range rows {
+			rows[i] = []Value{Int(int64(i)), Int(int64(i / 4)), Int(0), Text("s")}
+		}
+		if err := db.BulkLoad(map[string][][]Value{"u": rows}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := db.Exec(`UPDATE u SET v = v + 1, s = 'x' WHERE id >= 0`)
+		runtime.ReadMemStats(&after)
+		if err != nil || got != n {
+			t.Fatalf("UPDATE: %d rows, %v; want %d", got, err, n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	a, b := update(small), update(large)
+	perRow := float64(b-a) / float64(large-small)
+	t.Logf("multi-row UPDATE: %.3f allocs/row; %d allocs at %d rows, %d at %d", perRow, a, small, b, large)
+	if perRow > 1.01 {
+		t.Errorf("multi-row UPDATE: %.3f allocs/row, want <= 1.01 (the pre-image)", perRow)
+	}
+	for _, c := range []struct {
+		n      int
+		allocs uint64
+	}{{small, a}, {large, b}} {
+		if fixed := int64(c.allocs) - int64(c.n); fixed > 100 {
+			t.Errorf("multi-row UPDATE of %d rows: %d allocations beyond one per row, want <= 100", c.n, fixed)
+		}
 	}
 }

@@ -123,12 +123,16 @@ func (db *DB) execUpdate(s *UpdateStmt, env *execEnv) (int, error) {
 		}
 		cols[i] = ci
 	}
+	// One binding serves every row, as in matchRows: the evaluator's
+	// column-reference memo is keyed by binding, so it resolves each
+	// reference once per statement rather than once per row.
 	ev := newEval(db, env)
+	bind := singleBinding(s.Table, t, nil)
 	vals := make([]Value, len(s.Set))
 	for _, rid := range rids {
-		binding := singleBinding(s.Table, t, t.visibleRow(rid, env.snap))
+		bind.rows[0] = t.visibleRow(rid, env.snap)
 		for i, sc := range s.Set {
-			v, err := ev.eval(sc.Val, binding)
+			v, err := ev.eval(sc.Val, bind)
 			if err != nil {
 				return 0, err
 			}

@@ -247,23 +247,22 @@ func (db *DB) upgradeLoneLocked() {
 		t   *Table
 		rid int
 	}
-	entries := tx.log.entries
-	newest := make(map[rowKey]int, len(entries))
+	log := tx.log
+	newest := make(map[rowKey]*undoEntry, log.n)
 	reachable := make(map[*Table]bool)
-	for i := range entries {
-		if e := &entries[i]; e.kind != undoDDL {
-			newest[rowKey{e.t, e.rid}] = i
+	for e := range log.entries {
+		if e.kind != undoDDL {
+			newest[rowKey{e.t, e.rid}] = e
 			if _, ok := reachable[e.t]; !ok {
 				reachable[e.t] = db.tables[strings.ToLower(e.t.Name)] == e.t
 			}
 		}
 	}
 	mark := markBit | tx.id
-	out := make([]undoEntry, 0, len(newest))
-	for i := range entries {
-		e := &entries[i]
+	out := &undoLog{touched: log.touched, redo: log.redo}
+	for e := range log.entries {
 		if e.kind == undoDDL || !reachable[e.t] {
-			out = append(out, *e)
+			out.push(*e)
 			continue
 		}
 		k := rowKey{e.t, e.rid}
@@ -276,12 +275,12 @@ func (db *DB) upgradeLoneLocked() {
 		if e.kind != undoInsert {
 			committed = e.row
 		}
-		if l := &entries[last]; l.kind == undoDelete {
-			gone = l.row
+		if last.kind == undoDelete {
+			gone = last.row
 		}
-		out = e.t.upgradeRow(e.rid, committed, gone, mark, out)
+		e.t.upgradeRow(e.rid, committed, gone, mark, out)
 	}
-	tx.log.entries = out
+	tx.log = out
 }
 
 // snap returns the snapshot the writer's statements read under.
@@ -346,8 +345,7 @@ func (db *DB) stampCommitLocked(log *undoLog, w *writeCtx) uint64 {
 	stamp := db.commitTS
 	if w != nil {
 		mark := markBit | w.txnID
-		for i := range log.entries {
-			e := &log.entries[i]
+		for e := range log.entries {
 			if e.v == nil {
 				continue
 			}

@@ -423,7 +423,7 @@ func (t *Table) restoreRow(rid int, row, dead []Value) {
 // row before the transaction (nil: the transaction inserted it), gone the
 // image the transaction's delete removed (nil: the row is live). It
 // appends the versioned undo entries that reverse the new form to out.
-func (t *Table) upgradeRow(rid int, committed, gone []Value, mark uint64, out []undoEntry) []undoEntry {
+func (t *Table) upgradeRow(rid int, committed, gone []Value, mark uint64, out *undoLog) {
 	t.ensureMeta()
 	m := &t.meta[rid]
 	t.vers++
@@ -439,22 +439,25 @@ func (t *Table) upgradeRow(rid int, committed, gone []Value, mark uint64, out []
 		t.live--
 		m.end = mark
 		if committed != nil {
-			return append(out, undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{}})
+			out.push(undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{}})
+			return
 		}
 		m.begin = mark
-		return append(out, undoEntry{kind: undoInsert, t: t, rid: rid, v: &vUndo{}},
-			undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{wasVers: true}})
+		out.push(undoEntry{kind: undoInsert, t: t, rid: rid, v: &vUndo{}})
+		out.push(undoEntry{kind: undoDeleteV, t: t, rid: rid, v: &vUndo{wasVers: true}})
+		return
 	}
 	m.begin = mark
 	if committed == nil {
-		return append(out, undoEntry{kind: undoInsert, t: t, rid: rid, v: &vUndo{}})
+		out.push(undoEntry{kind: undoInsert, t: t, rid: rid, v: &vUndo{}})
+		return
 	}
 	// An updated row keeps the transaction's version in its slot; the
 	// committed image goes onto the chain and its index keys come back.
 	t.rekey(rid, t.Row(rid), committed, true)
 	node := &rowVersion{end: mark, row: committed}
 	m.older = node
-	return append(out, undoEntry{kind: undoUpdateV, t: t, rid: rid, v: &vUndo{node: node}})
+	out.push(undoEntry{kind: undoUpdateV, t: t, rid: rid, v: &vUndo{node: node}})
 }
 
 // rekey moves row rid's index entries from version from to version to,

@@ -103,9 +103,24 @@ type vUndo struct {
 	wasVers bool
 }
 
+// The undo log is chunked: the first undoHead entries live inline in the
+// undoLog, so a statement writing a few rows logs them without allocating,
+// and later chunks double in size up to undoChunk entries. A full chunk is
+// never copied, so a bulk statement's log grows by allocation alone, with
+// no regrowth copies and no discarded arrays for the collector. Chunk
+// boundaries fall at powers of two up to undoChunk, then at its multiples.
+const (
+	undoHead  = 16
+	undoChunk = 1024
+)
+
 // undoLog accumulates a transaction's reversible mutations in order.
 type undoLog struct {
-	entries []undoEntry
+	// n counts the entries held: the first min(n, undoHead) in head, the
+	// rest in chunks, each full but the last, which is never empty.
+	n      int
+	head   [undoHead]undoEntry
+	chunks [][]undoEntry
 	// touched lists the mutated tables, each once, for commit-time
 	// ordered-index compaction (deletes only tombstone B+tree entries; see
 	// commit). A transaction writes a handful of tables, one row after
@@ -126,31 +141,87 @@ func (l *undoLog) record(e undoEntry) {
 	if n := len(l.touched); n == 0 || l.touched[n-1] != e.t && !slices.Contains(l.touched, e.t) {
 		l.touched = append(l.touched, e.t)
 	}
-	l.entries = append(l.entries, e)
+	l.push(e)
 }
 
 func (l *undoLog) recordDDL(fn func()) {
-	l.entries = append(l.entries, undoEntry{kind: undoDDL, fn: fn})
+	l.push(undoEntry{kind: undoDDL, fn: fn})
+}
+
+// push appends e, opening the next chunk when the last one is full.
+func (l *undoLog) push(e undoEntry) {
+	if l.n < undoHead {
+		l.head[l.n] = e
+		l.n++
+		return
+	}
+	k := len(l.chunks)
+	if k == 0 || len(l.chunks[k-1]) == cap(l.chunks[k-1]) {
+		size := undoHead
+		if k > 0 {
+			size = min(2*cap(l.chunks[k-1]), undoChunk)
+		}
+		l.chunks = append(l.chunks, make([]undoEntry, 0, size))
+		k++
+	}
+	l.chunks[k-1] = append(l.chunks[k-1], e)
+	l.n++
+}
+
+// entries yields the held entries oldest first. Entries stay where they
+// are, so a pointer to one is valid until it is popped.
+func (l *undoLog) entries(yield func(*undoEntry) bool) {
+	for i := range min(l.n, undoHead) {
+		if !yield(&l.head[i]) {
+			return
+		}
+	}
+	for _, c := range l.chunks {
+		for i := range c {
+			if !yield(&c[i]) {
+				return
+			}
+		}
+	}
 }
 
 // mark returns a position to roll back to — the statement boundary inside a
 // multi-statement transaction.
-func (l *undoLog) mark() int { return len(l.entries) }
+func (l *undoLog) mark() int { return l.n }
 
 // rollbackTo applies entries beyond mark in reverse, restoring the tables
-// to their state at the mark. Caller holds the writer lock.
+// to their state at the mark. Each popped entry is zeroed, so the log keeps
+// no pre-image or closure alive, and a chunk it empties is dropped. Caller
+// holds the writer lock.
 func (l *undoLog) rollbackTo(mark int) {
-	for i := len(l.entries) - 1; i >= mark; i-- {
-		if e := &l.entries[i]; e.kind == undoDDL {
-			e.fn()
-		} else {
-			e.t.revert(e)
+	for l.n > mark {
+		k := len(l.chunks)
+		seg := l.head[:min(l.n, undoHead)]
+		if k > 0 {
+			seg = l.chunks[k-1]
+		}
+		lo := max(len(seg)-(l.n-mark), 0)
+		for i := len(seg) - 1; i >= lo; i-- {
+			if e := &seg[i]; e.kind == undoDDL {
+				e.fn()
+			} else {
+				e.t.revert(e)
+			}
+			seg[i] = undoEntry{}
+		}
+		l.n -= len(seg) - lo
+		switch {
+		case k == 0:
+		case lo == 0:
+			l.chunks[k-1] = nil
+			l.chunks = l.chunks[:k-1]
+		default:
+			l.chunks[k-1] = seg[:lo]
 		}
 	}
-	l.entries = l.entries[:mark]
 }
 
-// commit discards the log and compacts the touched tables' ordered indexes
+// commit empties the log and compacts the touched tables' ordered indexes
 // whose lazy tombstones now outnumber live rows. Compaction used to run on
 // the read path; it moved here because reads now run under a shared lock
 // (mutating a tree there would race) and because compacting mid-transaction
@@ -174,7 +245,8 @@ func (l *undoLog) commit() {
 			}
 		}
 	}
-	l.entries = nil
+	clear(l.head[:min(l.n, undoHead)])
+	l.n, l.chunks = 0, nil
 }
 
 // ---- transactions ----

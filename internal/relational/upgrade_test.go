@@ -34,6 +34,8 @@ func TestLoneWriterUpgrade(t *testing.T) {
 		{"inserts, one updated", []string{"INSERT INTO w VALUES (100, 1, 50, 'n')", "INSERT INTO w VALUES (101, 2, 51, 'n')",
 			"UPDATE w SET a = 99 WHERE id = 100", "DELETE FROM w WHERE id = 7"}},
 		{"trigger-cascaded delete", []string{"DELETE FROM w WHERE parentId = 1"}},
+		{"writes spanning chunks", []string{chunkSpanningInsert(), "UPDATE w SET a = a + 1 WHERE id >= 1000",
+			"DELETE FROM w WHERE id >= 1000 AND a = 3", "UPDATE w SET a = 99, b = 'u' WHERE id = 3"}},
 		{"indexes dropped and rebuilt", []string{"DROP INDEX w (a)", "DROP INDEX w (parentId)",
 			"UPDATE w SET a = 99, parentId = 3 WHERE id = 2", "DELETE FROM w WHERE id = 6", "INSERT INTO w VALUES (100, 1, 50, 'n')",
 			"CREATE INDEX wa ON w (a)", "CREATE INDEX wp ON w (parentId)", "CREATE ORDERED INDEX wpa ON w (parentId, a)"}},
@@ -122,6 +124,7 @@ func TestLoneWriterUpgrade(t *testing.T) {
 							t.Fatal("a foreign session left the transaction lone")
 						}
 						checkWritesExact(t, db, "upgraded")
+						checkUndoLog(t, tx.log, "upgraded")
 						sameView(t, "transaction after the upgrade", upgradeView(t, queryReader(tx.Query)), own)
 
 						for _, w := range []string{
@@ -168,6 +171,21 @@ func TestLoneWriterUpgrade(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chunkSpanningInsert is one INSERT of 700 rows (ids 1000..1699): with the
+// UPDATE and DELETE that follow it in its case, about 1,470 undo entries,
+// spread over the inline head and seven chunks.
+func chunkSpanningInsert() string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO w VALUES ")
+	for id := 1000; id < 1700; id++ {
+		if id > 1000 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %d, %d, 'n')", id, id%4, id%10)
+	}
+	return b.String()
 }
 
 // seedUpgradeDB creates w (12 rows, hash indexes on a and b besides the

@@ -134,10 +134,18 @@ func ReconstructEdge(db *relational.DB) (*xmltree.Document, error) {
 		kids := children[k]
 		sort.Slice(kids, func(i, j int) bool { return kids[i].ord < kids[j].ord })
 	}
+	var slab xmltree.Slab
 	var build func(e edge) (*xmltree.Element, error)
 	build = func(e edge) (*xmltree.Element, error) {
-		el := xmltree.NewElement(e.name)
-		for _, c := range children[e.id] {
+		kids := children[e.id]
+		n := 0
+		for _, c := range kids {
+			if c.kind == EdgeText || c.kind == EdgeElem {
+				n++
+			}
+		}
+		el := slab.Element(e.name, n)
+		for _, c := range kids {
 			switch c.kind {
 			case EdgeAttr:
 				if _, err := el.SetAttr(c.name, valueAsString(c.value)); err != nil {
@@ -146,7 +154,7 @@ func ReconstructEdge(db *relational.DB) (*xmltree.Document, error) {
 			case EdgeRef:
 				el.AddRef(c.name, valueAsString(c.value))
 			case EdgeText:
-				el.AppendChild(xmltree.NewText(valueAsString(c.value)))
+				el.AppendChild(slab.Text(valueAsString(c.value)))
 			case EdgeElem:
 				ce, err := build(c)
 				if err != nil {

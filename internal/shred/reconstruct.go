@@ -21,7 +21,8 @@ import (
 //
 // Every table is read inside one transaction snapshot, so the document is
 // a committed state even while another transaction has writes in flight,
-// and the reads count in Stats like any other query.
+// and the reads count in Stats like any other query. The elements come from
+// one slab, each with its child list reserved at its exact size.
 func Reconstruct(db *relational.DB, m *Mapping) (*xmltree.Document, error) {
 	tx := db.Begin()
 	defer tx.Rollback()
@@ -38,7 +39,8 @@ func Reconstruct(db *relational.DB, m *Mapping) (*xmltree.Document, error) {
 	if len(roots) != 1 {
 		return nil, fmt.Errorf("shred: expected 1 root tuple, found %d", len(roots))
 	}
-	root, err := m.buildElement(m.Root, roots[0], byParent)
+	var slab xmltree.Slab
+	root, err := m.buildElement(&slab, m.Root, roots[0], byParent)
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +113,13 @@ func tableRows(tx *relational.Tx, m *Mapping, elem string) (map[int64][]storedRo
 	return out, nil
 }
 
-func (m *Mapping) buildElement(elem string, row storedRow, byParent map[string]map[int64][]storedRow) (*xmltree.Element, error) {
+func (m *Mapping) buildElement(slab *xmltree.Slab, elem string, row storedRow, byParent map[string]map[int64][]storedRow) (*xmltree.Element, error) {
 	tm := m.Tables[elem]
-	e, err := tm.build(tm.shape, row.vals)
+	rows := 0
+	for _, childElem := range tm.ChildTables {
+		rows += len(byParent[childElem][row.id])
+	}
+	e, err := tm.build(slab, tm.shape, row.vals, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +128,7 @@ func (m *Mapping) buildElement(elem string, row storedRow, byParent map[string]m
 	// children.
 	for _, childElem := range tm.ChildTables {
 		for _, childRow := range byParent[childElem][row.id] {
-			ce, err := m.buildElement(childElem, childRow, byParent)
+			ce, err := m.buildElement(slab, childElem, childRow, byParent)
 			if err != nil {
 				return nil, err
 			}
@@ -177,9 +183,22 @@ func compileShape(dtd *xmltree.DTD, tm *TableMap, name string, path []string) *e
 
 // build materializes the element at s from vals, the tuple's data columns
 // aligned with tm.Columns: its attributes, text, and present inlined
-// children.
-func (tm *TableMap) build(s *elemShape, vals []relational.Value) (*xmltree.Element, error) {
-	e := xmltree.NewElement(s.name)
+// children. Its child list is taken from slab at the size it will reach,
+// those children plus rows more (the caller's table-child rows), so
+// appending them never regrows it.
+func (tm *TableMap) build(slab *xmltree.Slab, s *elemShape, vals []relational.Value, rows int) (*xmltree.Element, error) {
+	n := rows
+	for _, ci := range s.own {
+		if tm.Columns[ci].Kind == TextColumn && hasText(vals[ci]) {
+			n++
+		}
+	}
+	for _, cs := range s.children {
+		if cs.present(vals) {
+			n++
+		}
+	}
+	e := slab.Element(s.name, n)
 	for _, ci := range s.own {
 		v := vals[ci]
 		if v.IsNull() {
@@ -203,8 +222,8 @@ func (tm *TableMap) build(s *elemShape, vals []relational.Value) (*xmltree.Eleme
 				}
 			}
 		case TextColumn:
-			if str := valueAsString(v); str != "" {
-				e.AppendChild(xmltree.NewText(str))
+			if hasText(v) {
+				e.AppendChild(slab.Text(valueAsString(v)))
 			}
 		}
 	}
@@ -212,7 +231,7 @@ func (tm *TableMap) build(s *elemShape, vals []relational.Value) (*xmltree.Eleme
 		if !cs.present(vals) {
 			continue
 		}
-		ce, err := tm.build(cs, vals)
+		ce, err := tm.build(slab, cs, vals, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -235,14 +254,25 @@ func (s *elemShape) present(vals []relational.Value) bool {
 // ElementFromRow materializes the element a single tuple stores — its
 // attributes, text, and inlined children — without descending into child
 // tables. vals holds the tuple's data columns, aligned with
-// TableMap.Columns. The Sorted Outer Union reconstructor attaches
-// child-table elements afterwards.
-func (m *Mapping) ElementFromRow(tableElem string, vals []relational.Value) (*xmltree.Element, error) {
+// TableMap.Columns. The element's nodes come from slab. The Sorted Outer
+// Union reconstructor attaches child-table elements afterwards; they
+// overflow the child list reserved here, which then regrows on its own.
+func (m *Mapping) ElementFromRow(slab *xmltree.Slab, tableElem string, vals []relational.Value) (*xmltree.Element, error) {
 	tm := m.Tables[tableElem]
 	if tm == nil {
 		return nil, fmt.Errorf("shred: element %q has no table", tableElem)
 	}
-	return tm.build(tm.shape, vals)
+	return tm.build(slab, tm.shape, vals, 0)
+}
+
+// hasText reports whether v reads as a non-empty string, the test for a
+// text column becoming a PCDATA child.
+func hasText(v relational.Value) bool {
+	if s, ok := v.Text(); ok {
+		return s != ""
+	}
+	_, ok := v.Int()
+	return ok
 }
 
 func valueAsString(v relational.Value) string {

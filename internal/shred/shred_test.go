@@ -333,8 +333,9 @@ func TestRecursiveDTDGetsOwnTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var slab xmltree.Slab
 	for i, row := range rows.Data {
-		e, err := m.ElementFromRow("part", row[2:])
+		e, err := m.ElementFromRow(&slab, "part", row[2:])
 		if err != nil {
 			t.Fatal(err)
 		}
