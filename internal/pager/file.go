@@ -65,20 +65,20 @@ func (pf *File) PageSize() int { return pf.pageSize }
 func (pf *File) NumPages() int { return int(pf.npages.Load()) }
 
 // ReadPage reads page pid into buf (which must be pageSize bytes) and
-// verifies its checksum, magic, and id. The caller decodes records with
-// DecodePage — ReadPage's own verification pass is what guarantees a
-// corrupt page is reported before any record bytes are trusted.
-func (pf *File) ReadPage(pid uint32, buf []byte) error {
+// verifies it (Verify): a corrupt page is reported before any record byte
+// is trusted. It returns the verified record count and record region, a
+// slice of buf.
+func (pf *File) ReadPage(pid uint32, buf []byte) (count int, records []byte, err error) {
 	if len(buf) != pf.pageSize {
-		return fmt.Errorf("pager: read buffer %d bytes, page size %d", len(buf), pf.pageSize)
+		return 0, nil, fmt.Errorf("pager: read buffer %d bytes, page size %d", len(buf), pf.pageSize)
 	}
 	if n := pf.npages.Load(); int64(pid) >= n {
-		return fmt.Errorf("pager: page %d beyond file (%d pages)", pid, n)
+		return 0, nil, fmt.Errorf("pager: page %d beyond file (%d pages)", pid, n)
 	}
 	if _, err := pf.f.ReadAt(buf, int64(pid)*int64(pf.pageSize)); err != nil {
-		return fmt.Errorf("pager: reading page %d: %w", pid, err)
+		return 0, nil, fmt.Errorf("pager: reading page %d: %w", pid, err)
 	}
-	return DecodePage(buf, pid, nil)
+	return Verify(buf, pid)
 }
 
 // WritePage writes a sealed page image in place, extending the file when

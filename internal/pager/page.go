@@ -118,43 +118,51 @@ func (b *Builder) Seal() []byte {
 	return page
 }
 
-// DecodePage verifies a page image and calls fn for each record. Any
-// corruption — bad checksum, wrong magic, mismatched page id, truncated
-// or overlong record — returns an error without ever calling fn on
-// garbage bytes past the failure. It never panics on arbitrary input.
-func DecodePage(page []byte, pageID uint32, fn func(rid uint64, payload []byte) error) error {
+// Verify checks a page image — checksum, magic, page id — and then the
+// framing of every record the header counts. It returns that count and the
+// record region: the bytes from the end of the header to the end of the
+// last record, holding exactly count whole records, which NextRecord
+// splits off one by one. Nothing past the checksum is read before the
+// checksum verifies. It never panics on arbitrary input.
+func Verify(page []byte, pageID uint32) (count int, records []byte, err error) {
 	if len(page) < pageHeaderSize {
-		return fmt.Errorf("pager: page image %d bytes, need at least %d", len(page), pageHeaderSize)
+		return 0, nil, fmt.Errorf("pager: page image %d bytes, need at least %d", len(page), pageHeaderSize)
 	}
 	if got, want := binary.LittleEndian.Uint32(page[0:4]), crc32.Checksum(page[4:], castagnoli); got != want {
-		return fmt.Errorf("pager: page %d checksum mismatch (stored %08x, computed %08x)", pageID, got, want)
+		return 0, nil, fmt.Errorf("pager: page %d checksum mismatch (stored %08x, computed %08x)", pageID, got, want)
 	}
 	if string(page[4:8]) != pageMagic {
-		return fmt.Errorf("pager: page %d bad magic", pageID)
+		return 0, nil, fmt.Errorf("pager: page %d bad magic", pageID)
 	}
 	if got := binary.LittleEndian.Uint32(page[8:12]); got != pageID {
-		return fmt.Errorf("pager: page id mismatch: header says %d, expected %d", got, pageID)
+		return 0, nil, fmt.Errorf("pager: page id mismatch: header says %d, expected %d", got, pageID)
 	}
-	count := binary.LittleEndian.Uint32(page[12:16])
+	n := binary.LittleEndian.Uint32(page[12:16])
 	b := page[pageHeaderSize:]
-	for i := uint32(0); i < count; i++ {
-		rid, n := binary.Uvarint(b)
-		if n <= 0 {
-			return fmt.Errorf("pager: page %d record %d: bad rid varint", pageID, i)
+	for i := uint32(0); i < n; i++ {
+		var ok bool
+		if _, _, b, ok = NextRecord(b); !ok {
+			return 0, nil, fmt.Errorf("pager: page %d record %d: bad framing", pageID, i)
 		}
-		b = b[n:]
-		ln, n := binary.Uvarint(b)
-		if n <= 0 || ln > uint64(len(b)-n) {
-			return fmt.Errorf("pager: page %d record %d: bad length", pageID, i)
-		}
-		if fn != nil {
-			if err := fn(rid, b[n:n+int(ln)]); err != nil {
-				return err
-			}
-		}
-		b = b[n+int(ln):]
 	}
-	return nil
+	return int(n), page[pageHeaderSize : len(page)-len(b)], nil
+}
+
+// NextRecord splits the first record off b: its rid, its payload and the
+// bytes after it. ok is false when b does not start with a whole record;
+// a region Verify returned always does, count times.
+func NextRecord(b []byte) (rid uint64, payload, rest []byte, ok bool) {
+	rid, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, nil, false
+	}
+	b = b[n:]
+	ln, n := binary.Uvarint(b)
+	if n <= 0 || ln > uint64(len(b)-n) {
+		return 0, nil, nil, false
+	}
+	end := n + int(ln)
+	return rid, b[n:end:end], b[end:], true
 }
 
 // uvarintLen returns the encoded size of v.

@@ -7,6 +7,29 @@ import (
 	"testing"
 )
 
+// decodePage verifies a page image and calls fn for each record, as the
+// relational layer's decoder walks a verified page.
+func decodePage(page []byte, pageID uint32, fn func(rid uint64, payload []byte) error) error {
+	count, b, err := Verify(page, pageID)
+	if err != nil || fn == nil {
+		return err
+	}
+	for range count {
+		rid, payload, rest, ok := NextRecord(b)
+		if !ok {
+			return fmt.Errorf("verified page %d: record does not split off", pageID)
+		}
+		if err := fn(rid, payload); err != nil {
+			return err
+		}
+		b = rest
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("verified page %d: %d bytes after the last record", pageID, len(b))
+	}
+	return nil
+}
+
 func TestPageRoundTrip(t *testing.T) {
 	b := NewBuilder(1024, 7)
 	recs := map[uint64][]byte{
@@ -25,7 +48,7 @@ func TestPageRoundTrip(t *testing.T) {
 		t.Fatalf("sealed page %d bytes, want 1024", len(page))
 	}
 	got := map[uint64][]byte{}
-	if err := DecodePage(page, 7, func(rid uint64, payload []byte) error {
+	if err := decodePage(page, 7, func(rid uint64, payload []byte) error {
 		got[rid] = append([]byte(nil), payload...)
 		return nil
 	}); err != nil {
@@ -55,7 +78,7 @@ func TestPageFillRejectsOverflow(t *testing.T) {
 	// accepted records.
 	page := b.Seal()
 	n := 0
-	if err := DecodePage(page, 0, func(uint64, []byte) error { n++; return nil }); err != nil {
+	if err := decodePage(page, 0, func(uint64, []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != added {
@@ -73,16 +96,16 @@ func TestDecodePageRejectsCorruption(t *testing.T) {
 	for _, off := range []int{0, 5, 9, 13, 20, 200, 511} {
 		dup := append([]byte(nil), page...)
 		dup[off] ^= 0x40
-		if err := DecodePage(dup, 3, nil); err == nil {
+		if err := decodePage(dup, 3, nil); err == nil {
 			t.Errorf("corruption at byte %d not detected", off)
 		}
 	}
 	// Wrong expected id fails even with a valid image.
-	if err := DecodePage(page, 4, nil); err == nil {
+	if err := decodePage(page, 4, nil); err == nil {
 		t.Error("page id mismatch not detected")
 	}
 	// Truncated image fails cleanly.
-	if err := DecodePage(page[:15], 3, nil); err == nil {
+	if err := decodePage(page[:15], 3, nil); err == nil {
 		t.Error("truncated page not detected")
 	}
 }
@@ -117,12 +140,12 @@ func TestFileReadWrite(t *testing.T) {
 	}
 	buf := make([]byte, 512)
 	for pid := uint32(0); pid < 5; pid++ {
-		if err := pf.ReadPage(pid, buf); err != nil {
+		if _, _, err := pf.ReadPage(pid, buf); err != nil {
 			t.Fatalf("page %d: %v", pid, err)
 		}
 		want := fmt.Sprintf("page-%d", pid)
 		found := false
-		DecodePage(buf, pid, func(rid uint64, payload []byte) error {
+		decodePage(buf, pid, func(rid uint64, payload []byte) error {
 			if string(payload) == want {
 				found = true
 			}
@@ -137,17 +160,19 @@ func TestFileReadWrite(t *testing.T) {
 	if _, err := pf.WriteAt(bytes.Repeat([]byte{0xEE}, 100), 2*512+50); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.ReadPage(2, buf); err == nil {
+	if _, _, err := pf.ReadPage(2, buf); err == nil {
 		t.Fatal("torn page 2 read back without error")
 	}
-	if err := pf.ReadPage(1, buf); err != nil {
+	if _, _, err := pf.ReadPage(1, buf); err != nil {
 		t.Fatalf("neighbor page 1 damaged by tear: %v", err)
 	}
 }
 
-// FuzzDecodePage feeds arbitrary bytes through the page decoder: any
-// corruption must surface as an error, never a panic or an out-of-range
-// access. Mirrors FuzzDecodeCommit on the WAL record decoder.
+// FuzzDecodePage feeds arbitrary bytes through Verify and the record walk
+// over the region it returns: any corruption must surface as an error,
+// never a panic or an out-of-range access, and a verified region must
+// split into exactly its counted records. Mirrors FuzzDecodeCommit on the
+// WAL record decoder.
 func FuzzDecodePage(f *testing.F) {
 	b := NewBuilder(MinPageSize, 0)
 	b.Add(1, []byte("seed-record"))
@@ -156,10 +181,12 @@ func FuzzDecodePage(f *testing.F) {
 	f.Add([]byte{}, uint32(1))
 	f.Add([]byte("XPG1 but way too short"), uint32(0))
 	f.Fuzz(func(t *testing.T, data []byte, pid uint32) {
-		DecodePage(data, pid, func(rid uint64, payload []byte) error {
-			_ = rid
-			_ = len(payload)
-			return nil
-		})
+		count, recs, err := Verify(data, pid)
+		if err != nil {
+			return
+		}
+		if err := decodePage(data, pid, func(uint64, []byte) error { count--; return nil }); err != nil || count != 0 {
+			t.Fatalf("verified region of %d bytes: %v, %d records unwalked", len(recs), err, count)
+		}
 	})
 }

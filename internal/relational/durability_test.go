@@ -573,7 +573,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: record encoding is not deterministic across a round-trip", i)
 		}
 		for cut := 0; cut < len(enc); cut++ {
-			if _, err := decodeRowBytes(enc[:cut]); err == nil {
+			if _, err := decodeRecord(len(row), enc[:cut]); err == nil {
 				t.Fatalf("row %d: record truncated at %d decoded without error", i, cut)
 			}
 		}

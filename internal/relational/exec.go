@@ -636,6 +636,9 @@ type exprEval struct {
 	args []Value
 	// inCache memoizes uncorrelated IN-subquery result sets per statement.
 	inCache map[*SelectStmt]*keyMap
+	// inLists memoizes constant IN-lists' item sets per statement (nil for
+	// a list that is not constant); see inListSet.
+	inLists map[*InExpr]*keyMap
 	// refs memoizes column-reference resolution per AST node and binding:
 	// the (source, column) indexes are fixed for a binding's lifetime, so
 	// after the first row each reference is two slice indexes instead of
@@ -796,6 +799,12 @@ func (ev *exprEval) eval(e Expr, bind *binding) (Value, error) {
 			_, found := set.get(v)
 			return Bool(found != x.Negate), nil
 		}
+		if len(x.List) >= inListMin {
+			if set := ev.inListSet(x); set != nil {
+				_, found := set.get(v)
+				return Bool(found != x.Negate), nil
+			}
+		}
 		found := false
 		for _, le := range x.List {
 			lv, err := ev.eval(le, bind)
@@ -847,6 +856,56 @@ func (ev *exprEval) subquerySet(sel *SelectStmt) (*keyMap, error) {
 	}
 	ev.inCache[sel] = set
 	return set, nil
+}
+
+// inListMin is the shortest IN-list a statement hashes: below it, a row
+// compares against each item for less than the set costs to build.
+const inListMin = 8
+
+// inListSet returns the items of a constant IN-list — every item a Literal
+// or a Param — as a keyMap, built on the list's first evaluation and kept
+// for the rest of the statement as subquerySet's sets are, so each row
+// costs one lookup instead of one comparison per item. It returns nil for
+// a list with any other item, or one whose items fail to evaluate (an
+// unbound parameter), which the item-by-item path then reports. NULL items
+// stay out of the set: they equal nothing, so IN and NOT IN answer as the
+// item-by-item comparison does, and keyMap equality is compareValues
+// equality (1 matches '1', not '01').
+func (ev *exprEval) inListSet(x *InExpr) *keyMap {
+	if set, ok := ev.inLists[x]; ok {
+		return set
+	}
+	var set *keyMap
+	if constantList(x.List) {
+		set = &keyMap{}
+		for _, le := range x.List {
+			v, err := ev.eval(le, nil)
+			if err != nil {
+				set = nil
+				break
+			}
+			if !v.IsNull() {
+				set.put(v, 0)
+			}
+		}
+	}
+	if ev.inLists == nil {
+		ev.inLists = make(map[*InExpr]*keyMap)
+	}
+	ev.inLists[x] = set
+	return set
+}
+
+// constantList reports whether every item is a Literal or a Param.
+func constantList(items []Expr) bool {
+	for _, e := range items {
+		switch e.(type) {
+		case *Literal, *Param:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func (ev *exprEval) evalBool(e Expr, bind *binding) (bool, error) {

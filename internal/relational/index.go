@@ -40,6 +40,11 @@ type hashIndex struct {
 type keyMap struct {
 	ints map[int64]int64
 	strs map[string]int64
+	// own makes put clone text keys: the map outlives the rows its keys
+	// come from (the hash indexes of a DB with a buffer pool), and a key
+	// sliced from a page's decoded image would keep the whole image alive
+	// after the page evicts (paged.go, decodePageRows).
+	own bool
 }
 
 // intKey returns v's integer key, or ok false for non-canonical text.
@@ -70,7 +75,12 @@ func (m *keyMap) put(v Value, w int64) {
 	if m.strs == nil {
 		m.strs = make(map[string]int64)
 	}
-	m.strs[v.s] = w
+	k := v.s
+	if m.own {
+		// Assigning an existing key stores the new key string too.
+		k = strings.Clone(k)
+	}
+	m.strs[k] = w
 }
 
 func (m *keyMap) del(v Value) {
@@ -122,9 +132,10 @@ func ridOf(e int) int {
 	return e
 }
 
-// reset empties the map, sizing its integer keys for hint entries.
+// reset empties the map, sizing its integer keys for hint entries. Whether
+// it owns its keys is kept.
 func (m *ridMap) reset(hint int) {
-	*m = ridMap{keys: keyMap{ints: make(map[int64]int64, hint)}}
+	*m = ridMap{keys: keyMap{ints: make(map[int64]int64, hint), own: m.keys.own}}
 }
 
 // get returns the rowids under key k (non-NULL): one[0] for an inline
@@ -308,6 +319,7 @@ func (t *Table) CreateIndex(col string) error {
 		return fmt.Errorf("relational: no column %q in table %s", col, t.Name)
 	}
 	idx := &hashIndex{col: ci}
+	idx.rids.keys.own = t.ownsKeys()
 	if err := idx.rebuild(t); err != nil {
 		return err
 	}
@@ -418,6 +430,12 @@ func (t *Table) autoIndex() {
 	}
 }
 
+// ownsKeys reports whether the table's indexes copy the text they key on:
+// in a DB with a buffer pool, rows can be decoded page images whose text
+// values are substrings of one string per page (paged.go), and an index
+// entry outlives the page it was read from.
+func (t *Table) ownsKeys() bool { return t.db.pool != nil }
+
 // isUnique reports whether column ci holds at most one row per value.
 func (t *Table) isUnique(ci int) bool { return slices.Contains(t.uniqueCols, ci) }
 
@@ -478,6 +496,9 @@ type orderedIndex struct {
 	// delete). Updates DO unlink eagerly — a moved key must not appear
 	// twice.
 	stale int
+	// own makes owned clone text key values, for the reason keyMap.own
+	// gives.
+	own bool
 }
 
 // orderedKeyName canonicalizes a column list for index lookup.
@@ -498,7 +519,7 @@ func (t *Table) CreateOrderedIndex(cols ...string) error {
 	if _, ok := t.ordered[key]; ok {
 		return nil
 	}
-	idx := &orderedIndex{name: key, cols: make([]int, len(cols))}
+	idx := &orderedIndex{name: key, cols: make([]int, len(cols)), own: t.ownsKeys()}
 	for i, c := range cols {
 		ci := t.Schema.ColumnIndex(c)
 		if ci < 0 {
@@ -517,7 +538,7 @@ func (t *Table) CreateOrderedIndex(cols ...string) error {
 			for v := t.meta[rid].older; v != nil; v = v.older {
 				k := idx.keyFor(rid, v.row)
 				idx.tree.remove(k)
-				idx.tree.insert(k)
+				idx.tree.insert(idx.owned(k))
 			}
 		}
 	}
@@ -550,7 +571,7 @@ func (t *Table) orderedIndexList() []*orderedIndex { return t.orderedList }
 func (idx *orderedIndex) rebuild(t *Table) error {
 	keys := slices.Grow(idx.keys[:0], t.live)
 	_, err := t.Scan(func(rid int, row []Value) bool {
-		keys = append(keys, idx.keyFor(rid, row))
+		keys = append(keys, idx.owned(idx.keyFor(rid, row)))
 		return true
 	})
 	slices.SortFunc(keys, compareBKeys)
@@ -565,6 +586,20 @@ func (idx *orderedIndex) keyFor(rid int, row []Value) bkey {
 	k := bkey{rid: rid}
 	for i, ci := range idx.cols {
 		k.vals[i] = row[ci]
+	}
+	return k
+}
+
+// owned returns k ready to go into the tree: with its text values cloned
+// when the index owns its keys, and as is otherwise. Lookups and removals
+// use keyFor's keys directly.
+func (idx *orderedIndex) owned(k bkey) bkey {
+	if idx.own {
+		for i := range idx.cols {
+			if v := &k.vals[i]; v.kind == KindText {
+				v.s = strings.Clone(v.s)
+			}
+		}
 	}
 	return k
 }

@@ -199,21 +199,16 @@ func (p *pagePool) faultLocked(pg *pagedTable, pi *pageInfo) error {
 	if pg.file == nil {
 		return fmt.Errorf("relational: table %s page %d non-resident with no backing file", pg.t.Name, pi.id)
 	}
-	if err := pg.file.ReadPage(uint32(pi.id), p.iobuf); err != nil {
+	count, recs, err := pg.file.ReadPage(uint32(pi.id), p.iobuf)
+	if err != nil {
 		return err
 	}
-	err := pager.DecodePage(p.iobuf, uint32(pi.id), func(rid uint64, payload []byte) error {
-		r := int(rid)
-		if r >= len(pg.dir) || pg.dir[r] != pi.id {
-			// The rid moved or died since this image was written; its
-			// current page owns it now.
-			return nil
+	err = decodePageRows(count, recs, len(pg.t.Schema.Columns), func(rid uint64, row []Value, _ int) error {
+		// A rid that moved or died since this image was written belongs
+		// to its current page now.
+		if rid < uint64(len(pg.dir)) && pg.dir[rid] == pi.id {
+			pg.t.rows[rid] = row
 		}
-		row, err := decodeRowBytes(payload)
-		if err != nil {
-			return err
-		}
-		pg.t.rows[r] = row
 		return nil
 	})
 	if err != nil {
@@ -622,27 +617,95 @@ func encodeRowInto(b []byte, row []Value) ([]byte, error) {
 	return b, nil
 }
 
-func decodeRowBytes(b []byte) ([]Value, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)) {
-		return nil, fmt.Errorf("relational: bad page record column count")
+// decodePageRows decodes a verified page's records — the count and record
+// region pager.Verify returns — as rows of width columns, calling fn with
+// each record's rid, row and page bytes. However many rows and strings a
+// page holds, it costs two allocations: the region is copied into one
+// string, of which every text value is a substring, and every row is a
+// window of one Value slab, cut with a full slice expression so that an
+// in-place Table.Update stays inside its own row. A text value therefore
+// keeps its page's string alive; DESIGN.md ("Paged storage") says which
+// holders may. The slab is bounded by the region: a record of width
+// columns takes at least minRecord bytes, so a count the region cannot
+// hold fails before anything is allocated. A record that is not exactly
+// what encodeRowInto writes for a width-column row — another column
+// count, an unknown tag, a varint longer than it needs to be, bytes left
+// over — is an error, not a row.
+func decodePageRows(count int, recs []byte, width int, fn func(rid uint64, row []Value, size int) error) error {
+	minRecord := 2 + uvarintSize(uint64(width)) + width
+	if count > len(recs)/minRecord {
+		return fmt.Errorf("relational: page region of %d bytes cannot hold %d records of %d columns", len(recs), count, width)
 	}
-	b = b[sz:]
-	row := make([]Value, n)
-	for i := range row {
-		wv, rest, err := wal.ReadValue(b)
-		if err != nil {
-			return nil, err
+	s := string(recs)
+	slab := make([]Value, count*width)
+	b := recs
+	for i := range count {
+		rid, payload, rest, ok := pager.NextRecord(b)
+		if !ok {
+			return fmt.Errorf("relational: page record %d: bad framing", i)
+		}
+		n, sz := readUvarint(payload)
+		if sz == 0 || n != uint64(width) {
+			return fmt.Errorf("relational: page record %d: column count does not match the table's %d", i, width)
+		}
+		row := slab[i*width : (i+1)*width : (i+1)*width]
+		// The values are decoded in place (the tagged encoding
+		// wal.AppendValue writes): p indexes the region, and s holds the
+		// same bytes at the same offsets. The slab is zeroed, so a NULL
+		// is left as it is and an integer stores no string.
+		p, end := len(recs)-len(rest)-len(payload)+sz, len(recs)-len(rest)
+		for c := range row {
+			if p == end {
+				return fmt.Errorf("relational: page record %d: truncated", i)
+			}
+			tag := recs[p]
+			p++
+			v := &row[c]
+			switch wal.Kind(tag) {
+			case wal.KindNull:
+			case wal.KindInt:
+				u, n := readUvarint(recs[p:end])
+				if n == 0 {
+					return fmt.Errorf("relational: page record %d: bad integer", i)
+				}
+				p += n
+				v.kind, v.i = KindInt, int64(u>>1)^-int64(u&1)
+			case wal.KindText:
+				ln, n := readUvarint(recs[p:end])
+				if n == 0 || ln > uint64(end-p-n) {
+					return fmt.Errorf("relational: page record %d: bad text length", i)
+				}
+				p += n
+				v.kind, v.s = KindText, s[p:p+int(ln)]
+				p += int(ln)
+			default:
+				return fmt.Errorf("relational: page record %d: unknown value tag %d", i, tag)
+			}
+		}
+		if p != end {
+			return fmt.Errorf("relational: page record %d: %d bytes after its last value", i, end-p)
+		}
+		if err := fn(rid, row, len(b)-len(rest)); err != nil {
+			return err
 		}
 		b = rest
-		if row[i], err = fromWalVal(wv); err != nil {
-			return nil, err
-		}
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("relational: %d trailing bytes in page record", len(b))
+	return nil
+}
+
+// readUvarint reads the uvarint at the start of b as binary.Uvarint does,
+// but n is 0 both when b holds none and when it holds one longer than
+// binary.AppendUvarint writes: a longer encoding ends in a zero byte, which
+// no shortest one past its first byte does.
+func readUvarint(b []byte) (v uint64, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
 	}
-	return row, nil
+	v, n = binary.Uvarint(b)
+	if n <= 1 || b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // encodedRowSize returns the record payload size encodeRowInto would
@@ -1267,27 +1330,25 @@ func (db *DB) attachPagedTables(metas []pagedTableMeta) error {
 		pg.pages = make([]*pageInfo, 0, m.npages)
 		pg.fill = nil
 		buf := make([]byte, p.pageSize)
+		width := len(t.Schema.Columns)
 		for pid := 0; pid < m.npages; pid++ {
-			if err := f.ReadPage(uint32(pid), buf); err != nil {
+			count, recs, err := f.ReadPage(uint32(pid), buf)
+			if err != nil {
 				return fmt.Errorf("relational: recovering table %s: %w", m.name, err)
 			}
 			db.stats.PageReads.Add(1)
-			pi := &pageInfo{id: int32(pid), est: pager.HeaderSize}
+			pi := &pageInfo{id: int32(pid), est: pager.HeaderSize, rids: make([]int32, 0, count)}
 			pg.pages = append(pg.pages, pi)
-			err := pager.DecodePage(buf, uint32(pid), func(rid uint64, payload []byte) error {
-				r := int(rid)
-				if r >= m.nrows {
+			err = decodePageRows(count, recs, width, func(rid uint64, row []Value, size int) error {
+				if rid >= uint64(m.nrows) {
 					return fmt.Errorf("rid %d beyond rid space %d", rid, m.nrows)
 				}
-				row, err := decodeRowBytes(payload)
-				if err != nil {
-					return err
-				}
+				r := int(rid)
 				t.rows[r] = row
 				t.live++
 				pg.dir[r] = pi.id
 				pi.rids = append(pi.rids, int32(r))
-				pi.est += pager.RecordSize(rid, len(payload))
+				pi.est += size
 				t.indexRow(r, row)
 				return nil
 			})

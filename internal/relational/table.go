@@ -340,7 +340,7 @@ func (t *Table) indexRow(rid int, row []Value) {
 		}
 	}
 	for _, oidx := range t.orderedList {
-		oidx.tree.insert(oidx.keyFor(rid, row))
+		oidx.tree.insert(oidx.owned(oidx.keyFor(rid, row)))
 	}
 }
 
@@ -488,7 +488,7 @@ func (t *Table) rekey(rid int, from, to []Value, keep bool) {
 		} else {
 			oidx.tree.remove(fk)
 		}
-		oidx.tree.insert(nk)
+		oidx.tree.insert(oidx.owned(nk))
 	}
 }
 

@@ -306,7 +306,7 @@ func TestSnapshotValueRoundTrip(t *testing.T) {
 		if n := encodedRowSize(row); n != len(enc) {
 			t.Fatalf("row %d: encodedRowSize %d, record is %d bytes", i, n, len(enc))
 		}
-		dec, err := decodeRowBytes(enc)
+		dec, err := decodeRecord(len(row), enc)
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
