@@ -34,12 +34,12 @@ func loadCust(t testing.TB) (*relational.DB, *shred.Mapping, *ASR) {
 
 func TestBuildLevels(t *testing.T) {
 	_, _, a := loadCust(t)
-	if a.Depth != 4 {
-		t.Errorf("depth = %d, want 4", a.Depth)
+	if a.depth != 4 {
+		t.Errorf("depth = %d, want 4", a.depth)
 	}
 	for elem, want := range map[string]int{"CustDB": 0, "Customer": 1, "Order": 2, "OrderLine": 3} {
-		if a.LevelOf[elem] != want {
-			t.Errorf("level %s = %d, want %d", elem, a.LevelOf[elem], want)
+		if a.levelOf[elem] != want {
+			t.Errorf("level %s = %d, want %d", elem, a.levelOf[elem], want)
 		}
 	}
 }
@@ -80,6 +80,20 @@ func TestSharedMappingRejected(t *testing.T) {
 	}
 }
 
+// markedIDs runs the Marked subquery for elem.
+func markedIDs(t *testing.T, db *relational.DB, a *ASR, elem string) []relational.Value {
+	t.Helper()
+	rows, err := db.Query(a.Marked(elem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []relational.Value
+	for _, r := range rows.Data {
+		out = append(out, r[0])
+	}
+	return out
+}
+
 func TestMarkAndMarkedIDs(t *testing.T) {
 	db, _, a := loadCust(t)
 	// Mark the Seattle John (customer id 2 — ids assigned in document
@@ -89,28 +103,27 @@ func TestMarkAndMarkedIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	johnID := rows.Data[0][0].MustInt()
-	if _, err := a.MarkSubtrees(db, "Customer", []int64{johnID}); err != nil {
+	if err := a.MarkSubtrees(db, "Customer", []int64{johnID}); err != nil {
 		t.Fatal(err)
 	}
-	orderIDs, err := a.MarkedIDs(db, a.LevelOf["Order"])
-	if err != nil {
-		t.Fatal(err)
+	if ids := markedIDs(t, db, a, "Order"); len(ids) != 2 {
+		t.Errorf("marked orders = %d, want 2", len(ids))
 	}
-	if len(orderIDs) != 2 {
-		t.Errorf("marked orders = %d, want 2", len(orderIDs))
+	if ids := markedIDs(t, db, a, "OrderLine"); len(ids) != 3 {
+		t.Errorf("marked lines = %d, want 3", len(ids))
 	}
-	lineIDs, err := a.MarkedIDs(db, a.LevelOf["OrderLine"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lineIDs) != 3 {
-		t.Errorf("marked lines = %d, want 3", len(lineIDs))
+	lo, hi, ok, err := a.MarkedRange(db, "Customer")
+	if err != nil || !ok || lo != johnID || hi <= lo {
+		t.Errorf("marked range = %d..%d (ok %v, err %v), want %d.. above it", lo, hi, ok, err, johnID)
 	}
 	if err := a.Unmark(db); err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := a.MarkedIDs(db, 1); len(ids) != 0 {
+	if ids := markedIDs(t, db, a, "Customer"); len(ids) != 0 {
 		t.Errorf("marks survive Unmark: %v", ids)
+	}
+	if _, _, ok, _ := a.MarkedRange(db, "Customer"); ok {
+		t.Error("marked range found after Unmark")
 	}
 }
 
@@ -121,10 +134,10 @@ func TestDeleteMarkedRepairsLeftCompleteness(t *testing.T) {
 		t.Fatal(err)
 	}
 	johnID := rows.Data[0][0].MustInt()
-	if _, err := a.MarkSubtrees(db, "Customer", []int64{johnID}); err != nil {
+	if err := a.MarkSubtrees(db, "Customer", []int64{johnID}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.DeleteMarked(db, "Customer", []int64{johnID}); err != nil {
+	if err := a.DeleteMarked(db, "Customer"); err != nil {
 		t.Fatal(err)
 	}
 	// Seattle John's 3 line-paths are gone; Mary's path and Sacramento
@@ -137,10 +150,10 @@ func TestDeleteMarkedRepairsLeftCompleteness(t *testing.T) {
 	// Now delete Mary too: her parent (CustDB) keeps Sacramento John.
 	rows, _ = db.Query(`SELECT id FROM Customer WHERE Name_v = 'Mary'`)
 	maryID := rows.Data[0][0].MustInt()
-	if _, err := a.MarkSubtrees(db, "Customer", []int64{maryID}); err != nil {
+	if err := a.MarkSubtrees(db, "Customer", []int64{maryID}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.DeleteMarked(db, "Customer", []int64{maryID}); err != nil {
+	if err := a.DeleteMarked(db, "Customer"); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.RowCount("ASR"); got != 1 {
@@ -150,10 +163,10 @@ func TestDeleteMarkedRepairsLeftCompleteness(t *testing.T) {
 	// re-inserted as a truncated path (left-completeness repair).
 	rows, _ = db.Query(`SELECT id FROM Customer WHERE Address_State_v = 'CA'`)
 	caID := rows.Data[0][0].MustInt()
-	if _, err := a.MarkSubtrees(db, "Customer", []int64{caID}); err != nil {
+	if err := a.MarkSubtrees(db, "Customer", []int64{caID}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.DeleteMarked(db, "Customer", []int64{caID}); err != nil {
+	if err := a.DeleteMarked(db, "Customer"); err != nil {
 		t.Fatal(err)
 	}
 	rows, err = db.Query(`SELECT c0, c1 FROM ASR`)
@@ -165,18 +178,39 @@ func TestDeleteMarkedRepairsLeftCompleteness(t *testing.T) {
 	}
 }
 
+// TestInsertPaths: the walk writer turns new tuples under a destination
+// into their left-complete paths, prefixed by the destination's chain: a
+// new order with one line is one full path, a new order without lines one
+// truncated path.
 func TestInsertPaths(t *testing.T) {
 	db, _, a := loadCust(t)
+	rows, err := db.Query(`SELECT id FROM Customer WHERE Name_v = 'Mary'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maryID := rows.Data[0][0].MustInt()
 	before := db.RowCount("ASR")
-	err := a.InsertPaths(db, [][]relational.Value{
-		{relational.Int(1), relational.Int(900), relational.Int(901), relational.Int(902)},
-		{relational.Int(1), relational.Int(900), relational.Int(903), relational.Null},
+	err = a.InsertTuples(db, "Order", maryID, []Tuple{
+		{Elem: "Order", ID: 900, Parent: maryID},
+		{Elem: "OrderLine", ID: 901, Parent: 900},
+		{Elem: "Order", ID: 902, Parent: maryID},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := db.RowCount("ASR"); got != before+2 {
 		t.Errorf("ASR rows = %d, want %d", got, before+2)
+	}
+	got, err := db.Query(`SELECT c0, c1, c2, c3, mark FROM ASR WHERE c2 >= 900`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprint([]relational.Value{relational.Int(1), relational.Int(maryID), relational.Int(900), relational.Int(901), relational.Int(0)}),
+		fmt.Sprint([]relational.Value{relational.Int(1), relational.Int(maryID), relational.Int(902), relational.Null, relational.Int(0)}),
+	}
+	if g := multiset(got); !slices.Equal(g, want) {
+		t.Errorf("new paths = %v, want %v", g, want)
 	}
 }
 
@@ -270,7 +304,7 @@ func multiset(rows *relational.Rows) []string {
 // conventional join's multiset — at every level of a fanout-4 document.
 func TestPathQueryMatchesConventionalJoin(t *testing.T) {
 	db, m, a := loadFixed(t, 4)
-	for plen := 1; plen <= a.Depth-1; plen++ {
+	for plen := 1; plen <= a.depth-1; plen++ {
 		conventional, viaASR := pathQueries(t, db, m, a, plen)
 		want, err := db.Query(conventional)
 		if err != nil {
@@ -302,7 +336,7 @@ func TestASRPathRuns(t *testing.T) {
 		for i := 1; i < depth; i++ {
 			paths *= fanout
 		}
-		if got := db.RowCount(a.Name); got != paths {
+		if got := db.RowCount(table); got != paths {
 			t.Errorf("fanout %d: ASR rows = %d, want sf·f^(d−1) = %d", fanout, got, paths)
 		}
 		for _, plen := range []int{3, 4} {

@@ -41,7 +41,7 @@ func (s *Store) deleteSubtrees(tm *shred.TableMap, elem, where string) (int, err
 		}
 		if s.ASR != nil && n > 0 {
 			// A store keeping an ASR must maintain it on every delete.
-			if err := s.maintainASRAfterTriggerDelete(elem); err != nil {
+			if err := s.ASR.DeleteOrphans(s.sql(), elem); err != nil {
 				return n, err
 			}
 		}
@@ -91,7 +91,7 @@ func (s *Store) cascadingDelete(elem, where string) (int, error) {
 		frontier = next
 	}
 	if s.ASR != nil && n > 0 {
-		if err := s.maintainASRAfterTriggerDelete(elem); err != nil {
+		if err := s.ASR.DeleteOrphans(s.sql(), elem); err != nil {
 			return n, err
 		}
 	}
@@ -120,45 +120,22 @@ func (s *Store) asrDelete(elem, where string) (int, error) {
 	for _, r := range rows.Data {
 		ids = append(ids, r[0].MustInt())
 	}
-	if _, err := s.ASR.MarkSubtrees(s.sql(), elem, ids); err != nil {
+	if err := s.ASR.MarkSubtrees(s.sql(), elem, ids); err != nil {
 		return 0, err
 	}
 	// Delete the targets and every descendant level: ids come from the
 	// marked ASR rows (a single join of the deleted tuples with the ASR
 	// yields the child ids below the delete point).
-	level := s.ASR.LevelOf[elem]
 	for _, de := range s.M.Descendants(elem) {
-		dtm := s.M.Table(de)
-		dl := s.ASR.LevelOf[de]
-		if dl < level {
-			continue
-		}
-		delSQL := fmt.Sprintf(
-			"DELETE FROM %s WHERE id IN (SELECT DISTINCT %s FROM %s WHERE mark = 1 AND %s IS NOT NULL)",
-			dtm.Name, s.ASR.Col(dl), s.ASR.Name, s.ASR.Col(dl))
+		delSQL := fmt.Sprintf("DELETE FROM %s WHERE id IN (%s)", s.M.Table(de).Name, s.ASR.Marked(de))
 		if _, err := s.sql().Exec(delSQL); err != nil {
 			return 0, err
 		}
 	}
-	if err := s.ASR.DeleteMarked(s.sql(), elem, ids); err != nil {
+	if err := s.ASR.DeleteMarked(s.sql(), elem); err != nil {
 		return 0, err
 	}
 	return len(ids), nil
-}
-
-// maintainASRAfterTriggerDelete reconciles the ASR after a delete performed
-// outside the marking scheme: paths referring to vanished tuples are purged
-// level by level.
-func (s *Store) maintainASRAfterTriggerDelete(elem string) error {
-	level := s.ASR.LevelOf[elem]
-	tm := s.M.Table(elem)
-	// Mark paths whose level-id no longer exists.
-	mark := fmt.Sprintf("UPDATE %s SET mark = 1 WHERE %s IS NOT NULL AND %s NOT IN (SELECT id FROM %s)",
-		s.ASR.Name, s.ASR.Col(level), s.ASR.Col(level), tm.Name)
-	if _, err := s.sql().Exec(mark); err != nil {
-		return err
-	}
-	return s.ASR.DeleteMarked(s.sql(), elem, nil)
 }
 
 // DeleteInlined performs a §6.1 "simple" deletion: the deleted element is

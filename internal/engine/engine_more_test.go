@@ -408,3 +408,25 @@ UPDATE $c { INSERT <Order><Date>2001-09-09</Date></Order> }`); err != nil {
 		t.Errorf("reconstructed document is not well-formed: %v", err)
 	}
 }
+
+// TestUpdateOfNonChildFails: a sub-operation whose child is not below its
+// target names no child of any target tuple. The DOM engine refuses it, and
+// so does the store, leaving the document as it was.
+func TestUpdateOfNonChildFails(t *testing.T) {
+	s := openCust(t, Options{})
+	before, err := s.Reconstruct()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.ExecString(`FOR $c IN document("custdb.xml")/CustDB/Customer[Name="Mary"], $o IN $c/Order UPDATE $o { DELETE $c }`)
+	if err == nil || !strings.Contains(err.Error(), "not under target") {
+		t.Fatalf("DELETE of the target's parent: %d targets, err %v; want a not-under-target error", n, err)
+	}
+	after, err := s.Reconstruct()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Error("the refused update changed the store")
+	}
+}

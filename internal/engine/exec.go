@@ -390,22 +390,24 @@ func (s *Store) planOps(env *sqlEnv, up *xquery.UpdateOp, target *pathTarget, ta
 }
 
 func (s *Store) planDelete(target, child *pathTarget, inTargets string) (plannedOp, error) {
+	where, err := constrainTo(s, target, child, inTargets)
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case child.Attr != "":
-		where := andWhere(child.Where, constrainTo(s, target, child, inTargets))
 		return func() error {
 			_, err := s.DeleteAttribute(child.Elem, child.Inlined, child.Attr, where)
 			return err
 		}, nil
 	case len(child.Inlined) > 0:
-		where := andWhere(child.Where, constrainTo(s, target, child, inTargets))
 		return func() error {
 			_, err := s.DeleteInlined(child.Elem, child.Inlined, where)
 			return err
 		}, nil
 	default:
 		// Complex delete: pre-bind the child subtree roots now.
-		ids, err := s.tupleIDs(&pathTarget{Elem: child.Elem, Where: andWhere(child.Where, constrainTo(s, target, child, inTargets))})
+		ids, err := s.tupleIDs(&pathTarget{Elem: child.Elem, Where: where})
 		if err != nil {
 			return nil, err
 		}
@@ -420,12 +422,14 @@ func (s *Store) planDelete(target, child *pathTarget, inTargets string) (planned
 }
 
 // constrainTo restricts a child target's condition to the materialized outer
-// target tuples. When the child resolves to the same table element as the
-// target, the id-list applies directly; when it is a child table, the
-// constraint follows parentId.
-func constrainTo(s *Store, target, child *pathTarget, inTargets string) string {
+// target tuples and returns the child's whole condition. When the child
+// resolves to the same table element as the target, the id-list applies
+// directly; when it is a table below the target, the constraint follows
+// parentId. A child whose table is not below the target's is an error, as
+// in the DOM engine: it names no child of any target tuple.
+func constrainTo(s *Store, target, child *pathTarget, inTargets string) (string, error) {
 	if child.Elem == target.Elem {
-		return inTargets
+		return andWhere(child.Where, inTargets), nil
 	}
 	// Find the linking chain child.Elem → target.Elem.
 	cond := inTargets
@@ -439,13 +443,13 @@ func constrainTo(s *Store, target, child *pathTarget, inTargets string) string {
 		}
 	}
 	if idx < 0 {
-		return inTargets // unrelated; best effort
+		return "", fmt.Errorf("engine: element <%s> is not under target <%s>", child.Elem, target.Elem)
 	}
 	for i := len(chain) - 1; i > idx; i-- {
 		ptm := s.M.Table(chain[i-1])
 		cond = fmt.Sprintf("parentId IN (SELECT id FROM %s WHERE %s)", ptm.Name, cond)
 	}
-	return cond
+	return andWhere(child.Where, cond), nil
 }
 
 func (s *Store) planInsert(env *sqlEnv, o xquery.InsertOp, target *pathTarget, targetIDs []int64, inTargets string) (plannedOp, error) {
@@ -544,7 +548,10 @@ func (s *Store) planInsert(env *sqlEnv, o xquery.InsertOp, target *pathTarget, t
 		}
 		rtm := s.M.Table(ref.Elem)
 		sql := fmt.Sprintf("SELECT parentId, pos FROM %s", rtm.Name)
-		w := andWhere(ref.Where, constrainTo(s, target, ref, inTargets))
+		w, err := constrainTo(s, target, ref, inTargets)
+		if err != nil {
+			return nil, err
+		}
 		if w != "" {
 			sql += " WHERE " + w
 		}
@@ -602,6 +609,10 @@ func (s *Store) nextPos(parentElem string, parentID int64) (int, error) {
 }
 
 func (s *Store) planReplace(o xquery.ReplaceOp, target, child *pathTarget, inTargets string) (plannedOp, error) {
+	where, err := constrainTo(s, target, child, inTargets)
+	if err != nil {
+		return nil, err
+	}
 	lit, ok := o.Content.(xquery.ElementLiteral)
 	if !ok {
 		if na, ok := o.Content.(xquery.NewAttributeExpr); ok {
@@ -613,7 +624,6 @@ func (s *Store) planReplace(o xquery.ReplaceOp, target, child *pathTarget, inTar
 			if col == nil {
 				return nil, fmt.Errorf("engine: no column for replaced attribute")
 			}
-			where := andWhere(child.Where, constrainTo(s, target, child, inTargets))
 			tm := s.M.Table(child.Elem)
 			return func() error {
 				sql := fmt.Sprintf("UPDATE %s SET %s = %s", tm.Name, col.Name, relational.FormatValue(relational.Text(na.Value)))
@@ -646,7 +656,6 @@ func (s *Store) planReplace(o xquery.ReplaceOp, target, child *pathTarget, inTar
 		if col == nil || newCol == nil {
 			return nil, fmt.Errorf("engine: inlined replace requires declared columns for both tags")
 		}
-		where := andWhere(child.Where, constrainTo(s, target, child, inTargets))
 		tm := s.M.Table(child.Elem)
 		text := content.TextContent()
 		return func() error {
@@ -663,7 +672,6 @@ func (s *Store) planReplace(o xquery.ReplaceOp, target, child *pathTarget, inTar
 		}, nil
 	default:
 		// Complex replace: pre-bind child subtree roots, then insert+delete.
-		where := andWhere(child.Where, constrainTo(s, target, child, inTargets))
 		ids, err := s.tupleIDs(&pathTarget{Elem: child.Elem, Where: where})
 		if err != nil {
 			return nil, err

@@ -633,3 +633,45 @@ func TestRandomizedDeleteRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestASRCopyScaling — copying one publication under a store that keeps an
+// ASR costs a function of the copy. Tuple insert hands its new tuples to
+// the ASR's walk writer, and table insert copies the source roots' paths
+// with one offset INSERT…SELECT that probes the roots' level column, so
+// their statements and rows scanned are the same at 160, 1,280 and 2,400
+// publications. ASR insert still finds the source through the mark, whose
+// column has no index: its rows scanned grow with the ASR (ROADMAP item
+// 15).
+func TestASRCopyScaling(t *testing.T) {
+	for _, c := range []struct {
+		o    Options
+		flat bool
+	}{
+		{Options{Delete: ASRDelete, Insert: TupleInsert}, true},
+		{Options{Delete: ASRDelete, Insert: TableInsert}, true},
+		{Options{Insert: ASRInsert}, false},
+	} {
+		var runs []figRun
+		for _, confs := range []int{4, 32, 60} {
+			in := figInput{
+				label: fmt.Sprintf("confs=%d", confs),
+				doc:   datagen.DBLP(datagen.DBLPParams{Conferences: confs, PubsPerConf: 40, Seed: 7}),
+				elem:  "publication",
+			}
+			s := open(t, in, c.o)
+			in.where = fmt.Sprintf("id = %d", mustQuery(t, s, "SELECT MIN(id) FROM "+s.M.Table(in.elem).Name).Data[0][0].MustInt())
+			r := measure(t, in, s, workload{name: "asr copy", insert: true})
+			logRun(t, fmt.Sprintf("asr copy %s/%s", c.o.Delete, c.o.Insert), in.label, r)
+			runs = append(runs, r)
+		}
+		label := fmt.Sprintf("asr copy %s/%s", c.o.Delete, c.o.Insert)
+		if !c.flat {
+			linearInTuples(t, label+" rows scanned", runs, rowsScanned)
+			continue
+		}
+		for i, r := range runs[1:] {
+			expect(t, fmt.Sprintf("%s point %d statements", label, i+1), r.st.Statements, int(runs[0].st.Statements))
+			expect(t, fmt.Sprintf("%s point %d rows scanned", label, i+1), r.st.RowsScanned, int(runs[0].st.RowsScanned))
+		}
+	}
+}

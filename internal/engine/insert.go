@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/asr"
 	"repro/internal/relational"
 )
 
@@ -51,6 +52,7 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 		return 0, err
 	}
 	idMap := make(map[int64]int64)
+	var tuples []asr.Tuple
 	// One `?` INSERT text per branch: the per-tuple loop binds values
 	// instead of re-formatting SQL for every tuple, and the DB's plan cache
 	// parses each text once.
@@ -95,9 +97,12 @@ func (s *Store) tupleInsert(srcElem, where string, dstParentID int64) (int, erro
 		if _, err := s.sql().Exec(inserts[bi], args...); err != nil {
 			return roots, err
 		}
+		if s.ASR != nil {
+			tuples = append(tuples, asr.Tuple{Elem: b.Elem, ID: newID, Parent: parent.MustInt()})
+		}
 	}
 	if s.ASR != nil {
-		if err := s.rebuildASRPathsFor(srcElem, idMap, dstParentID); err != nil {
+		if err := s.ASR.InsertTuples(s.sql(), srcElem, dstParentID, tuples); err != nil {
 			return roots, err
 		}
 	}
@@ -176,11 +181,17 @@ func (s *Store) tableInsert(srcElem, where string, dstParentID int64) (int, erro
 		}
 		first = false
 	}
-	roots := 0
-	if rows, err := s.sql().Query(fmt.Sprintf("SELECT COUNT(*) FROM %s", temp(srcElem))); err == nil {
-		roots = int(rows.Data[0][0].MustInt())
+	// The staged roots, read before the remap: their ids select the ASR
+	// paths to copy.
+	rootRows, err := s.sql().Query(fmt.Sprintf("SELECT id FROM %s", temp(srcElem)))
+	if err != nil {
+		return 0, err
 	}
-	if first || roots == 0 {
+	roots := make([]int64, len(rootRows.Data))
+	for i, r := range rootRows.Data {
+		roots[i] = r[0].MustInt()
+	}
+	if first || len(roots) == 0 {
 		for _, elem := range subtree {
 			if _, err := s.sql().Exec("DROP TABLE " + temp(elem)); err != nil {
 				return 0, err
@@ -221,11 +232,11 @@ func (s *Store) tableInsert(srcElem, where string, dstParentID int64) (int, erro
 		}
 	}
 	if s.ASR != nil {
-		if err := s.insertASRPathsWithOffset(srcElem, where, offset, dstParentID, nil); err != nil {
-			return roots, err
+		if err := s.ASR.CopyPaths(s.sql(), srcElem, roots, offset, dstParentID); err != nil {
+			return len(roots), err
 		}
 	}
-	return roots, nil
+	return len(roots), nil
 }
 
 // parentWithin finds elem's parent among the subtree's tables.
@@ -262,44 +273,24 @@ func (s *Store) asrInsert(srcElem, where string, dstParentID int64) (int, error)
 	for _, r := range rows.Data {
 		srcIDs = append(srcIDs, r[0].MustInt())
 	}
-	if _, err := s.ASR.MarkSubtrees(s.sql(), srcElem, srcIDs); err != nil {
+	if err := s.ASR.MarkSubtrees(s.sql(), srcElem, srcIDs); err != nil {
 		return 0, err
 	}
 
 	// Scan the ASR for all subtree ids and compute the remapping offset.
-	subtree := s.M.Descendants(srcElem)
-	minID, maxID := int64(0), int64(0)
-	firstAgg := true
-	for _, elem := range subtree {
-		lvl := s.ASR.LevelOf[elem]
-		agg, err := s.sql().Query(fmt.Sprintf("SELECT MIN(%s), MAX(%s) FROM %s WHERE mark = 1",
-			s.ASR.Col(lvl), s.ASR.Col(lvl), s.ASR.Name))
-		if err != nil {
-			return 0, err
-		}
-		lo, ok1 := agg.Data[0][0].Int()
-		hi, ok2 := agg.Data[0][1].Int()
-		if !ok1 || !ok2 {
-			continue
-		}
-		if firstAgg || lo < minID {
-			minID = lo
-		}
-		if firstAgg || hi > maxID {
-			maxID = hi
-		}
-		firstAgg = false
+	minID, maxID, ok, err := s.ASR.MarkedRange(s.sql(), srcElem)
+	if err != nil {
+		return 0, err
 	}
-	if firstAgg {
+	if !ok {
 		return 0, s.ASR.Unmark(s.sql())
 	}
 	offset := s.NextID() - minID
 	s.AllocateIDs(maxID - minID + 1)
 
 	// Replicate each relation's marked tuples with the offset applied.
-	for _, elem := range subtree {
+	for _, elem := range s.M.Descendants(srcElem) {
 		etm := s.M.Table(elem)
-		lvl := s.ASR.LevelOf[elem]
 		exprs := []string{fmt.Sprintf("id + %d", offset), fmt.Sprintf("parentId + %d", offset)}
 		cols := []string{"id", "parentId"}
 		if s.Opt.OrderColumn {
@@ -310,9 +301,8 @@ func (s *Store) asrInsert(srcElem, where string, dstParentID int64) (int, error)
 			exprs = append(exprs, c.Name)
 			cols = append(cols, c.Name)
 		}
-		sql := fmt.Sprintf("INSERT INTO %s (%s) SELECT %s FROM %s WHERE id IN (SELECT DISTINCT %s FROM %s WHERE mark = 1 AND %s IS NOT NULL)",
-			etm.Name, strings.Join(cols, ", "), strings.Join(exprs, ", "), etm.Name,
-			s.ASR.Col(lvl), s.ASR.Name, s.ASR.Col(lvl))
+		sql := fmt.Sprintf("INSERT INTO %s (%s) SELECT %s FROM %s WHERE id IN (%s)",
+			etm.Name, strings.Join(cols, ", "), strings.Join(exprs, ", "), etm.Name, s.ASR.Marked(elem))
 		if _, err := s.sql().Exec(sql); err != nil {
 			return 0, err
 		}
@@ -326,112 +316,13 @@ func (s *Store) asrInsert(srcElem, where string, dstParentID int64) (int, error)
 			return 0, err
 		}
 	}
-	if err := s.insertASRPathsWithOffset(srcElem, "", offset, dstParentID, srcIDs); err != nil {
+	if err := s.ASR.CopyMarkedPaths(s.sql(), srcElem, offset, dstParentID); err != nil {
 		return 0, err
 	}
 	if err := s.ASR.Unmark(s.sql()); err != nil {
 		return 0, err
 	}
 	return len(srcIDs), nil
-}
-
-// insertASRPathsWithOffset adds paths for a copied subtree in one
-// INSERT…SELECT over the marked rows: ancestor levels take the destination
-// chain as constants, subtree levels are offset. When called from the table
-// method (no marks), it first marks the source rows, then unmarks.
-func (s *Store) insertASRPathsWithOffset(srcElem, where string, offset int64, dstParentID int64, srcIDs []int64) error {
-	level := s.ASR.LevelOf[srcElem]
-	needMark := srcIDs == nil
-	if needMark {
-		tm := s.M.Table(srcElem)
-		sql := fmt.Sprintf("SELECT id FROM %s", tm.Name)
-		if where != "" {
-			sql += " WHERE " + where
-		}
-		rows, err := s.sql().Query(sql)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows.Data {
-			srcIDs = append(srcIDs, r[0].MustInt())
-		}
-		if len(srcIDs) == 0 {
-			return nil
-		}
-		if _, err := s.ASR.MarkSubtrees(s.sql(), srcElem, srcIDs); err != nil {
-			return err
-		}
-	}
-	var prefix []relational.Value
-	if level > 0 {
-		parentElem := s.M.Table(srcElem).Parent
-		chain, err := s.chainIDs(parentElem, dstParentID)
-		if err != nil {
-			return err
-		}
-		prefix = chain
-	}
-	exprs := make([]string, s.ASR.Depth+1)
-	for i := 0; i < s.ASR.Depth; i++ {
-		switch {
-		case i < level:
-			exprs[i] = relational.FormatValue(prefix[i])
-		default:
-			exprs[i] = fmt.Sprintf("%s + %d", s.ASR.Col(i), offset)
-		}
-	}
-	exprs[s.ASR.Depth] = "0"
-	sql := fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s WHERE mark = 1",
-		s.ASR.Name, strings.Join(exprs, ", "), s.ASR.Name)
-	if _, err := s.sql().Exec(sql); err != nil {
-		return err
-	}
-	if needMark {
-		return s.ASR.Unmark(s.sql())
-	}
-	return nil
-}
-
-// rebuildASRPathsFor maintains the ASR after a tuple-method insert using the
-// id mapping built during the copy.
-func (s *Store) rebuildASRPathsFor(srcElem string, idMap map[int64]int64, dstParentID int64) error {
-	level := s.ASR.LevelOf[srcElem]
-	var prefix []relational.Value
-	if level > 0 {
-		parentElem := s.M.Table(srcElem).Parent
-		chain, err := s.chainIDs(parentElem, dstParentID)
-		if err != nil {
-			return err
-		}
-		prefix = chain
-	}
-	// Source paths: every ASR row whose level-id is an old source id (no
-	// marks are set in the tuple method; gather paths directly).
-	rows, err := s.sql().Query(fmt.Sprintf("SELECT * FROM %s", s.ASR.Name))
-	if err != nil {
-		return err
-	}
-	var newPaths [][]relational.Value
-	for _, r := range rows.Data {
-		idv, ok := r[level].Int()
-		if !ok {
-			continue
-		}
-		if _, copied := idMap[idv]; !copied {
-			continue
-		}
-		np := make([]relational.Value, s.ASR.Depth)
-		copy(np, prefix)
-		for i := level; i < s.ASR.Depth; i++ {
-			if old, ok := r[i].Int(); ok {
-				if nid, ok := idMap[old]; ok {
-					np[i] = relational.Int(nid)
-				}
-			}
-		}
-		newPaths = append(newPaths, np)
-	}
-	return s.ASR.InsertPaths(s.sql(), newPaths)
 }
 
 // InsertInlined performs a §6.2 "simple" (flat) insertion: the new element

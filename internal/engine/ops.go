@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/relational"
+	"repro/internal/asr"
 	"repro/internal/shred"
 	"repro/internal/xmltree"
 )
@@ -43,7 +43,7 @@ func (s *Store) InsertContentAt(dstParentID int64, content *xmltree.Element, pos
 			}
 		}
 		if s.ASR != nil {
-			return s.addASRPathsForNew(content.Name, ds, dstParentID)
+			return s.ASR.InsertTuples(s.sql(), content.Name, dstParentID, newTuples(ds))
 		}
 		return nil
 	})
@@ -53,61 +53,16 @@ func (s *Store) InsertContentAt(dstParentID int64, content *xmltree.Element, pos
 	return rootID, nil
 }
 
-// addASRPathsForNew inserts left-complete paths for newly created tuples.
-func (s *Store) addASRPathsForNew(rootElem string, ds *shred.Dataset, dstParentID int64) error {
-	level := s.ASR.LevelOf[rootElem]
-	var prefix []relational.Value
-	if level > 0 {
-		parentElem := s.M.Table(rootElem).Parent
-		chain, err := s.chainIDs(parentElem, dstParentID)
-		if err != nil {
-			return err
-		}
-		prefix = chain
-	}
-	// Rebuild parent→children links from the dataset.
-	type tup struct {
-		elem string
-		id   int64
-	}
-	children := make(map[int64][]tup)
-	ids := make(map[string]map[int64]bool)
+// newTuples lists a shredded dataset's tuples for the ASR's walk writer.
+func newTuples(ds *shred.Dataset) []asr.Tuple {
+	var out []asr.Tuple
 	for elem, rows := range ds.Rows {
-		ids[elem] = make(map[int64]bool)
 		for _, r := range rows {
-			id := r[0].MustInt()
-			ids[elem][id] = true
-			if pid, ok := r[1].Int(); ok {
-				children[pid] = append(children[pid], tup{elem, id})
-			}
+			pid, _ := r[1].Int()
+			out = append(out, asr.Tuple{Elem: elem, ID: r[0].MustInt(), Parent: pid})
 		}
 	}
-	var paths [][]relational.Value
-	var walk func(id int64, path []relational.Value)
-	walk = func(id int64, path []relational.Value) {
-		kids := children[id]
-		leaf := true
-		for _, k := range kids {
-			// Only descend into tuples created by this dataset.
-			if ids[k.elem][k.id] {
-				leaf = false
-				walk(k.id, append(path, relational.Int(k.id)))
-			}
-		}
-		if leaf {
-			p := make([]relational.Value, len(path))
-			copy(p, path)
-			paths = append(paths, p)
-		}
-	}
-	for _, r := range ds.Rows[rootElem] {
-		id := r[0].MustInt()
-		base := make([]relational.Value, 0, s.ASR.Depth)
-		base = append(base, prefix...)
-		base = append(base, relational.Int(id))
-		walk(id, base)
-	}
-	return s.ASR.InsertPaths(s.sql(), paths)
+	return out
 }
 
 // ReplaceSubtrees replaces each subtree rooted at a matching tuple of elem

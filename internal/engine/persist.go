@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 
@@ -39,9 +37,9 @@ const metaTable = "_xmeta"
 // Initialization is crash-atomic by detection, not by a single commit: the
 // metadata's 'nextid' row is written last, so a directory whose recovered
 // state has tables but no complete metadata is a half-built store — OpenDir
-// wipes the log and checkpoints and redoes the initialization from the
-// document (the data so far was nothing but that same shred; the rebuilt
-// tables truncate their stale page files when first checkpointed).
+// removes every file the relational layer reads (relational.RemoveFiles)
+// and redoes the initialization from the document (the data so far was
+// nothing but that same shred).
 func OpenDir(dir string, doc *xmltree.Document, opts Options, dopts relational.Options) (*Store, error) {
 	db, err := relational.Open(dir, dopts)
 	if err != nil {
@@ -63,7 +61,7 @@ func OpenDir(dir string, doc *xmltree.Document, opts Options, dopts relational.O
 		if doc == nil {
 			return nil, fmt.Errorf("engine: directory holds a half-initialized store; re-run OpenDir with the document to rebuild it")
 		}
-		if err := wipeStoreDir(dir); err != nil {
+		if err := relational.RemoveFiles(dir); err != nil {
 			return nil, err
 		}
 		if db, err = relational.Open(dir, dopts); err != nil {
@@ -102,23 +100,6 @@ func storeState(db *relational.DB) storeStateKind {
 		return statePartial
 	}
 	return stateReady
-}
-
-// wipeStoreDir removes the log and checkpoint files of a half-initialized
-// store so initialization can restart from nothing.
-func wipeStoreDir(dir string) error {
-	for _, pat := range []string{"wal-*.seg", "ckpt-*.ckpt", "ckpt.tmp"} {
-		matches, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			return err
-		}
-		for _, m := range matches {
-			if err := os.Remove(m); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func initStore(db *relational.DB, doc *xmltree.Document, opts Options) (*Store, error) {

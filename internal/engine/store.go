@@ -296,34 +296,6 @@ func (s *Store) TupleCount() int {
 	return n
 }
 
-// chainIDs returns the tuple-id chain from the root down to the tuple id of
-// elem, by following parentId upwards (used for ASR path prefixes).
-func (s *Store) chainIDs(elem string, id int64) ([]relational.Value, error) {
-	chainElems := s.M.ParentChain(elem)
-	out := make([]relational.Value, len(chainElems))
-	cur := id
-	for i := len(chainElems) - 1; i >= 0; i-- {
-		out[i] = relational.Int(cur)
-		if i == 0 {
-			break
-		}
-		tm := s.M.Table(chainElems[i])
-		rows, err := s.sql().Query(fmt.Sprintf("SELECT parentId FROM %s WHERE id = %d", tm.Name, cur))
-		if err != nil {
-			return nil, err
-		}
-		if len(rows.Data) != 1 {
-			return nil, fmt.Errorf("engine: tuple %d not found in %s", cur, tm.Name)
-		}
-		pid, ok := rows.Data[0][0].Int()
-		if !ok {
-			return nil, fmt.Errorf("engine: tuple %d in %s has NULL parent", cur, tm.Name)
-		}
-		cur = pid
-	}
-	return out, nil
-}
-
 // dataColumnList returns the comma-separated data column names of a table
 // (everything after id and parentId).
 func dataColumnList(tm *shred.TableMap, withOrder bool) string {

@@ -78,14 +78,6 @@ func (s *Store) translateAbsPath(p *xpath.Path) (*pathTarget, error) {
 	return s.translateSteps(cur, where, p.Steps[start:])
 }
 
-// translateRelPath resolves a path relative to a table element.
-func (s *Store) translateRelPath(fromElem string, p *xpath.Path) (*pathTarget, error) {
-	if p == nil {
-		return &pathTarget{Elem: fromElem}, nil
-	}
-	return s.translateSteps(fromElem, "", p.Steps)
-}
-
 // translateSteps walks child/attribute steps from a table element,
 // descending through child tables and into the inlined region.
 func (s *Store) translateSteps(cur, where string, steps []*xpath.Step) (*pathTarget, error) {

@@ -3,6 +3,8 @@ package relational
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -385,6 +387,25 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	ok = true
 	return db, nil
+}
+
+// RemoveFiles deletes every file Open reads from dir: the log's segments
+// and checkpoints, the doublewrite buffer and the page files. A DB opened
+// on dir afterwards starts empty. No DB may be open on dir.
+func RemoveFiles(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if wal.IsLogFile(name) || name == dwFileName || name == dwTmpName || strings.HasSuffix(name, pagesSuffix) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RecoveredCommits reports how many log-tail commit records the Open that

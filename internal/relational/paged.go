@@ -145,6 +145,9 @@ func newPagedTable(db *DB, t *Table) *pagedTable {
 	return &pagedTable{t: t, db: db, key: strings.ToLower(t.Name)}
 }
 
+// pagesSuffix ends every page file's name.
+const pagesSuffix = ".pages"
+
 // pagedFileName maps a table name to its page file, escaping bytes that
 // are not portable filename characters.
 func pagedFileName(key string) string {
@@ -157,7 +160,7 @@ func pagedFileName(key string) string {
 			fmt.Fprintf(&b, "%%%02x", c)
 		}
 	}
-	return b.String() + ".pages"
+	return b.String() + pagesSuffix
 }
 
 func (pg *pagedTable) filePath() string {
@@ -1019,6 +1022,10 @@ func (db *DB) writePagedCheckpoint(lsn uint64, ddl []string, metas []pagedTableM
 // means the checkpoint never started mattering.
 
 const dwFileName = "dw.buf"
+
+// dwTmpName is the doublewrite buffer being written, renamed to dwFileName
+// once durable.
+const dwTmpName = "dw.tmp"
 const dwMagic = "XDW1"
 
 func encodeDoublewrite(lsn uint64, payload []byte, images []pagedImage) []byte {
@@ -1091,7 +1098,7 @@ func decodeDoublewrite(b []byte, pageSize int) (lsn uint64, payload []byte, imag
 
 func (db *DB) writeDoublewrite(lsn uint64, payload []byte, images []pagedImage) error {
 	data := encodeDoublewrite(lsn, payload, images)
-	tmp := filepath.Join(db.pagedDir, "dw.tmp")
+	tmp := filepath.Join(db.pagedDir, dwTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -1127,7 +1134,7 @@ func (db *DB) recoverDoublewrite(l *wal.Log) error {
 	path := filepath.Join(db.pagedDir, dwFileName)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		os.Remove(filepath.Join(db.pagedDir, "dw.tmp"))
+		os.Remove(filepath.Join(db.pagedDir, dwTmpName))
 		return nil
 	}
 	if err != nil {

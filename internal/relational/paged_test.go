@@ -601,6 +601,41 @@ func TestPagedCheckpointCrashStages(t *testing.T) {
 	}
 }
 
+// TestRemoveFilesAfterCheckpointCrash: a checkpoint killed once its
+// doublewrite buffer or its pages are durable leaves files beside the log
+// that recovery reads, and a reopen would finish the checkpoint from them.
+// RemoveFiles deletes those too, so the directory reopens empty.
+func TestRemoveFilesAfterCheckpointCrash(t *testing.T) {
+	for _, stage := range []string{"dw-durable", "pages-durable"} {
+		t.Run(stage, func(t *testing.T) {
+			dir := t.TempDir()
+			db := mustOpenDB(t, dir, pagedOpts())
+			db.MustExec("CREATE TABLE item (id INTEGER, name VARCHAR(64))")
+			for i := 0; i < 50; i++ {
+				db.MustExec(fmt.Sprintf("INSERT INTO item VALUES (%d, 'n%d')", i+1, i))
+			}
+			db.ckptHook = func(s string) error {
+				if s == stage {
+					return errInjected
+				}
+				return nil
+			}
+			if err := db.Checkpoint(); err != errInjected {
+				t.Fatalf("Checkpoint with %s kill = %v, want injected crash", stage, err)
+			}
+			// Abandon db (crash), then remove what the directory holds.
+			if err := RemoveFiles(dir); err != nil {
+				t.Fatal(err)
+			}
+			rec := mustOpenDB(t, dir, pagedOpts())
+			defer rec.Close()
+			if names := rec.TableNames(); len(names) != 0 {
+				t.Fatalf("reopened after RemoveFiles with tables %v, want none", names)
+			}
+		})
+	}
+}
+
 // TestPagedCorruptPageFailsOpen: a page that fails its checksum with no
 // doublewrite buffer to rebuild it from is real corruption; Open must fail
 // loudly rather than serve the page.

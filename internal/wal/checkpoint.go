@@ -37,7 +37,7 @@ func (l *Log) WriteCheckpoint(lsn uint64, payload []byte) error {
 		return err
 	}
 
-	tmp := filepath.Join(l.dir, "ckpt.tmp")
+	tmp := filepath.Join(l.dir, ckptTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

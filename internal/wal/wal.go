@@ -100,6 +100,18 @@ const (
 	ckptSuffix = ".ckpt"
 )
 
+// ckptTmpName is the checkpoint file being written, renamed into place once
+// durable.
+const ckptTmpName = "ckpt.tmp"
+
+// IsLogFile reports whether a file name in a log directory belongs to the
+// log: a segment, a checkpoint, or a checkpoint being written.
+func IsLogFile(name string) bool {
+	_, seg := parseSeq(name, segPrefix, segSuffix)
+	_, ckpt := parseSeq(name, ckptPrefix, ckptSuffix)
+	return seg || ckpt || name == ckptTmpName
+}
+
 func segName(firstLSN uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, firstLSN, segSuffix) }
 func ckptName(lsn uint64) string     { return fmt.Sprintf("%s%016x%s", ckptPrefix, lsn, ckptSuffix) }
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
